@@ -24,7 +24,6 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,18 +186,8 @@ def _extract_report(
     seed: int,
     runs: int,
     timeout_secs: float | None,
-    parallel: bool,
 ) -> dict:
-    seeds = [seed + i for i in range(runs)]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            trials = list(
-                pool.map(
-                    lambda s: _run_trial(game, mp, method, s, timeout_secs), seeds
-                )
-            )
-    else:
-        trials = [_run_trial(game, mp, method, s, timeout_secs) for s in seeds]
+    trials = [_run_trial(game, mp, method, seed + i, timeout_secs) for i in range(runs)]
     completed = [t for t in trials if not t.timed_out and t.valid]
     dens_mean, dens_std = _mean_std([float(t.density) for t in completed])
     time_mean, time_std = _mean_std([t.time_secs for t in completed])
@@ -272,7 +261,7 @@ def cmd_extract(args) -> int:
 
     report = _extract_report(
         args.game, game, mp, args.method, args.seed, args.runs,
-        args.timeout_secs, args.parallel,
+        args.timeout_secs,
     )
     for t in report["trials"]:
         cell = "t/o" if t["timed_out"] else t["density"]
@@ -337,7 +326,7 @@ def cmd_bench(args) -> int:
         for m in methods:
             rep = _extract_report(
                 str(path), game, mp, m, args.seed, args.runs,
-                args.timeout_secs, args.parallel,
+                args.timeout_secs,
             )
             timed_out = any(
                 t["timed_out"] or not t["certified"] for t in rep["trials"]
@@ -417,7 +406,6 @@ def _build_parser() -> _Parser:
     p_extract.add_argument("--seed", type=int, default=0)
     p_extract.add_argument("--runs", type=int, default=1)
     p_extract.add_argument("--timeout-secs", type=float, default=600.0)
-    p_extract.add_argument("--parallel", action="store_true")
     p_extract.add_argument("--json")
     p_extract.add_argument("--csv")
     p_extract.add_argument("--dump-cnf")
@@ -430,7 +418,6 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--runs", type=int, default=5)
     p_bench.add_argument("--timeout-secs", type=float, default=600.0)
-    p_bench.add_argument("--parallel", action="store_true")
     p_bench.add_argument("--json")
     p_bench.add_argument("--csv")
     p_bench.set_defaults(func=cmd_bench)

@@ -417,6 +417,48 @@ def most_permissive(game: SafetyGame, winning: frozenset[str]) -> MostPermissive
     return MostPermissiveStrategy(winning=frozenset(winning), allowed=allowed)
 
 
+#: Player-0 position index -> the (action, target) index pairs it takes.
+Moves = dict[int, tuple[tuple[int, int], ...]]
+
+
+def reach(game: SafetyGame, moves: Moves) -> tuple[list[int], dict[int, int | None]]:
+    """Breadth-first exploration from init.
+
+    A player-1 position takes every edge in ``out_edges``; a player-0
+    position ``v`` takes the (action, target) index pairs in ``moves[v]``
+    and none when ``v`` has no entry.  Returns the visit order and
+    ``parent``, which maps each visited position to the position that
+    discovered it (``None`` for init).
+    """
+    owner = game.pos_owner
+    out = game.out_edges
+    init = game.init_index
+    parent: dict[int, int | None] = {init: None}
+    order = [init]
+    for v in order:
+        for _, d in out[v] if owner[v] else moves.get(v, ()):
+            if d not in parent:
+                parent[d] = v
+                order.append(d)
+    return order, parent
+
+
+def strategy_moves(game: SafetyGame, strat: PositionalStrategy) -> Moves:
+    """Index edges of ``strat`` for :func:`reach`.  A choice that names no
+    edge of ``game`` is dropped, so its position behaves as undefined."""
+    pos_index, act_index, out = game.pos_index, game.act_index, game.out_edges
+    moves: Moves = {}
+    for p, act in strat.choice.items():
+        v = pos_index.get(p)
+        if v is not None:
+            a = act_index.get(act)
+            for edge in out[v]:
+                if edge[0] == a:
+                    moves[v] = (edge,)
+                    break
+    return moves
+
+
 def prune_reachable(game: SafetyGame, mp: MostPermissiveStrategy) -> SafetyGame:
     """Restrict the game to positions reachable from init when player 0
     ranges over the most-permissive actions and player 1 moves freely.
@@ -424,24 +466,13 @@ def prune_reachable(game: SafetyGame, mp: MostPermissiveStrategy) -> SafetyGame:
     Every position of the result is winning and reachable, so downstream
     encodings need no explicit winning-region filter.  Idempotent.
     """
-    win_idx = {game.pos_index[p] for p in mp.winning}
-    allowed_idx: dict[int, set[int]] = {
-        game.pos_index[p]: {game.act_index[a] for a in acts}
-        for p, acts in mp.allowed.items()
-    }
-    seen = {game.init_index}
-    queue = deque([game.init_index])
-    while queue:
-        v = queue.popleft()
-        ok_actions = allowed_idx.get(v)
-        for a, d in game.out_edges[v]:
-            if game.pos_owner[v] == 0 and (ok_actions is None or a not in ok_actions):
-                continue
-            if d not in seen:
-                seen.add(d)
-                queue.append(d)
-    keep = seen & win_idx
-    keep_names = {game.pos_names[v] for v in keep}
+    moves: Moves = {}
+    for p, acts in mp.allowed.items():
+        v = game.pos_index[p]
+        ok = {game.act_index[a] for a in acts}
+        moves[v] = tuple(e for e in game.out_edges[v] if e[0] in ok)
+    order, _ = reach(game, moves)
+    keep_names = {game.pos_names[v] for v in order} & mp.winning
     positions = {p: game.pos_owner[game.pos_index[p]] for p in keep_names}
     edges = {
         (src, act): dst
@@ -468,84 +499,67 @@ def validate_strategy(
     """
     if game.init not in mp.winning:
         return ValidationVerdict(False, PlayWitness((game.init,), ()))
-    init = game.init_index
-    win_idx = {game.pos_index[p] for p in mp.winning}
-    parent: dict[int, tuple[int, str] | None] = {init: None}
-    queue = deque([init])
+    moves = strategy_moves(game, strat)
+    order, parent = reach(game, moves)
+    owner, out, names = game.pos_owner, game.out_edges, game.pos_names
+    winning = mp.winning
 
-    def play_to(v: int, extra: tuple[int | None, str | None]) -> PlayWitness:
-        trace: list[str] = []
-        decisions: list[str] = []
-        cur: int | None = v
-        while cur is not None:
-            trace.append(game.pos_names[cur])
-            step = parent[cur]
-            if step is None:
-                break
-            cur, act = step
-            decisions.append(act)
+    def play_to(v: int, tail: tuple[int, int] | None) -> PlayWitness:
+        # Each step replays the first edge of the parent that reaches the
+        # child, which is the edge that discovered it.
+        trace = [v]
+        decisions: list[int] = []
+        while parent[trace[-1]] is not None:
+            u = parent[trace[-1]]
+            edges = out[u] if owner[u] else moves[u]
+            decisions.append(next(a for a, d in edges if d == trace[-1]))
+            trace.append(u)
         trace.reverse()
         decisions.reverse()
-        tail_pos, tail_act = extra
-        if tail_act is not None:
-            decisions.append(tail_act)
-        if tail_pos is not None:
-            trace.append(game.pos_names[tail_pos])
-        return PlayWitness(tuple(trace), tuple(decisions))
+        if tail is not None:
+            decisions.append(tail[0])
+            trace.append(tail[1])
+        return PlayWitness(
+            tuple(names[t] for t in trace), tuple(game.act_names[a] for a in decisions)
+        )
 
-    while queue:
-        v = queue.popleft()
-        name = game.pos_names[v]
-        if game.pos_owner[v] == 0:
-            act = strat.choice.get(name)
-            if act is None:
-                return ValidationVerdict(False, play_to(v, (None, None)))
-            dst_name = game.edges.get((name, act))
-            if dst_name is None:
-                return ValidationVerdict(False, play_to(v, (None, None)))
-            d = game.pos_index[dst_name]
-            if d not in win_idx:
-                return ValidationVerdict(False, play_to(v, (d, act)))
-            if d not in parent:
-                parent[d] = (v, act)
-                queue.append(d)
-        else:
-            for a, d in game.out_edges[v]:
-                if d not in win_idx:
-                    return ValidationVerdict(
-                        False, play_to(v, (d, game.act_names[a]))
-                    )
-                if d not in parent:
-                    parent[d] = (v, game.act_names[a])
-                    queue.append(d)
+    for v in order:
+        edges = out[v] if owner[v] else moves.get(v)
+        if edges is None:
+            return ValidationVerdict(False, play_to(v, None))
+        for a, d in edges:
+            if names[d] not in winning:
+                return ValidationVerdict(False, play_to(v, (a, d)))
     return ValidationVerdict(True, None)
+
+
+def decode_support(game: SafetyGame, support: set[int]) -> PositionalStrategy:
+    """Read a strategy off a support set closed under player-1 moves:
+    breadth first from init, picking per player-0 position the smallest
+    action whose target is in the support."""
+    owner, out = game.pos_owner, game.out_edges
+    moves: Moves = {}
+    for v in support:
+        if owner[v] == 0:
+            for edge in out[v]:
+                if edge[1] in support:
+                    moves[v] = (edge,)
+                    break
+    order, _ = reach(game, moves)
+    choice: dict[str, str] = {}
+    for v in order:
+        if owner[v] == 0:
+            if v not in moves:
+                raise AssertionError("support offers no successor at a reached position")
+            choice[game.pos_names[v]] = game.act_names[moves[v][0][0]]
+    return PositionalStrategy(choice)
 
 
 def reachable_under(game: SafetyGame, strat: PositionalStrategy) -> frozenset[str]:
     """Positions visited by some play where player 0 follows ``strat``
     and player 1 moves freely."""
-    seen = {game.init_index}
-    queue = deque([game.init_index])
-    while queue:
-        v = queue.popleft()
-        name = game.pos_names[v]
-        if game.pos_owner[v] == 0:
-            act = strat.choice.get(name)
-            if act is None:
-                continue
-            dst = game.edges.get((name, act))
-            if dst is None:
-                continue
-            d = game.pos_index[dst]
-            if d not in seen:
-                seen.add(d)
-                queue.append(d)
-        else:
-            for _, d in game.out_edges[v]:
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-    return frozenset(game.pos_names[v] for v in seen)
+    order, _ = reach(game, strategy_moves(game, strat))
+    return frozenset(game.pos_names[v] for v in order)
 
 
 def density(game: SafetyGame, strat: PositionalStrategy) -> int:
@@ -553,9 +567,9 @@ def density(game: SafetyGame, strat: PositionalStrategy) -> int:
 
     Defined choices at unreachable positions do not count.
     """
-    reach = reachable_under(game, strat)
-    p0 = game.positions0
-    return sum(1 for p in reach if p in p0)
+    order, _ = reach(game, strategy_moves(game, strat))
+    owner = game.pos_owner
+    return sum(1 for v in order if owner[v] == 0)
 
 
 def search_space_bits(game: SafetyGame, mp: MostPermissiveStrategy) -> float:

@@ -18,7 +18,6 @@ results.
 from __future__ import annotations
 
 import time
-from collections import deque
 
 from .errors import InitLosingError, TimeoutExceededError
 from .game import (
@@ -26,6 +25,7 @@ from .game import (
     MostPermissiveStrategy,
     PositionalStrategy,
     SafetyGame,
+    decode_support,
     restrict_to_reachable,
 )
 from .rng import SplitMix64
@@ -81,28 +81,7 @@ def smart_random_extract(
             raise TimeoutExceededError("local search deadline expired")
         arena.try_delete(v)
 
-    alive = arena.alive
-    owner = game.pos_owner
-    out = game.out_edges
-    choice: dict[str, str] = {}
-    seen = {game.init_index}
-    queue = deque([game.init_index])
-    while queue:
-        v = queue.popleft()
-        if owner[v] == 0:
-            for a, d in out[v]:
-                if alive[d]:
-                    choice[game.pos_names[v]] = game.act_names[a]
-                    if d not in seen:
-                        seen.add(d)
-                        queue.append(d)
-                    break
-        else:
-            for _, d in out[v]:
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-    return PositionalStrategy(choice)
+    return decode_support(game, set(arena.winning_indices()))
 
 
 def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
@@ -112,7 +91,8 @@ def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
     still won from init after removing the outgoing edges of v *and* of
     every player-0 position outside the strategy's reachable domain (the
     positions the strategy already leaves undefined).  A strategy with an
-    empty reachable domain is vacuously locally optimal.
+    empty reachable domain is vacuously locally optimal.  Raises
+    ``ValueError`` for a strategy that is not winning.
     """
     domain = {game.pos_index[p] for p in strat.choice}
     undefined = [
@@ -123,7 +103,5 @@ def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
     arena = Arena(game)
     for u in undefined:
         if not arena.try_delete(u):
-            # The undefined set itself is not jointly deletable, so no
-            # superset of it is; nothing in the domain can be dropped.
-            return True
+            raise ValueError("strategy is not winning: its undefined positions lose init")
     return not any(arena.peek_delete(v) for v in sorted(domain))

@@ -65,7 +65,10 @@ class MealyMachine:
 def parse_dfa(text: bytes | str) -> Dfa:
     """Game grammar extended with ``accepting <id>`` records."""
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GameFormatError(f"input is not valid UTF-8: {exc}") from exc
     accepting: set[str] = set()
     game_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -141,20 +141,6 @@ def test_extract_deterministic_reports(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_extract_parallel_matches_serial(tmp_path):
-    path = _write_game(tmp_path, sg.gen_adversarial(2))
-    outs = []
-    for extra in ([], ["--parallel"]):
-        json_path = tmp_path / f"p{len(extra)}.json"
-        assert main(
-            ["extract", path, "--method", "smart", "--seed", "0", "--runs", "6",
-             "--json", str(json_path)] + extra
-        ) == 0
-        report = json.loads(json_path.read_text())
-        outs.append([t["density"] for t in report["trials"]])
-    assert outs[0] == outs[1]
-
-
 def test_dump_cnf_and_lp(tmp_path):
     path = _write_game(tmp_path, sg.gen_adversarial(1))
     cnf_path = tmp_path / "inst.cnf"

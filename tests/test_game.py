@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 import sparsegames as sg
 from sparsegames.errors import GameFormatError, InitLosingError
 
-from conftest import FIG_GAME, naive_winning_region, solvable_random_games
+from conftest import (
+    FIG_GAME,
+    naive_winning_region,
+    solvable_random_games,
+    unchecked_most_permissive,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +217,17 @@ def test_prune_is_idempotent():
         assert again == pruned
 
 
+def test_pruned_game_is_entirely_winning():
+    # pruned_context relies on this to skip a second fixpoint.
+    for seed in range(200):
+        game = sg.gen_random(seed, 2 + seed % 7, 2 + seed % 5, 1 + seed % 3)
+        winning = sg.compute_winning_region(game)
+        if game.init not in winning:
+            continue
+        pruned = sg.prune_reachable(game, _mp(game))
+        assert sg.compute_winning_region(pruned) == frozenset(pruned.pos_names)
+
+
 def test_prune_preserves_minimum_density():
     count = 0
     for game, winning, mp in solvable_random_games(200, 5, 5, 2, max_bits=16):
@@ -343,3 +359,65 @@ def test_witness_shape_invariant():
     assert len(leaving.witness.decisions) == len(leaving.witness.trace) - 1
     undefined = sg.validate_strategy(game, mp, sg.PositionalStrategy({}))
     assert len(undefined.witness.decisions) == len(undefined.witness.trace) - 1
+
+
+def _naive_reach(game, strat):
+    """Set-closure fixpoint of the positions a play under ``strat`` visits."""
+    seen = {game.init}
+    changed = True
+    while changed:
+        changed = False
+        for p in sorted(seen):
+            if p in game.positions1:
+                succ = game.successors(p)
+            else:
+                dst = game.edges.get((p, strat.choice.get(p)))
+                succ = () if dst is None else (dst,)
+            for q in succ:
+                if q not in seen:
+                    seen.add(q)
+                    changed = True
+    return seen
+
+
+@given(
+    st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_reach_kernel_matches_naive_closure(seed, n0, n1, k, strat_seed):
+    game = sg.gen_random(seed, n0, n1, k)
+    rng = sg.SplitMix64(strat_seed)
+    # The verdict's definition holds for any claimed region, not only for
+    # the true winning one, so half the cases draw an arbitrary region.
+    winning = sg.compute_winning_region(game)
+    if rng.below(2):
+        winning = frozenset(p for p in game.pos_names if rng.below(4))
+    mp = unchecked_most_permissive(game, winning)
+    choice = {}
+    for p in sorted(game.positions0):
+        acts = [a for (src, a) in game.edges if src == p] + ["bogus"]
+        if rng.below(4):
+            choice[p] = sorted(acts)[rng.below(len(acts))]
+    strat = sg.PositionalStrategy(choice)
+
+    seen = _naive_reach(game, strat)
+    assert sg.game.reachable_under(game, strat) == seen
+    assert sg.density(game, strat) == len(seen & game.positions0)
+    defined = all(
+        (p, choice.get(p)) in game.edges for p in seen & game.positions0
+    )
+    verdict = sg.validate_strategy(game, mp, strat)
+    assert verdict.winning == (seen <= winning and defined)
+    if not verdict.winning:
+        trace, decisions = verdict.witness.trace, verdict.witness.decisions
+        assert trace[0] == game.init
+        for src, act, dst in zip(trace, decisions, trace[1:]):
+            assert game.edges[(src, act)] == dst
+            assert src in winning
+            if src in game.positions0:
+                assert choice[src] == act
+        last = trace[-1]
+        assert last not in winning or (
+            last in game.positions0 and (last, choice.get(last)) not in game.edges
+        )

@@ -215,3 +215,11 @@ def test_smart_respects_deadline():
     winning = sg.compute_winning_region(game)
     with pytest.raises(sg.TimeoutExceededError):
         sg.smart_random_extract(game, winning, 0, deadline=0.0)
+
+
+def test_local_optimality_rejects_non_winning_strategy():
+    game = sg.SafetyGame.build(
+        {"v": 0, "w": 1}, {("v", "x"): "w", ("w", "z"): "v"}, "v"
+    )
+    with pytest.raises(ValueError, match="not winning"):
+        sg.is_locally_optimal(game, sg.PositionalStrategy({}))

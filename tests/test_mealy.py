@@ -165,3 +165,8 @@ def test_serialize_mealy_format():
 def test_parse_dfa_rejects_undeclared_accepting():
     with pytest.raises(sg.GameFormatError):
         sg.parse_dfa(b"pos s 1\ninit s\naccepting nope\nedge s u s\n")
+
+
+def test_parse_dfa_rejects_invalid_utf8():
+    with pytest.raises(sg.GameFormatError, match="UTF-8"):
+        sg.parse_dfa(b"pos s 1\xff\ninit s\naccepting s\nedge s u s\n")
