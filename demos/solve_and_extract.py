@@ -9,6 +9,7 @@ compares the densities they achieve.
 import time
 
 import sparsegames as sg
+from sparsegames.lp import pruned_context
 
 GAME_TEXT = b"""
 # A toy request/grant loop.  Player 1 (environment) raises requests,
@@ -42,8 +43,7 @@ print("\nmost permissive strategy (allowed actions per position):")
 for pos, acts in sorted(mp.allowed.items()):
     print(f"  {pos}: {', '.join(acts)}")
 
-pruned = sg.prune_reachable(game, mp)
-mp_pruned = sg.most_permissive(pruned, sg.compute_winning_region(pruned))
+pruned, mp_pruned = pruned_context(game, mp)
 print(f"\npruned to reachable winning part: {len(pruned.pos_names)} positions")
 print(f"search space: {sg.search_space_bits(pruned, mp_pruned):.2f} bits")
 

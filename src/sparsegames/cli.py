@@ -24,7 +24,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import (
@@ -75,18 +75,7 @@ class TrialRecord:
     time_secs: float = 0.0
     valid: bool = False
     certified: bool = True
-    strategy_text: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "timed_out": self.timed_out,
-            "density": self.density,
-            "time_secs": self.time_secs,
-            "valid": self.valid,
-            "certified": self.certified,
-            "strategy": self.strategy_text,
-        }
+    strategy: str = ""
 
 
 def _run_trial(
@@ -130,7 +119,7 @@ def _run_trial(
         time_secs=elapsed,
         valid=verdict.winning,
         certified=certified,
-        strategy_text=serialize_strategy(strat).decode(),
+        strategy=serialize_strategy(strat).decode(),
     )
 
 
@@ -146,7 +135,8 @@ def _load_game(path: str) -> SafetyGame:
     return parse_game(Path(path).read_bytes())
 
 
-def _solve_stats(game: SafetyGame) -> dict:
+def _solve_stats(game: SafetyGame) -> tuple[dict, MostPermissiveStrategy | None]:
+    """Game statistics, and the most-permissive strategy when init wins."""
     winning = compute_winning_region(game)
     stats = {
         "positions0": len(game.positions0),
@@ -157,16 +147,17 @@ def _solve_stats(game: SafetyGame) -> dict:
         "init_winning": game.init in winning,
         "search_space_bits": None,
     }
-    if stats["init_winning"]:
-        mp = most_permissive(game, winning)
-        pruned, mp2 = pruned_context(game, mp)
-        stats["search_space_bits"] = search_space_bits(pruned, mp2)
-    return stats
+    if not stats["init_winning"]:
+        return stats, None
+    mp = most_permissive(game, winning)
+    pruned, mp2 = pruned_context(game, mp)
+    stats["search_space_bits"] = search_space_bits(pruned, mp2)
+    return stats, mp
 
 
 def cmd_solve(args) -> int:
     game = _load_game(args.game)
-    stats = _solve_stats(game)
+    stats, _ = _solve_stats(game)
     for key in ("positions0", "positions1", "actions0", "actions1", "winning"):
         print(f"{key} {stats[key]}")
     print(f"init_winning {'yes' if stats['init_winning'] else 'no'}")
@@ -197,7 +188,7 @@ def _extract_report(
         "seed": seed,
         "runs": runs,
         "timeout_secs": timeout_secs,
-        "trials": [t.as_dict() for t in trials],
+        "trials": [asdict(t) for t in trials],
         "density_mean": dens_mean,
         "density_stddev": dens_std,
         "time_mean_secs": time_mean,
@@ -250,13 +241,13 @@ def cmd_extract(args) -> int:
         return EXIT_INIT_LOSING
     mp = most_permissive(game, winning)
 
-    if args.dump_cnf:
+    if args.dump_cnf or args.dump_lp:
         pruned, mp2 = pruned_context(game, mp)
+    if args.dump_cnf:
         cnf, var_map = build_cnf(pruned, mp2)
         comments = tuple(f"var {v} = position {p}" for p, v in sorted(var_map.items()))
         Path(args.dump_cnf).write_text(to_dimacs(cnf, comments))
     if args.dump_lp:
-        pruned, mp2 = pruned_context(game, mp)
         Path(args.dump_lp).write_text(format_lp(build_relaxation(pruned, mp2)))
 
     report = _extract_report(
@@ -293,6 +284,8 @@ _BENCH_FIELDS = (
     "benchmark", "positions0", "positions1", "actions0", "actions1",
     "search_space_bits",
 )
+#: Per-method bench columns, named after the `_extract_report` keys.
+_BENCH_METRICS = ("density_mean", "time_mean_secs", "density_stddev")
 
 
 def cmd_bench(args) -> int:
@@ -305,7 +298,7 @@ def cmd_bench(args) -> int:
     table: list[dict] = []
     for path in corpus:
         game = parse_game(path.read_bytes())
-        stats = _solve_stats(game)
+        stats, mp = _solve_stats(game)
         bits = stats["search_space_bits"]
         row: dict = {
             "benchmark": path.stem,
@@ -315,14 +308,10 @@ def cmd_bench(args) -> int:
             "actions1": stats["actions1"],
             "search_space_bits": "n/a" if bits is None else round(bits, 4),
         }
-        if not stats["init_winning"]:
-            for m in methods:
-                row[f"{m}_density_mean"] = "losing"
-                row[f"{m}_time_mean_secs"] = "losing"
-                row[f"{m}_density_stddev"] = "losing"
+        if mp is None:
+            row.update({f"{m}_{k}": "losing" for m in methods for k in _BENCH_METRICS})
             table.append(row)
             continue
-        mp = most_permissive(game, compute_winning_region(game))
         for m in methods:
             rep = _extract_report(
                 str(path), game, mp, m, args.seed, args.runs,
@@ -331,21 +320,11 @@ def cmd_bench(args) -> int:
             timed_out = any(
                 t["timed_out"] or not t["certified"] for t in rep["trials"]
             )
-            if timed_out:
-                row[f"{m}_density_mean"] = "t/o"
-                row[f"{m}_time_mean_secs"] = "t/o"
-                row[f"{m}_density_stddev"] = "t/o"
-            else:
-                row[f"{m}_density_mean"] = round(rep["density_mean"], 6)
-                row[f"{m}_time_mean_secs"] = round(rep["time_mean_secs"], 6)
-                row[f"{m}_density_stddev"] = round(rep["density_stddev"], 6)
+            for k in _BENCH_METRICS:
+                row[f"{m}_{k}"] = "t/o" if timed_out else round(rep[k], 6)
         table.append(row)
 
-    fields = list(_BENCH_FIELDS) + [
-        f"{m}_{metric}"
-        for m in methods
-        for metric in ("density_mean", "time_mean_secs", "density_stddev")
-    ]
+    fields = list(_BENCH_FIELDS) + [f"{m}_{k}" for m in methods for k in _BENCH_METRICS]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=fields)
     writer.writeheader()

@@ -115,9 +115,6 @@ class SafetyGame:
         i = self.pos_index[pos]
         return tuple(sorted({self.pos_names[d] for _, d in self.out_edges[i]}))
 
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SafetyGame):
             return NotImplemented
@@ -154,9 +151,6 @@ class PositionalStrategy:
     when the strategy is followed."""
 
     choice: dict[str, str]
-
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.choice)
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,9 @@ def ilp_exact_extract(
 ) -> ExactResult:
     """Minimum-density positional strategy via branch-and-bound.
 
-    ``work`` counts LP solves.  When the node budget (or deadline) is
-    exhausted the incumbent is returned with ``certified=False``.  When a
+    ``work`` counts LP solves.  When the node budget runs out the
+    incumbent is returned with ``certified=False``; an expired
+    ``deadline`` raises :class:`TimeoutExceededError`.  When a
     ``stats`` dict is supplied, every expanded node is recorded there as
     (bound, zero-fixed variable indices, one-fixed variable indices).
     """

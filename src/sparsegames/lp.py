@@ -5,7 +5,8 @@ The relaxation has one [0,1] variable per position of the pruned winning
 game.  A feasible 0/1 point is exactly the indicator of a position set
 containing init that is closed under player-1 moves and offers every
 player-0 member an allowed successor inside the set, so minimizing the
-player-0 mass lower-bounds the minimum strategy density.
+player-0 mass lower-bounds the minimum strategy density.  The
+constraints are the :func:`support_rows`, shared with ``sat.py``.
 
 The solver is a dense two-phase primal simplex with variable bounds and
 Bland's rule, which makes it deterministic and cycle-free.  The tableau
@@ -86,59 +87,70 @@ class LpSolution:
     objective_value: float = 0.0
 
 
+def support_rows(
+    game: SafetyGame, mp: MostPermissiveStrategy
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The constraints of a support set, shared by the LP and SAT
+    encodings: a support containing position ``v`` contains one of
+    ``targets`` for every pair ``(v, targets)``.
+
+    Winning positions are covered in index order.  A player-0 position
+    gives one pair with the targets of its allowed actions, duplicates
+    kept; a player-1 position gives one ``(v, (d,))`` pair per distinct
+    successor, in index order.
+    """
+    rows: list[tuple[int, tuple[int, ...]]] = []
+    index, edges = game.pos_index, game.edges
+    for v, name in enumerate(game.pos_names):
+        if name not in mp.winning:
+            continue
+        if game.pos_owner[v] == 0:
+            acts = mp.allowed.get(name, ())
+            rows.append((v, tuple([index[edges[(name, a)]] for a in acts])))
+        else:
+            rows += [(v, (d,)) for d in sorted({d for _, d in game.out_edges[v]})]
+    return rows
+
+
 def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
     """Real relaxation of minimum-density extraction over a pruned game.
 
     One variable per position, bounds [0,1] with init fixed to 1, an
-    explicit ``init >= 1`` row, one flow row per player-0 position (the
-    position implies some allowed successor; duplicate targets accumulate
-    coefficients), and one row per (player-1 position, distinct
-    successor) pair.
+    explicit ``init >= 1`` row, and one ``-v + sum(targets) >= 0`` row per
+    :func:`support_rows` pair: a flow row per player-0 position (duplicate
+    targets accumulate coefficients) and a row per (player-1 position,
+    distinct successor) pair.
     """
     if set(game.pos_names) != set(mp.winning):
         raise ValueError("build_relaxation expects a game pruned to its winning part")
-    n = len(game.pos_names)
+    names = game.pos_names
+    n = len(names)
     objective = np.array(
         [1.0 if o == 0 else 0.0 for o in game.pos_owner], dtype=float
     )
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    labels: list[str] = []
-
-    init_row = np.zeros(n)
-    init_row[game.init_index] = 1.0
-    rows.append(init_row)
-    rhs.append(1.0)
-    labels.append("init")
-
-    for v in range(n):
-        name = game.pos_names[v]
+    pairs = support_rows(game, mp)
+    rows = np.zeros((len(pairs) + 1, n))
+    rows[0, game.init_index] = 1.0
+    rhs = np.zeros(len(pairs) + 1)
+    rhs[0] = 1.0
+    labels = ["init"]
+    for row, (v, targets) in zip(rows[1:], pairs):
+        row[v] = -1.0
+        for d in targets:
+            row[d] += 1.0
         if game.pos_owner[v] == 0:
-            row = np.zeros(n)
-            row[v] -= 1.0
-            for act in mp.allowed.get(name, ()):
-                dst = game.edges[(name, act)]
-                row[game.pos_index[dst]] += 1.0
-            rows.append(row)
-            rhs.append(0.0)
-            labels.append(f"flow_{name}")
+            labels.append(f"flow_{names[v]}")
         else:
-            for dst in sorted({d for _, d in game.out_edges[v]}):
-                row = np.zeros(n)
-                row[v] -= 1.0
-                row[dst] += 1.0
-                rows.append(row)
-                rhs.append(0.0)
-                labels.append(f"succ_{name}_{game.pos_names[dst]}")
+            labels.append(f"succ_{names[v]}_{names[targets[0]]}")
 
     lo = np.zeros(n)
     hi = np.ones(n)
     lo[game.init_index] = 1.0
     return LpProblem(
-        var_names=game.pos_names,
+        var_names=names,
         objective=objective,
-        rows=np.array(rows).reshape(len(rows), n),
-        rhs=np.array(rhs),
+        rows=rows,
+        rhs=rhs,
         lo=lo,
         hi=hi,
         row_labels=tuple(labels),

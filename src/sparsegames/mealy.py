@@ -25,24 +25,18 @@ from .errors import (
     NonAlternatingDfaError,
     NotAlternatingError,
 )
-from .game import PositionalStrategy, SafetyGame
+from .game import PositionalStrategy, SafetyGame, parse_game
 
 
 @dataclass(frozen=True)
 class Dfa:
-    """Deterministic automaton over owner-tagged action letters.
-
-    ``state_owner[q]`` tells whose letter is read at q, mirroring the
-    game file grammar (states are declared like positions, plus
-    ``accepting <id>`` records).
+    """Deterministic automaton over owner-tagged action letters, held as
+    the game its text parses to: states are positions, letters are
+    actions, and a state's owner tells whose letter is read there.
     """
 
-    states: tuple[str, ...]
-    initial: str
+    game: SafetyGame
     accepting: frozenset[str]
-    transitions: dict[tuple[str, str], str]
-    state_owner: dict[str, int]
-    action_owner: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -72,34 +66,18 @@ def parse_dfa(text: bytes | str) -> Dfa:
     accepting: set[str] = set()
     game_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            game_lines.append("")
-            continue
-        parts = line.split()
-        if parts[0] == "accepting":
+        parts = raw.split("#", 1)[0].split()
+        if parts[:1] == ["accepting"]:
             if len(parts) != 2:
                 raise GameFormatError("expected 'accepting <id>'", lineno)
             accepting.add(parts[1])
-            game_lines.append("")
-        else:
-            game_lines.append(line)
-    from .game import parse_game
-
+            raw = ""
+        game_lines.append(raw)
     game = parse_game("\n".join(game_lines))
     for q in accepting:
         if q not in game.pos_index:
             raise GameFormatError(f"accepting names undeclared state {q!r}")
-    owner = {p: game.pos_owner[game.pos_index[p]] for p in game.pos_names}
-    act_owner = {a: game.act_owner[game.act_index[a]] for a in game.act_names}
-    return Dfa(
-        states=game.pos_names,
-        initial=game.init,
-        accepting=frozenset(accepting),
-        transitions=dict(game.edges),
-        state_owner=owner,
-        action_owner=act_owner,
-    )
+    return Dfa(game, frozenset(accepting))
 
 
 def _check_alternating(game: SafetyGame) -> None:
@@ -119,7 +97,7 @@ def strategy_to_mealy(game: SafetyGame, strat: PositionalStrategy) -> MealyMachi
     continuations in a single forward pass; no minimization beyond that.
     """
     _check_alternating(game)
-    if game.init not in game.positions1:
+    if game.pos_owner[game.init_index] != 1:
         raise InitNotPlayer1Error("the initial position must belong to player 1")
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
     seen = {game.init}
@@ -148,45 +126,39 @@ def dfa_to_mealy(dfa: Dfa) -> MealyMachine:
 
     States are the automaton states at input parity reachable after
     contraction.  At an intermediate state offering several output
-    letters, the smallest action id is picked.
+    letters, the smallest action id is picked: ``out_edges`` is sorted by
+    action index, which is name order.
     """
-    if dfa.state_owner[dfa.initial] != 1:
+    game = dfa.game
+    names, acts = game.pos_names, game.act_names
+    owner, out = game.pos_owner, game.out_edges
+    if owner[game.init_index] != 1:
         raise NonAlternatingDfaError("the automaton must start with a player-1 letter")
-    by_state: dict[str, list[tuple[str, str]]] = {q: [] for q in dfa.states}
-    for (q, act), dst in dfa.transitions.items():
-        by_state[q].append((act, dst))
-    for q, outs in by_state.items():
-        owners = {dfa.action_owner[a] for a, _ in outs}
-        if len(owners) > 1:
-            raise NonAlternatingDfaError(
-                f"state {q!r} mixes input and output letters"
-            )
-
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
+    seen = {game.init_index}
+    queue = deque([game.init_index])
     while queue:
         q = queue.popleft()
-        if dfa.state_owner[q] != 1:
+        if owner[q] != 1:
             raise NonAlternatingDfaError(
-                f"state {q!r} reached at input parity but reads output letters"
+                f"state {names[q]!r} reached at input parity but reads output letters"
             )
-        for act, mid in sorted(by_state[q]):
-            if dfa.state_owner[mid] != 0:
+        for a, mid in out[q]:
+            if owner[mid] != 0:
                 raise NonAlternatingDfaError(
-                    f"input letter {act!r} at {q!r} must lead to an output state"
+                    f"input letter {acts[a]!r} at {names[q]!r} "
+                    "must lead to an output state"
                 )
-            replies = sorted(by_state[mid])
-            if not replies:
+            if not out[mid]:
                 raise DfaDeadEndError(
-                    f"no output letter follows input {act!r} at state {q!r}"
+                    f"no output letter follows input {acts[a]!r} at state {names[q]!r}"
                 )
-            out, nxt = replies[0]
-            transitions[(q, act)] = (nxt, out)
+            reply, nxt = out[mid][0]
+            transitions[(names[q], acts[a])] = (names[nxt], acts[reply])
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return MealyMachine(tuple(sorted(seen)), dfa.initial, transitions)
+    return MealyMachine(tuple(names[q] for q in sorted(seen)), game.init, transitions)
 
 
 def serialize_mealy(machine: MealyMachine) -> bytes:

@@ -16,11 +16,10 @@ from .game import (
     PositionalStrategy,
     SafetyGame,
     compute_winning_region,
-    most_permissive,
-    prune_reachable,
     restrict_to_reachable,
     search_space_bits,
 )
+from .lp import pruned_context
 
 BRUTE_FORCE_BITS_GUARD = 24.0
 LOCAL_OPTIMA_POSITION_GUARD = 18
@@ -36,8 +35,7 @@ def brute_force_min_density(
     positions in index order and actions in sorted order (deterministic).
     Raises :class:`SearchSpaceTooLargeError` above the 24-bit guard.
     """
-    pruned = prune_reachable(game, mp)
-    mp2 = most_permissive(pruned, compute_winning_region(pruned))
+    pruned, mp2 = pruned_context(game, mp)
     bits = search_space_bits(pruned, mp2)
     if bits > BRUTE_FORCE_BITS_GUARD:
         raise SearchSpaceTooLargeError(

@@ -1,11 +1,12 @@
 """Boolean engine: CNF encoding of the strategy constraints, an internal
 CDCL solver, cardinality constraints, and binary-search minimization.
 
-Read as Boolean formulas, the relaxation rows become clauses: a flow row
-``-v + t1 + t2 >= 0`` is ``!v | t1 | t2``.  Minimization is a binary
-search on the number of true player-0 variables, constrained with a
-sequential-counter at-most-k encoding, between an LP-derived lower bound
-and the density of a greedy warm start.
+The clauses are the pairs of :func:`sparsegames.lp.support_rows`, which
+also give the LP relaxation its rows: a pair ``(v, (t1, t2))`` is the row
+``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here.
+Minimization is a binary search on the number of true player-0
+variables, constrained with a sequential-counter at-most-k encoding,
+between an LP-derived lower bound and the density of a greedy warm start.
 
 The solver is a conventional CDCL: two watched literals per clause,
 first-UIP conflict learning, decaying variable activities with
@@ -35,6 +36,7 @@ from .lp import (
     decode_support,
     lp_solve,
     pruned_context,
+    support_rows,
 )
 
 DEFAULT_CONFLICT_BUDGET = 10**7
@@ -46,9 +48,6 @@ class Cnf:
 
     num_vars: int
     clauses: list[list[int]] = field(default_factory=list)
-
-    def copy(self) -> "Cnf":
-        return Cnf(self.num_vars, [list(c) for c in self.clauses])
 
 
 @dataclass(eq=False)
@@ -135,10 +134,6 @@ class _Solver:
         self.watches.setdefault(unique[1], []).append(ci)
 
     # -- assignment primitives
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[lit if lit > 0 else -lit]
-        return v if lit > 0 else -v
 
     def _enqueue(self, lit: int, reason: int) -> None:
         v = lit if lit > 0 else -lit
@@ -427,40 +422,29 @@ def build_cnf(
 ) -> tuple[Cnf, dict[str, int]]:
     """Boolean strategy constraints over the winning positions.
 
-    Unit clause for init; per winning player-0 position v the clause
-    (!v | allowed targets); per winning player-1 position and successor
-    the clause (!v | succ).  When init is losing the instance is a single
-    empty clause, trivially unsatisfiable.
+    Variables number the winning positions in index order.  Unit clause
+    for init, then the clause ``!v | targets`` per :func:`support_rows`
+    pair.  When init is losing the instance is a single empty clause,
+    trivially unsatisfiable.
     """
     if game.init not in mp.winning:
         return Cnf(0, [[]]), {}
-    names = sorted(mp.winning)
-    var_map = {name: i + 1 for i, name in enumerate(names)}
-    clauses: list[list[int]] = [[var_map[game.init]]]
-    for name in names:
-        v = game.pos_index[name]
-        lit = var_map[name]
-        if game.pos_owner[v] == 0:
-            targets = sorted(
-                {
-                    var_map[game.edges[(name, act)]]
-                    for act in mp.allowed.get(name, ())
-                }
+    winning = [v for v, name in enumerate(game.pos_names) if name in mp.winning]
+    var = [0] * len(game.pos_names)  # 0 marks a losing position
+    for i, v in enumerate(winning, 1):
+        var[v] = i
+    clauses: list[list[int]] = [[var[game.init_index]]]
+    for v, targets in support_rows(game, mp):
+        lits = [var[d] for d in targets]
+        if 0 in lits:
+            raise ValueError(
+                "a support target of a winning position is losing; "
+                "the most-permissive strategy is inconsistent"
             )
-            clauses.append([-lit] + targets)
-        else:
-            for _, d in game.out_edges[v]:
-                succ = game.pos_names[d]
-                if succ not in var_map:
-                    raise ValueError(
-                        "winning player-1 position has a losing successor; "
-                        "the most-permissive strategy is inconsistent"
-                    )
-            for succ_var in sorted(
-                {var_map[game.pos_names[d]] for _, d in game.out_edges[v]}
-            ):
-                clauses.append([-lit, succ_var])
-    return Cnf(len(names), clauses), var_map
+        if len(lits) > 1:  # player-1 pairs have a single target
+            lits = sorted(set(lits))
+        clauses.append([-var[v], *lits])
+    return Cnf(len(winning), clauses), {game.pos_names[v]: var[v] for v in winning}
 
 
 def sat_exact_extract(
@@ -477,12 +461,15 @@ def sat_exact_extract(
     upper end at a greedy warm start's density.  Each probe solves the
     base constraints plus at-most-k over the player-0 variables; a model
     tightens the upper end to its decoded density, a refutation raises
-    the lower end.  ``work`` counts SAT calls.  On budget exhaustion the
-    best strategy so far is returned uncertified.
+    the lower end.  ``work`` counts SAT calls.  When the conflict budget
+    runs out the best strategy so far is returned uncertified; an expired
+    ``deadline`` raises :class:`TimeoutExceededError`.
     """
     pruned, mp2 = pruned_context(game, mp)
-    base, var_map = build_cnf(pruned, mp2)
-    p0_vars = sorted(var_map[p] for p in pruned.positions0)
+    base, _ = build_cnf(pruned, mp2)
+    # Every pruned position is winning, so variable v + 1 is position v.
+    n = len(pruned.pos_names)
+    p0_vars = [v + 1 for v in range(n) if pruned.pos_owner[v] == 0]
 
     best = smart_random_extract(game, mp.winning, warm_seed)
     ub = density(game, best)
@@ -506,12 +493,7 @@ def sat_exact_extract(
         except BudgetExhaustedError:
             return ExactResult(best, ub, False, work)
         if outcome.status == "sat":
-            model = outcome.model
-            support = {
-                pruned.pos_index[name]
-                for name, var in var_map.items()
-                if model[var - 1]
-            }
+            support = {v for v in range(n) if outcome.model[v]}
             candidate = decode_support(pruned, support)
             cand_density = density(game, candidate)
             best, ub = candidate, cand_density

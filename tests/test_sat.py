@@ -131,6 +131,58 @@ def test_build_cnf_flow_clause():
     assert sorted([-v, a, b]) in [sorted(c) for c in cnf.clauses]
 
 
+def test_build_cnf_rejects_losing_target():
+    game = sg.SafetyGame.build(
+        {"v": 0, "p": 1, "q": 0},
+        {("v", "x"): "p", ("v", "y"): "q", ("p", "u"): "q"},
+        "v",
+    )
+    inconsistent = [
+        sg.MostPermissiveStrategy(frozenset({"v", "p"}), {"v": ("x",)}),
+        sg.MostPermissiveStrategy(frozenset({"v"}), {"v": ("x", "y")}),
+    ]
+    for mp in inconsistent:
+        with pytest.raises(ValueError):
+            sg.build_cnf(game, mp)
+
+
+def test_encodings_of_adversarial_1_are_pinned():
+    # The CDCL's choices depend on clause order, so the exact text is pinned.
+    game = sg.gen_adversarial(1)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    pruned, mp2 = pruned_context(game, mp)
+    cnf, var_map = sg.build_cnf(pruned, mp2)
+    assert var_map == {p: i for i, p in enumerate(pruned.pos_names, 1)}
+    assert sg.to_dimacs(cnf) == (
+        "p cnf 13 14\n1 0\n-1 2 0\n-2 3 4 5 0\n-3 11 0\n-4 9 0\n-5 10 0\n"
+        "-6 11 0\n-7 12 0\n-8 13 0\n-9 6 7 0\n-10 7 8 0\n-11 1 0\n-12 1 0\n"
+        "-13 1 0\n"
+    )
+    bounds = "".join(
+        f" {'1' if p == 'M' else '0'} <= {p} <= 1\n" for p in pruned.pos_names
+    )
+    assert sg.format_lp(sg.build_relaxation(pruned, mp2)) == (
+        "Minimize\n"
+        " obj: e1 + wm1_1 + wm2_1 + wt1_1 + wt2_1 + wt3_1\n"
+        "Subject To\n"
+        " init: M >= 1\n"
+        " succ_M_e1: - M + e1 >= 0\n"
+        " flow_e1: - e1 + ra_1 + rb1_1 + rb2_1 >= 0\n"
+        " succ_ra_1_wt1_1: - ra_1 + wt1_1 >= 0\n"
+        " succ_rb1_1_wm1_1: - rb1_1 + wm1_1 >= 0\n"
+        " succ_rb2_1_wm2_1: - rb2_1 + wm2_1 >= 0\n"
+        " succ_rt1_1_wt1_1: - rt1_1 + wt1_1 >= 0\n"
+        " succ_rt2_1_wt2_1: - rt2_1 + wt2_1 >= 0\n"
+        " succ_rt3_1_wt3_1: - rt3_1 + wt3_1 >= 0\n"
+        " flow_wm1_1: rt1_1 + rt2_1 - wm1_1 >= 0\n"
+        " flow_wm2_1: rt2_1 + rt3_1 - wm2_1 >= 0\n"
+        " flow_wt1_1: M - wt1_1 >= 0\n"
+        " flow_wt2_1: M - wt2_1 >= 0\n"
+        " flow_wt3_1: M - wt3_1 >= 0\n"
+        "Bounds\n" + bounds + "End\n"
+    )
+
+
 def test_cnf_satisfiable_iff_init_winning():
     solvable = 0
     losing = 0
