@@ -281,7 +281,25 @@ class Arena:
     is kept; otherwise every change is rolled back.  Deleting edges never
     enlarges the winning region, so cascading from the current region is
     equivalent to recomputing the fixpoint from scratch on the mutated
-    game (cross-checked in the test suite against a naive rescan).
+    game.
+
+    ``doomed`` flags positions whose death is known to lose init: init
+    itself, and every ``v`` whose tentative deletion (by ``try_delete``
+    or ``peek_delete``) has failed.  The flag stays valid because an
+    arena only loses player-0 edges and regains exactly what it rolls
+    back, so every later state has a subset of the edges of the state
+    that set the flag, and edge deletions only shrink the winning region.
+    If ``v`` dies in a later state, dropping its edges there changes
+    nothing, and the result is a subgame of the one that already lost
+    init.  A tentative cascade therefore stops as soon as it kills a
+    doomed position, after recording that kill and every decrement, so
+    the rollback restores ``alive`` and ``cnt`` exactly.
+
+    ``tests/test_game.py`` checks the verdicts against deleting the edges
+    and re-solving with a naive rescan
+    (``test_arena_deletions_match_naive_rescan``) and checks the rollback
+    after an early stop at a doomed position
+    (``test_arena_rollback_after_doomed_stop_restores_state``).
     """
 
     def __init__(self, game: SafetyGame):
@@ -289,6 +307,8 @@ class Arena:
         n = len(game.pos_names)
         self.alive = [True] * n
         self.cnt = [len(game.out_edges[v]) for v in range(n)]
+        self.doomed = [False] * n
+        self.doomed[game.init_index] = True
         owner = game.pos_owner
         queue = deque()
         for v in range(n):
@@ -303,21 +323,16 @@ class Arena:
         killed: list[int] | None,
         decremented: list[int] | None,
     ) -> bool:
-        """Propagate deaths; returns False if the initial position died."""
+        """Propagate deaths.  A tentative cascade (``killed`` given)
+        returns False as soon as it kills a doomed position; the initial
+        one drains the queue and returns True."""
         alive = self.alive
         cnt = self.cnt
         owner = self.game.pos_owner
         in_sources = self.game.in_sources
-        init = self.game.init_index
-        ok = True
+        doomed = self.doomed
         while queue:
             t = queue.popleft()
-            if t == init:
-                ok = False
-                if killed is not None:
-                    # Tentative deletion: the caller rolls back, no need
-                    # to finish draining.
-                    break
             for s in in_sources[t]:
                 if not alive[s]:
                     continue
@@ -325,26 +340,23 @@ class Arena:
                     cnt[s] -= 1
                     if decremented is not None:
                         decremented.append(s)
-                    if cnt[s] == 0:
-                        alive[s] = False
-                        if killed is not None:
-                            killed.append(s)
-                        queue.append(s)
-                else:
-                    alive[s] = False
-                    if killed is not None:
-                        killed.append(s)
-                    queue.append(s)
-        return ok
+                    if cnt[s]:
+                        continue
+                alive[s] = False
+                if killed is not None:
+                    killed.append(s)
+                    if doomed[s]:
+                        return False
+                queue.append(s)
+        return True
 
     def _delete(self, v: int) -> tuple[bool, list[int], list[int]]:
         killed = [v]
         decremented: list[int] = []
         self.alive[v] = False
-        if v == self.game.init_index:
-            ok = False
-        else:
-            ok = self._cascade(deque([v]), killed, decremented)
+        ok = not self.doomed[v] and self._cascade(deque([v]), killed, decremented)
+        if not ok:
+            self.doomed[v] = True
         return ok, killed, decremented
 
     def _rollback(self, killed: list[int], decremented: list[int]) -> None:

@@ -60,9 +60,10 @@ def smart_random_extract(
     keeps the deletion exactly when the initial position stays winning.
     Removing edges never enlarges the winning region, so each tentative
     check cascades from the current region instead of re-solving from
-    scratch; a rejected deletion is rolled back.  The result is the
-    smallest-action specialization of what remains, restricted to its
-    reachable domain, and is locally optimal.
+    scratch; a rejected deletion is rolled back.  A failed deletion is
+    remembered, so a later cascade that kills that position stops at
+    once.  The result is the smallest-action specialization of what
+    remains, restricted to its reachable domain, and is locally optimal.
     """
     if game.init not in winning:
         raise InitLosingError("cannot extract a strategy for a losing game")

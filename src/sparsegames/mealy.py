@@ -9,8 +9,8 @@ the image of a distinct reachable player-0 position under the strategy.
 
 A strategy automaton (a DFA over interleaved action letters that starts
 with a player-1 letter) contracts the same way: every input/output letter
-pair collapses into one transition.  When the automaton offers several
-output letters, the smallest action id is taken.
+pair collapses into one transition.  The reply is the smallest output
+letter whose target state is accepting.
 """
 
 from __future__ import annotations
@@ -125,13 +125,17 @@ def dfa_to_mealy(dfa: Dfa) -> MealyMachine:
     """Contract input/output letter pairs of a strategy automaton.
 
     States are the automaton states at input parity reachable after
-    contraction.  At an intermediate state offering several output
-    letters, the smallest action id is picked: ``out_edges`` is sorted by
-    action index, which is name order.
+    contraction.  At an intermediate state, output letters are tried in
+    action id order (``out_edges`` is sorted by action index, which is
+    name order) and the first whose target is accepting is the reply; a
+    letter passed over must still lead to an input state.  Raises
+    :class:`DfaDeadEndError` when no output letter leads to an accepting
+    state.
     """
     game = dfa.game
     names, acts = game.pos_names, game.act_names
     owner, out = game.pos_owner, game.out_edges
+    accepting = [name in dfa.accepting for name in names]
     if owner[game.init_index] != 1:
         raise NonAlternatingDfaError("the automaton must start with a player-1 letter")
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
@@ -153,7 +157,19 @@ def dfa_to_mealy(dfa: Dfa) -> MealyMachine:
                 raise DfaDeadEndError(
                     f"no output letter follows input {acts[a]!r} at state {names[q]!r}"
                 )
-            reply, nxt = out[mid][0]
+            for reply, nxt in out[mid]:
+                if accepting[nxt]:
+                    break
+                if owner[nxt] != 1:
+                    raise NonAlternatingDfaError(
+                        f"output letter {acts[reply]!r} at {names[mid]!r} "
+                        "must lead to an input state"
+                    )
+            else:
+                raise DfaDeadEndError(
+                    f"no output letter after input {acts[a]!r} at state "
+                    f"{names[q]!r} leads to an accepting state"
+                )
             transitions[(names[q], acts[a])] = (names[nxt], acts[reply])
             if nxt not in seen:
                 seen.add(nxt)

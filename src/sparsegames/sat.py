@@ -429,22 +429,25 @@ def build_cnf(
     """
     if game.init not in mp.winning:
         return Cnf(0, [[]]), {}
-    winning = [v for v, name in enumerate(game.pos_names) if name in mp.winning]
     var = [0] * len(game.pos_names)  # 0 marks a losing position
-    for i, v in enumerate(winning, 1):
-        var[v] = i
+    var_map: dict[str, int] = {}
+    for v, name in enumerate(game.pos_names):
+        if name in mp.winning:
+            var[v] = var_map[name] = len(var_map) + 1
     clauses: list[list[int]] = [[var[game.init_index]]]
     for v, targets in support_rows(game, mp):
-        lits = [var[d] for d in targets]
-        if 0 in lits:
+        # Sorted and deduplicated, a losing target shows as a leading 0.
+        if len(targets) == 1:  # every player-1 pair
+            lits = [var[targets[0]]]
+        else:
+            lits = sorted({var[d] for d in targets})
+        if lits and not lits[0]:
             raise ValueError(
                 "a support target of a winning position is losing; "
                 "the most-permissive strategy is inconsistent"
             )
-        if len(lits) > 1:  # player-1 pairs have a single target
-            lits = sorted(set(lits))
         clauses.append([-var[v], *lits])
-    return Cnf(len(winning), clauses), {game.pos_names[v]: var[v] for v in winning}
+    return Cnf(len(var_map), clauses), var_map
 
 
 def sat_exact_extract(

@@ -158,6 +158,85 @@ def test_player0_edge_removal_never_enlarges_winning_region(seed, n0, n1, k):
     assert sg.compute_winning_region(smaller) <= before
 
 
+def _region_without(game, deleted):
+    """Naive winning indices once the player-0 positions in ``deleted``
+    have lost their outgoing edges."""
+    owners = {p: game.pos_owner[game.pos_index[p]] for p in game.pos_names}
+    gone = {game.pos_names[v] for v in deleted}
+    edges = {e: d for e, d in game.edges.items() if e[0] not in gone}
+    smaller = sg.SafetyGame.build(owners, edges, game.init)
+    return {game.pos_index[p] for p in naive_winning_region(smaller)}
+
+
+@given(
+    st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 4), st.integers(1, 2),
+    st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=12),
+)
+@settings(max_examples=120, deadline=None)
+def test_arena_deletions_match_naive_rescan(seed, n0, n1, k, ops):
+    # With one or two actions per position about half of the live
+    # deletions lose init, so most draws roll back and learn doomed
+    # positions, from try_delete and from peek_delete alike.
+    game = sg.gen_random(seed, n0, n1, k)
+    arena = sg.game.Arena(game)
+    if not arena.alive[game.init_index]:
+        return
+    p0 = [v for v in range(len(game.pos_names)) if game.pos_owner[v] == 0]
+    deleted: set[int] = set()
+    region = _region_without(game, deleted)
+    for pick, peek in ops:
+        v = p0[pick % len(p0)]
+        expected = v not in region or game.init_index in _region_without(game, deleted | {v})
+        assert (arena.peek_delete if peek else arena.try_delete)(v) == expected
+        if not expected:
+            # The flag just learned answers a repeat without a cascade.
+            assert not arena.try_delete(v)
+        elif not peek:
+            deleted.add(v)
+            region = _region_without(game, deleted)
+        assert arena.winning_indices() == sorted(region)
+        for u in region:
+            if game.pos_owner[u] == 0:
+                assert arena.cnt[u] == sum(d in region for _, d in game.out_edges[u])
+            else:
+                assert arena.cnt[u] == len(game.out_edges[u])
+
+
+def test_arena_rollback_after_doomed_stop_restores_state():
+    # Deleting u decrements a, then kills b (a player-1 position) and c.
+    # c was doomed by a failed peek, so the cascade stops at c before it
+    # reaches init z.
+    game = sg.SafetyGame.build(
+        {"a": 0, "b": 1, "c": 0, "s": 1, "u": 0, "z": 1},
+        {
+            ("a", "x"): "u", ("a", "y"): "s",
+            ("b", "r"): "u",
+            ("c", "x"): "u",
+            ("s", "r"): "s",
+            ("u", "x"): "s",
+            ("z", "r"): "c",
+        },
+        "z",
+    )
+    idx = game.pos_index
+    arena = sg.game.Arena(game)
+    assert not arena.peek_delete(idx["c"])
+    alive, cnt = list(arena.alive), list(arena.cnt)
+    rolled_back = []
+    rollback = arena._rollback
+
+    def spy(killed, decremented):
+        rolled_back.append((list(killed), list(decremented)))
+        rollback(killed, decremented)
+
+    arena._rollback = spy
+    assert not arena.try_delete(idx["u"])
+    assert rolled_back == [([idx["u"], idx["b"], idx["c"]], [idx["a"], idx["c"]])]
+    assert arena.alive == alive
+    assert arena.cnt == cnt
+    assert game.init_index not in _region_without(game, {idx["u"]})
+
+
 # ---------------------------------------------------------------------------
 # most permissive strategy
 

@@ -136,6 +136,35 @@ def test_dfa_dead_end_detected():
         sg.dfa_to_mealy(dfa)
 
 
+_REJECTING_DFA = b"""
+pos s 1
+pos t 0
+pos r 1
+init s
+accepting s
+accepting t
+edge s u t
+edge t y r
+edge t z s
+edge r u t
+"""
+
+
+def test_dfa_reply_avoids_non_accepting_state():
+    # y < z, but y leads to the non-accepting r, so the reply is z.
+    machine = sg.dfa_to_mealy(sg.parse_dfa(_REJECTING_DFA + b"accepting r\n"))
+    assert machine.transitions == {("s", "u"): ("r", "y"), ("r", "u"): ("r", "y")}
+    machine = sg.dfa_to_mealy(sg.parse_dfa(_REJECTING_DFA))
+    assert machine.states == ("s",)
+    assert machine.transitions == {("s", "u"): ("s", "z")}
+
+
+def test_dfa_without_accepting_reply_is_dead_end():
+    text = _REJECTING_DFA.replace(b"edge t z s\n", b"")
+    with pytest.raises(sg.DfaDeadEndError, match="accepting"):
+        sg.dfa_to_mealy(sg.parse_dfa(text))
+
+
 def test_dfa_non_alternating_rejected():
     # initial state reads a player-0 letter
     dfa = sg.parse_dfa(b"pos s 0\npos t 1\ninit s\naccepting s\nedge s z t\nedge t u s\n")
