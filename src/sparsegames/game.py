@@ -135,13 +135,22 @@ class SafetyGame:
         )
 
 
+#: Player-0 position index -> the (action, target) index pairs it takes.
+Moves = dict[int, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class MostPermissiveStrategy:
     """Winning region plus, per winning player-0 position, every action
-    that keeps the play inside the winning region."""
+    that keeps the play inside the winning region.
+
+    ``winning`` holds position names.  ``moves`` is in index form: it maps
+    each winning player-0 position index, in index order, to its allowed
+    (action, target) index edges, in ``out_edges`` order.
+    """
 
     winning: frozenset[str]
-    allowed: dict[str, tuple[str, ...]]
+    moves: Moves
 
 
 @dataclass(frozen=True)
@@ -411,20 +420,14 @@ def most_permissive(game: SafetyGame, winning: frozenset[str]) -> MostPermissive
         raise InitLosingError(
             f"initial position {game.init!r} is not in the winning region"
         )
-    win_idx = {game.pos_index[p] for p in winning}
-    allowed: dict[str, tuple[str, ...]] = {}
-    for v in sorted(win_idx):
-        if game.pos_owner[v] != 0:
-            continue
-        acts = tuple(
-            game.act_names[a] for a, d in game.out_edges[v] if d in win_idx
-        )
-        allowed[game.pos_names[v]] = acts
-    return MostPermissiveStrategy(winning=frozenset(winning), allowed=allowed)
-
-
-#: Player-0 position index -> the (action, target) index pairs it takes.
-Moves = dict[int, tuple[tuple[int, int], ...]]
+    win = [p in winning for p in game.pos_names]
+    owner, out = game.pos_owner, game.out_edges
+    moves: Moves = {
+        v: tuple([e for e in out[v] if win[e[1]]])
+        for v in range(len(win))
+        if win[v] and owner[v] == 0
+    }
+    return MostPermissiveStrategy(winning=frozenset(winning), moves=moves)
 
 
 def reach(game: SafetyGame, moves: Moves) -> tuple[list[int], dict[int, int | None]]:
@@ -470,25 +473,18 @@ def prune_reachable(game: SafetyGame, mp: MostPermissiveStrategy) -> SafetyGame:
     ranges over the most-permissive actions and player 1 moves freely.
 
     Every position of the result is winning and reachable, so downstream
-    encodings need no explicit winning-region filter.  Idempotent.
+    encodings need no explicit winning-region filter: a winning player-1
+    position has only winning successors, and every allowed target is
+    winning, so the walk from the winning init never leaves the winning
+    region.  Idempotent.
     """
-    moves: Moves = {}
-    for p, acts in mp.allowed.items():
-        v = game.pos_index[p]
-        ok = {game.act_index[a] for a in acts}
-        moves[v] = tuple(e for e in game.out_edges[v] if e[0] in ok)
-    order, _ = reach(game, moves)
-    keep_names = {game.pos_names[v] for v in order} & mp.winning
-    positions = {p: game.pos_owner[game.pos_index[p]] for p in keep_names}
+    order, _ = reach(game, mp.moves)
+    names, owner, out = game.pos_names, game.pos_owner, game.out_edges
+    positions = {names[v]: owner[v] for v in order}
     edges = {
-        (src, act): dst
-        for (src, act), dst in game.edges.items()
-        if src in keep_names
-        and dst in keep_names
-        and (
-            game.pos_owner[game.pos_index[src]] == 1
-            or act in mp.allowed.get(src, ())
-        )
+        (names[v], game.act_names[a]): names[d]
+        for v in order
+        for a, d in (out[v] if owner[v] else mp.moves[v])
     }
     return SafetyGame(positions, edges, game.init)
 
@@ -584,7 +580,7 @@ def search_space_bits(game: SafetyGame, mp: MostPermissiveStrategy) -> float:
 
     The benchmark harness reports this on the pruned game.
     """
-    return sum(math.log2(len(acts)) for acts in mp.allowed.values() if acts)
+    return sum(math.log2(len(edges)) for edges in mp.moves.values() if edges)
 
 
 def restrict_to_reachable(

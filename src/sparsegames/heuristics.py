@@ -23,10 +23,11 @@ from .errors import InitLosingError, TimeoutExceededError
 from .game import (
     Arena,
     MostPermissiveStrategy,
+    Moves,
     PositionalStrategy,
     SafetyGame,
     decode_support,
-    restrict_to_reachable,
+    reach,
 )
 from .rng import SplitMix64
 
@@ -39,11 +40,17 @@ def random_extract(
     if game.init not in mp.winning:
         raise InitLosingError("cannot extract a strategy for a losing game")
     rng = SplitMix64(seed)
-    choice: dict[str, str] = {}
-    for pos in sorted(mp.allowed):
-        acts = sorted(mp.allowed[pos])
-        choice[pos] = acts[rng.below(len(acts))]
-    return restrict_to_reachable(game, PositionalStrategy(choice))
+    # Index order is sorted-name order, and each entry lists its actions
+    # in name order, so a seed draws the same actions whatever the parse
+    # order.
+    moves: Moves = {
+        v: (edges[rng.below(len(edges))],) for v, edges in mp.moves.items()
+    }
+    _, parent = reach(game, moves)
+    names, acts = game.pos_names, game.act_names
+    return PositionalStrategy(
+        {names[v]: acts[e[0][0]] for v, e in moves.items() if v in parent}
+    )
 
 
 def smart_random_extract(

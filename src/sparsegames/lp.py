@@ -100,13 +100,11 @@ def support_rows(
     successor, in index order.
     """
     rows: list[tuple[int, tuple[int, ...]]] = []
-    index, edges = game.pos_index, game.edges
     for v, name in enumerate(game.pos_names):
         if name not in mp.winning:
             continue
         if game.pos_owner[v] == 0:
-            acts = mp.allowed.get(name, ())
-            rows.append((v, tuple([index[edges[(name, a)]] for a in acts])))
+            rows.append((v, tuple([d for _, d in mp.moves.get(v, ())])))
         else:
             rows += [(v, (d,)) for d in sorted({d for _, d in game.out_edges[v]})]
     return rows

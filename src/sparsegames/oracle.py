@@ -106,43 +106,23 @@ def brute_force_min_density(
 
 def _deletable_checker(game: SafetyGame, candidates: list[int]):
     """Membership oracle for 'the game stays won from init after removing
-    all outgoing edges of the candidate subset', memoized by bitmask."""
-    base = Arena(game)
-    base_alive = base.alive
-    base_cnt = base.cnt
-    owner = game.pos_owner
-    in_sources = game.in_sources
-    init = game.init_index
+    all outgoing edges of the candidate subset', memoized by bitmask.
+
+    The winning region only shrinks as edges go, so the whole subset
+    keeps init winning exactly when every prefix of it does, and deleting
+    the members one by one in a fresh :class:`Arena` decides it."""
     memo: dict[int, bool] = {}
 
     def deletable(mask: int) -> bool:
         cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        alive = base_alive.copy()
-        cnt = base_cnt.copy()
-        queue = deque()
-        for idx, v in enumerate(candidates):
-            if mask >> idx & 1 and alive[v]:
-                alive[v] = False
-                queue.append(v)
-        ok = alive[init]
-        while ok and queue:
-            t = queue.popleft()
-            for s in in_sources[t]:
-                if not alive[s]:
-                    continue
-                if owner[s] == 0:
-                    cnt[s] -= 1
-                    if cnt[s]:
-                        continue
-                alive[s] = False
-                if s == init:
-                    ok = False
-                    break
-                queue.append(s)
-        memo[mask] = ok
-        return ok
+        if cached is None:
+            arena = Arena(game)
+            cached = memo[mask] = all(
+                arena.try_delete(v)
+                for idx, v in enumerate(candidates)
+                if mask >> idx & 1
+            )
+        return cached
 
     return deletable
 

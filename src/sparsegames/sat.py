@@ -489,7 +489,7 @@ def sat_exact_extract(
         # hardest ones) are rarely solved at all.
         mid = (lb + ub) // 2
         card, n_aux = encode_at_most_k(p0_vars, mid, base.num_vars + 1)
-        cnf = Cnf(base.num_vars + n_aux, [list(c) for c in base.clauses] + card)
+        cnf = Cnf(base.num_vars + n_aux, base.clauses + card)
         work += 1
         try:
             outcome = sat_solve(cnf, max_conflicts, deadline)

@@ -50,14 +50,20 @@ def unchecked_most_permissive(game: sg.SafetyGame, winning: frozenset[str]):
     """Most-permissive structure without the init-winning check, so tests
     can exercise losing games."""
     win_idx = {game.pos_index[p] for p in winning}
-    allowed = {}
+    moves = {}
     for v in sorted(win_idx):
         if game.pos_owner[v] != 0:
             continue
-        allowed[game.pos_names[v]] = tuple(
-            game.act_names[a] for a, d in game.out_edges[v] if d in win_idx
-        )
-    return sg.MostPermissiveStrategy(winning=frozenset(winning), allowed=allowed)
+        moves[v] = tuple(e for e in game.out_edges[v] if e[1] in win_idx)
+    return sg.MostPermissiveStrategy(winning=frozenset(winning), moves=moves)
+
+
+def allowed_names(game: sg.SafetyGame, mp: sg.MostPermissiveStrategy):
+    """Name view of ``mp.moves``: position name -> allowed action names."""
+    return {
+        game.pos_names[v]: tuple(game.act_names[a] for a, _ in edges)
+        for v, edges in mp.moves.items()
+    }
 
 
 def full_product_min_density(game: sg.SafetyGame, mp: sg.MostPermissiveStrategy) -> int:
@@ -65,8 +71,9 @@ def full_product_min_density(game: sg.SafetyGame, mp: sg.MostPermissiveStrategy)
     over all allowed sets, without reachability-guided branching."""
     import itertools
 
-    positions = sorted(mp.allowed)
-    pools = [sorted(mp.allowed[p]) for p in positions]
+    allowed = allowed_names(game, mp)
+    positions = sorted(allowed)
+    pools = [sorted(allowed[p]) for p in positions]
     best = None
     for combo in itertools.product(*pools):
         strat = sg.PositionalStrategy(dict(zip(positions, combo)))

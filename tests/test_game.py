@@ -6,6 +6,7 @@ from sparsegames.errors import GameFormatError, InitLosingError
 
 from conftest import (
     FIG_GAME,
+    allowed_names,
     naive_winning_region,
     solvable_random_games,
     unchecked_most_permissive,
@@ -249,7 +250,8 @@ def test_most_permissive_filters_losing_targets():
     )
     winning = sg.compute_winning_region(game)
     mp = sg.most_permissive(game, winning)
-    assert mp.allowed["v"] == ("x",)
+    v, w, x = game.pos_index["v"], game.pos_index["w"], game.act_index["x"]
+    assert mp.moves[v] == ((x, w),)
 
 
 def test_most_permissive_keeps_all_safe_actions():
@@ -257,7 +259,8 @@ def test_most_permissive_keeps_all_safe_actions():
         {"v": 0, "w": 1}, {("v", "x"): "w", ("v", "y"): "w", ("w", "z"): "w"}, "v"
     )
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    assert mp.allowed["v"] == ("x", "y")
+    v, w = game.pos_index["v"], game.pos_index["w"]
+    assert mp.moves[v] == ((game.act_index["x"], w), (game.act_index["y"], w))
 
 
 def test_most_permissive_raises_on_losing_game():
@@ -294,6 +297,47 @@ def test_prune_is_idempotent():
         pruned = sg.prune_reachable(game, _mp(game))
         again = sg.prune_reachable(pruned, _mp(pruned))
         assert again == pruned
+
+
+def test_prune_matches_name_filter():
+    # Reference: a name-based walk and filter over all of game.edges,
+    # intersected with the winning region.
+    count = 0
+    for seed in range(400):
+        game = sg.gen_random(seed, 2 + seed % 9, 2 + seed % 7, 1 + seed % 3)
+        winning = sg.compute_winning_region(game)
+        if game.init not in winning:
+            continue
+        mp = sg.most_permissive(game, winning)
+        allowed = allowed_names(game, mp)
+        positions1 = game.positions1
+
+        def takes(src, act):
+            return src in positions1 or act in allowed.get(src, ())
+
+        seen = {game.init}
+        stack = [game.init]
+        while stack:
+            p = stack.pop()
+            for (src, act), dst in game.edges.items():
+                if src == p and takes(src, act) and dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        keep = seen & winning
+        expected = sg.SafetyGame(
+            {p: game.pos_owner[game.pos_index[p]] for p in keep},
+            {
+                (src, act): dst
+                for (src, act), dst in game.edges.items()
+                if src in keep and dst in keep and takes(src, act)
+            },
+            game.init,
+        )
+        pruned = sg.prune_reachable(game, mp)
+        assert pruned == expected
+        assert sg.serialize_game(pruned) == sg.serialize_game(expected)
+        count += 1
+    assert count >= 200
 
 
 def test_pruned_game_is_entirely_winning():
@@ -352,7 +396,10 @@ def test_validate_rejects_undefined_reachable_choice():
 
 def test_specialization_soundness():
     for game, winning, mp in solvable_random_games(80, 6, 6, 3):
-        choice = {p: min(acts) for p, acts in mp.allowed.items()}
+        choice = {
+            game.pos_names[v]: min(game.act_names[a] for a, _ in edges)
+            for v, edges in mp.moves.items()
+        }
         verdict = sg.validate_strategy(game, mp, sg.PositionalStrategy(choice))
         assert verdict.winning
 
@@ -394,18 +441,17 @@ def test_density_bounded_by_domain():
 
 
 def test_search_space_bits():
+    # a is index 0 with four allowed edges, b is index 1 with two.
     mp = sg.MostPermissiveStrategy(
         winning=frozenset({"a", "b"}),
-        allowed={"a": ("w", "x", "y", "z"), "b": ("p", "q")},
+        moves={0: tuple((act, 1) for act in range(4)), 1: ((0, 0), (1, 0))},
     )
     game = sg.SafetyGame.build({"a": 0, "b": 0}, {}, "a")  # structure unused
     assert sg.search_space_bits(game, mp) == pytest.approx(3.0)
 
 
 def test_search_space_bits_zero_when_singletons():
-    mp = sg.MostPermissiveStrategy(
-        winning=frozenset({"a"}), allowed={"a": ("x",)}
-    )
+    mp = sg.MostPermissiveStrategy(winning=frozenset({"a"}), moves={0: ((0, 0),)})
     game = sg.SafetyGame.build({"a": 0}, {}, "a")
     assert sg.search_space_bits(game, mp) == 0.0
 

@@ -30,7 +30,7 @@ def test_chain_min_density_is_n(n):
 def test_chain_unique_strategy():
     game = sg.gen_chain(3)
     mp = _mp(game)
-    assert all(len(acts) == 1 for acts in mp.allowed.values())
+    assert all(len(edges) == 1 for edges in mp.moves.values())
 
 
 def test_chain_deterministic():

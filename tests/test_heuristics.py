@@ -62,10 +62,24 @@ def test_random_extract_deterministic():
     assert sg.random_extract(game, mp, 99) == sg.random_extract(game, mp, 99)
 
 
+def test_random_extract_strategies_are_pinned():
+    game = sg.gen_adversarial(2)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    texts = [sg.serialize_strategy(sg.random_extract(game, mp, s)) for s in range(4)]
+    assert texts == [
+        b"choice e1 B1\nchoice e2 A\nchoice wm1_1 d\nchoice wt1_2 c\nchoice wt2_1 c\n",
+        b"choice e1 B2\nchoice e2 B1\nchoice wm1_2 d\nchoice wm2_1 f\n"
+        b"choice wt2_2 c\nchoice wt3_1 c\n",
+        b"choice e1 B1\nchoice e2 B2\nchoice wm1_1 d\nchoice wm2_2 f\n"
+        b"choice wt2_1 c\nchoice wt3_2 c\n",
+        b"choice e1 A\nchoice e2 A\nchoice wt1_1 c\nchoice wt1_2 c\n",
+    ]
+
+
 def test_random_extract_raises_on_losing_game():
     game = sg.SafetyGame.build({"v": 0, "p": 1}, {("p", "z"): "p"}, "v")
     winning = sg.compute_winning_region(game)
-    mp = sg.MostPermissiveStrategy(winning=winning, allowed={})
+    mp = sg.MostPermissiveStrategy(winning=winning, moves={})
     with pytest.raises(sg.InitLosingError):
         sg.random_extract(game, mp, 0)
 

@@ -137,9 +137,13 @@ def test_build_cnf_rejects_losing_target():
         {("v", "x"): "p", ("v", "y"): "q", ("p", "u"): "q"},
         "v",
     )
+    v, p, q = (game.pos_index[n] for n in ("v", "p", "q"))
+    x, y = game.act_index["x"], game.act_index["y"]
     inconsistent = [
-        sg.MostPermissiveStrategy(frozenset({"v", "p"}), {"v": ("x",)}),
-        sg.MostPermissiveStrategy(frozenset({"v"}), {"v": ("x", "y")}),
+        # p is player 1 and winning, but its successor q is not.
+        sg.MostPermissiveStrategy(frozenset({"v", "p"}), {v: ((x, p),)}),
+        # v is player 0 and allows actions to the losing p and q.
+        sg.MostPermissiveStrategy(frozenset({"v"}), {v: ((x, p), (y, q))}),
     ]
     for mp in inconsistent:
         with pytest.raises(ValueError):
