@@ -228,18 +228,11 @@ def _write_extract_csv(report: dict, path: str) -> None:
 
 
 def cmd_extract(args) -> int:
-    if args.method not in METHODS:
-        print(f"unknown method {args.method!r}", file=sys.stderr)
-        return EXIT_USAGE
     if args.runs < 1:
         print("--runs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     game = _load_game(args.game)
-    winning = compute_winning_region(game)
-    if game.init not in winning:
-        print("init losing", file=sys.stderr)
-        return EXIT_INIT_LOSING
-    mp = most_permissive(game, winning)
+    mp = most_permissive(game, compute_winning_region(game))
 
     if args.dump_cnf or args.dump_lp:
         pruned, mp2 = pruned_context(game, mp)
@@ -358,11 +351,7 @@ def cmd_gen(args) -> int:
 
 def cmd_oracle(args) -> int:
     game = _load_game(args.game)
-    winning = compute_winning_region(game)
-    if game.init not in winning:
-        print("init losing", file=sys.stderr)
-        return EXIT_INIT_LOSING
-    mp = most_permissive(game, winning)
+    mp = most_permissive(game, compute_winning_region(game))
     best, witness = brute_force_min_density(game, mp)
     print(f"minimum_density {best}")
     sys.stdout.write(serialize_strategy(witness).decode())

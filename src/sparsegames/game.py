@@ -304,6 +304,10 @@ class Arena:
     doomed position, after recording that kill and every decrement, so
     the rollback restores ``alive`` and ``cnt`` exactly.
 
+    ``copy`` duplicates ``alive``, ``cnt`` and ``doomed``.  The flags stay
+    valid in the copy by the same argument: it starts from the edges of
+    the state it was copied from and only ever loses more of them.
+
     ``tests/test_game.py`` checks the verdicts against deleting the edges
     and re-solving with a naive rescan
     (``test_arena_deletions_match_naive_rescan``) and checks the rollback
@@ -396,6 +400,14 @@ class Arena:
         ok, killed, decremented = self._delete(v)
         self._rollback(killed, decremented)
         return ok
+
+    def copy(self) -> "Arena":
+        other = Arena.__new__(Arena)
+        other.game = self.game
+        other.alive = self.alive[:]
+        other.cnt = self.cnt[:]
+        other.doomed = self.doomed[:]
+        return other
 
     def winning_indices(self) -> list[int]:
         return [v for v, a in enumerate(self.alive) if a]
@@ -557,13 +569,6 @@ def decode_support(game: SafetyGame, support: set[int]) -> PositionalStrategy:
     return PositionalStrategy(choice)
 
 
-def reachable_under(game: SafetyGame, strat: PositionalStrategy) -> frozenset[str]:
-    """Positions visited by some play where player 0 follows ``strat``
-    and player 1 moves freely."""
-    order, _ = reach(game, strategy_moves(game, strat))
-    return frozenset(game.pos_names[v] for v in order)
-
-
 def density(game: SafetyGame, strat: PositionalStrategy) -> int:
     """Number of player-0 positions reachable from init under ``strat``.
 
@@ -588,5 +593,8 @@ def restrict_to_reachable(
 ) -> PositionalStrategy:
     """Drop choices at positions that no play consistent with the
     strategy can visit."""
-    reach = reachable_under(game, strat)
-    return PositionalStrategy({p: a for p, a in strat.choice.items() if p in reach})
+    _, parent = reach(game, strategy_moves(game, strat))
+    pos_index = game.pos_index
+    return PositionalStrategy(
+        {p: a for p, a in strat.choice.items() if pos_index.get(p) in parent}
+    )

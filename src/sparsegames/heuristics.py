@@ -71,18 +71,18 @@ def smart_random_extract(
     remembered, so a later cascade that kills that position stops at
     once.  The result is the smallest-action specialization of what
     remains, restricted to its reachable domain, and is locally optimal.
+
+    ``winning`` must be the winning region of ``game``; it only decides
+    whether init is winning.  The candidates come from the arena's own
+    initial fixpoint, which is that same region, listed in index order,
+    which is sorted-name order.
     """
     if game.init not in winning:
         raise InitLosingError("cannot extract a strategy for a losing game")
     rng = SplitMix64(seed)
     arena = Arena(game)
-    # Indices are assigned in sorted-name order, so sorting indices is
-    # sorting by id.
-    order = [
-        game.pos_index[p]
-        for p in sorted(winning)
-        if game.pos_owner[game.pos_index[p]] == 0
-    ]
+    owner = game.pos_owner
+    order = [v for v in arena.winning_indices() if owner[v] == 0]
     rng.shuffle(order)
     for step, v in enumerate(order):
         if deadline is not None and step % 256 == 0 and time.monotonic() > deadline:

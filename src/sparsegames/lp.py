@@ -11,8 +11,9 @@ constraints are the :func:`support_rows`, shared with ``sat.py``.
 The solver is a dense two-phase primal simplex with variable bounds and
 Bland's rule, which makes it deterministic and cycle-free.  The tableau
 is dense, m x (n + 2m) floats for m rows and n variables, so it grows
-quadratically: the 769 pruned positions of ``gen_adversarial(64)`` took
-19 s to solve (CPython 3.11, numpy 2.4, 2 cores).
+quadratically: the 769 pruned positions of ``gen_adversarial(64)`` take
+7.0 s to solve on one 2-core host and took 19 s on an earlier one, with
+the same code (CPython 3.11, numpy 2.4); the host sets the figure.
 """
 
 from __future__ import annotations

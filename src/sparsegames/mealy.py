@@ -25,7 +25,7 @@ from .errors import (
     NonAlternatingDfaError,
     NotAlternatingError,
 )
-from .game import PositionalStrategy, SafetyGame, parse_game
+from .game import PositionalStrategy, SafetyGame, parse_game, strategy_moves
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,13 @@ def parse_dfa(text: bytes | str) -> Dfa:
 
 
 def _check_alternating(game: SafetyGame) -> None:
-    for (src, _act), dst in game.edges.items():
-        if game.pos_owner[game.pos_index[src]] == game.pos_owner[game.pos_index[dst]]:
-            raise NotAlternatingError(
-                f"edge {src!r} -> {dst!r} stays with the same player"
-            )
+    owner, names = game.pos_owner, game.pos_names
+    for v, edges in enumerate(game.out_edges):
+        for _, d in edges:
+            if owner[v] == owner[d]:
+                raise NotAlternatingError(
+                    f"edge {names[v]!r} -> {names[d]!r} stays with the same player"
+                )
 
 
 def strategy_to_mealy(game: SafetyGame, strat: PositionalStrategy) -> MealyMachine:
@@ -95,30 +97,30 @@ def strategy_to_mealy(game: SafetyGame, strat: PositionalStrategy) -> MealyMachi
     position.  States are keyed by the player-1 position reached after
     the strategy's reply, merging player-0 positions with coinciding
     continuations in a single forward pass; no minimization beyond that.
+    A choice that names no edge of ``game`` counts as undefined.
     """
     _check_alternating(game)
     if game.pos_owner[game.init_index] != 1:
         raise InitNotPlayer1Error("the initial position must belong to player 1")
+    names, acts, out = game.pos_names, game.act_names, game.out_edges
+    moves = strategy_moves(game, strat)
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    seen = {game.init}
-    queue = deque([game.init])
+    seen = {game.init_index}
+    queue = deque([game.init_index])
     while queue:
-        state = queue.popleft()
-        v = game.pos_index[state]
-        for a, d in game.out_edges[v]:
-            input_act = game.act_names[a]
-            mid = game.pos_names[d]
-            reply = strat.choice.get(mid)
+        q = queue.popleft()
+        for a, mid in out[q]:
+            reply = moves.get(mid)
             if reply is None:
                 raise ValueError(
-                    f"strategy undefined at reachable position {mid!r}"
+                    f"strategy undefined at reachable position {names[mid]!r}"
                 )
-            nxt = game.edges[(mid, reply)]
-            transitions[(state, input_act)] = (nxt, reply)
+            r, nxt = reply[0]
+            transitions[(names[q], acts[a])] = (names[nxt], acts[r])
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return MealyMachine(tuple(sorted(seen)), game.init, transitions)
+    return MealyMachine(tuple(names[q] for q in sorted(seen)), game.init, transitions)
 
 
 def dfa_to_mealy(dfa: Dfa) -> MealyMachine:

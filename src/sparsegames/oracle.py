@@ -15,7 +15,6 @@ from .game import (
     MostPermissiveStrategy,
     PositionalStrategy,
     SafetyGame,
-    compute_winning_region,
     restrict_to_reachable,
     search_space_bits,
 )
@@ -104,29 +103,6 @@ def brute_force_min_density(
     return best_density, restrict_to_reachable(pruned, witness)
 
 
-def _deletable_checker(game: SafetyGame, candidates: list[int]):
-    """Membership oracle for 'the game stays won from init after removing
-    all outgoing edges of the candidate subset', memoized by bitmask.
-
-    The winning region only shrinks as edges go, so the whole subset
-    keeps init winning exactly when every prefix of it does, and deleting
-    the members one by one in a fresh :class:`Arena` decides it."""
-    memo: dict[int, bool] = {}
-
-    def deletable(mask: int) -> bool:
-        cached = memo.get(mask)
-        if cached is None:
-            arena = Arena(game)
-            cached = memo[mask] = all(
-                arena.try_delete(v)
-                for idx, v in enumerate(candidates)
-                if mask >> idx & 1
-            )
-        return cached
-
-    return deletable
-
-
 def _residual_density(game: SafetyGame, deleted: set[int]) -> int:
     """Density of the smallest-action specialization once the positions
     in ``deleted`` have lost their outgoing edges."""
@@ -164,40 +140,39 @@ def enumerate_local_optima(game: SafetyGame) -> set[int]:
     Z is deletable when the game stays won from init after removing all
     outgoing edges of every member; maximal means no single position can
     be added.  Guarded to at most 18 winning player-0 positions.
+
+    The depth-first search adds candidates in increasing index order and
+    carries the :class:`Arena` of its current set, so each child is one
+    ``try_delete`` on a copy.  That is exact because the winning region
+    is antitone in the deleted edges: the whole set keeps init winning
+    exactly when every prefix of it does, and deleting the members one
+    by one in any order decides it.
     """
-    winning = compute_winning_region(game)
-    if game.init not in winning:
+    base = Arena(game)
+    if not base.alive[game.init_index]:
         raise InitLosingError("local optima are only defined for winnable games")
-    candidates = sorted(
-        game.pos_index[p]
-        for p in winning
-        if game.pos_owner[game.pos_index[p]] == 0
-    )
+    owner = game.pos_owner
+    candidates = [v for v in base.winning_indices() if owner[v] == 0]
     n = len(candidates)
     if n > LOCAL_OPTIMA_POSITION_GUARD:
         raise SearchSpaceTooLargeError(
             f"{n} winning player-0 positions, guard is {LOCAL_OPTIMA_POSITION_GUARD}"
         )
-    deletable = _deletable_checker(game, candidates)
     densities: set[int] = set()
-    seen_masks: set[int] = set()
 
-    def dfs(mask: int, start: int) -> None:
-        if mask in seen_masks:
-            return
-        seen_masks.add(mask)
+    def dfs(arena: Arena, mask: int, start: int) -> None:
         is_maximal = True
-        for idx in range(n):
-            bit = 1 << idx
-            if mask & bit:
+        for idx, v in enumerate(candidates):
+            if mask >> idx & 1:
                 continue
-            if deletable(mask | bit):
+            child = arena.copy()
+            if child.try_delete(v):
                 is_maximal = False
                 if idx >= start:
-                    dfs(mask | bit, idx + 1)
+                    dfs(child, mask | 1 << idx, idx + 1)
         if is_maximal:
             deleted = {candidates[idx] for idx in range(n) if mask >> idx & 1}
             densities.add(_residual_density(game, deleted))
 
-    dfs(0, 0)
+    dfs(base, 0, 0)
     return densities

@@ -26,6 +26,16 @@ def naive_winning_region(game: sg.SafetyGame) -> frozenset[str]:
     return frozenset(game.pos_names[v] for v in alive)
 
 
+def naive_region_without(game: sg.SafetyGame, deleted) -> set[int]:
+    """Naive winning indices once the player-0 positions in ``deleted``
+    have lost their outgoing edges."""
+    owners = {p: game.pos_owner[game.pos_index[p]] for p in game.pos_names}
+    gone = {game.pos_names[v] for v in deleted}
+    edges = {e: d for e, d in game.edges.items() if e[0] not in gone}
+    smaller = sg.SafetyGame.build(owners, edges, game.init)
+    return {game.pos_index[p] for p in naive_winning_region(smaller)}
+
+
 def solvable_random_games(count, n0=5, n1=5, k=2, start_seed=0, max_bits=None):
     """Deterministic stream of (game, winning, mp) with init winning,
     optionally filtered by pruned search-space bits."""

@@ -46,6 +46,13 @@ def test_solve_losing_game_exit_code(tmp_path, capsys):
 def test_extract_losing_game_exit_code(tmp_path, capsys):
     path = _write_game(tmp_path, _losing_game())
     assert main(["extract", path, "--method", "smart"]) == 2
+    assert "init losing" in capsys.readouterr().err
+
+
+def test_oracle_losing_game_exit_code(tmp_path, capsys):
+    path = _write_game(tmp_path, _losing_game())
+    assert main(["oracle", path]) == 2
+    assert "init losing" in capsys.readouterr().err
 
 
 def test_extract_unknown_method_is_usage_error(tmp_path):

@@ -7,6 +7,7 @@ from sparsegames.errors import GameFormatError, InitLosingError
 from conftest import (
     FIG_GAME,
     allowed_names,
+    naive_region_without,
     naive_winning_region,
     solvable_random_games,
     unchecked_most_permissive,
@@ -47,6 +48,21 @@ def test_parse_duplicate_edge_rejected():
 def test_parse_errors(text, pattern):
     with pytest.raises(GameFormatError, match=pattern):
         sg.parse_game(text)
+
+
+@pytest.mark.parametrize(
+    "positions,edges,init,pattern",
+    [
+        ({"a": 2}, {}, "a", "owner"),
+        ({"a": 0}, {}, "b", "not declared"),
+        ({"a": 0}, {("b", "x"): "a"}, "a", "source"),
+        ({"a": 0}, {("a", "x"): "b"}, "a", "target"),
+        ({"a": 0, "b": 1}, {("a", "x"): "b", ("b", "x"): "a"}, "a", "both players"),
+    ],
+)
+def test_build_errors(positions, edges, init, pattern):
+    with pytest.raises(GameFormatError, match=pattern):
+        sg.SafetyGame.build(positions, edges, init)
 
 
 def test_parse_error_carries_line_number():
@@ -159,16 +175,6 @@ def test_player0_edge_removal_never_enlarges_winning_region(seed, n0, n1, k):
     assert sg.compute_winning_region(smaller) <= before
 
 
-def _region_without(game, deleted):
-    """Naive winning indices once the player-0 positions in ``deleted``
-    have lost their outgoing edges."""
-    owners = {p: game.pos_owner[game.pos_index[p]] for p in game.pos_names}
-    gone = {game.pos_names[v] for v in deleted}
-    edges = {e: d for e, d in game.edges.items() if e[0] not in gone}
-    smaller = sg.SafetyGame.build(owners, edges, game.init)
-    return {game.pos_index[p] for p in naive_winning_region(smaller)}
-
-
 @given(
     st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 4), st.integers(1, 2),
     st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=12),
@@ -184,17 +190,17 @@ def test_arena_deletions_match_naive_rescan(seed, n0, n1, k, ops):
         return
     p0 = [v for v in range(len(game.pos_names)) if game.pos_owner[v] == 0]
     deleted: set[int] = set()
-    region = _region_without(game, deleted)
+    region = naive_region_without(game, deleted)
     for pick, peek in ops:
         v = p0[pick % len(p0)]
-        expected = v not in region or game.init_index in _region_without(game, deleted | {v})
+        expected = v not in region or game.init_index in naive_region_without(game, deleted | {v})
         assert (arena.peek_delete if peek else arena.try_delete)(v) == expected
         if not expected:
             # The flag just learned answers a repeat without a cascade.
             assert not arena.try_delete(v)
         elif not peek:
             deleted.add(v)
-            region = _region_without(game, deleted)
+            region = naive_region_without(game, deleted)
         assert arena.winning_indices() == sorted(region)
         for u in region:
             if game.pos_owner[u] == 0:
@@ -235,7 +241,7 @@ def test_arena_rollback_after_doomed_stop_restores_state():
     assert rolled_back == [([idx["u"], idx["b"], idx["c"]], [idx["a"], idx["c"]])]
     assert arena.alive == alive
     assert arena.cnt == cnt
-    assert game.init_index not in _region_without(game, {idx["u"]})
+    assert game.init_index not in naive_region_without(game, {idx["u"]})
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +533,11 @@ def test_reach_kernel_matches_naive_closure(seed, n0, n1, k, strat_seed):
     strat = sg.PositionalStrategy(choice)
 
     seen = _naive_reach(game, strat)
-    assert sg.game.reachable_under(game, strat) == seen
+    order, _ = sg.game.reach(game, sg.game.strategy_moves(game, strat))
+    assert {game.pos_names[v] for v in order} == seen
+    assert sg.restrict_to_reachable(game, strat).choice == {
+        p: a for p, a in choice.items() if p in seen
+    }
     assert sg.density(game, strat) == len(seen & game.positions0)
     defined = all(
         (p, choice.get(p)) in game.edges for p in seen & game.positions0

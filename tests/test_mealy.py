@@ -127,6 +127,10 @@ def test_undefined_reachable_choice_rejected():
     game = sg.gen_chain(2)
     with pytest.raises(ValueError):
         sg.strategy_to_mealy(game, sg.PositionalStrategy({}))
+    # A choice that names no edge leaves its position undefined.
+    bogus = sg.PositionalStrategy({"c1": "bogus", "c2": "step"})
+    with pytest.raises(ValueError, match="undefined at reachable position 'c1'"):
+        sg.strategy_to_mealy(game, bogus)
 
 
 def test_dfa_dead_end_detected():

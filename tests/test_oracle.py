@@ -1,8 +1,15 @@
+import itertools
+
 import pytest
 
 import sparsegames as sg
 
-from conftest import full_product_min_density, solvable_random_games
+from conftest import (
+    full_product_min_density,
+    naive_region_without,
+    naive_winning_region,
+    solvable_random_games,
+)
 
 
 def _mp(game):
@@ -82,6 +89,40 @@ def test_smart_densities_inside_enumerated_optima():
         seen.add(sg.density(game, sg.smart_random_extract(game, winning, seed)))
     assert seen <= optima
     assert len(seen) >= 2
+
+
+def _winnable_random_games(count):
+    games, seed = [], 0
+    while len(games) < count:
+        game = sg.gen_random(seed, 3 + seed % 6, 2 + seed % 4, 1 + seed % 3)
+        seed += 1
+        if game.init in naive_winning_region(game):
+            games.append(game)
+    return games
+
+
+def test_local_optima_match_subset_enumeration():
+    # Reference without Arena: every subset Z of the winning player-0
+    # positions, decided by the naive rescan of the game without Z's edges.
+    several = 0
+    for game in [sg.gen_adversarial(1)] + _winnable_random_games(40):
+        owner = game.pos_owner
+        candidates = [v for v in naive_region_without(game, ()) if owner[v] == 0]
+        assert len(candidates) <= 8
+        regions = {}
+        for size in range(len(candidates) + 1):
+            for z in itertools.combinations(candidates, size):
+                region = naive_region_without(game, z)
+                if game.init_index in region:
+                    regions[frozenset(z)] = region
+        expected = {
+            sg.density(game, sg.game.decode_support(game, region))
+            for z, region in regions.items()
+            if not any(z < other for other in regions)
+        }
+        assert sg.enumerate_local_optima(game) == expected
+        several += len(expected) > 1
+    assert several >= 3
 
 
 def test_local_optima_guard():
