@@ -41,8 +41,9 @@ print(f"init winning: {game.init in winning}")
 mp = sg.most_permissive(game, winning)
 print("\nmost permissive strategy (allowed actions per position):")
 for v, edges in mp.moves.items():
-    acts = ", ".join(game.act_names[a] for a, _ in edges)
-    print(f"  {game.pos_names[v]}: {acts}")
+    if game.pos_owner[v] == 0:  # player-1 entries take every edge
+        acts = ", ".join(game.act_names[a] for a, _ in edges)
+        print(f"  {game.pos_names[v]}: {acts}")
 
 pruned, mp_pruned = pruned_context(game, mp)
 print(f"\npruned to reachable winning part: {len(pruned.pos_names)} positions")

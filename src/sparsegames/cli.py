@@ -197,33 +197,24 @@ def _extract_report(
 
 
 def _write_extract_csv(report: dict, path: str) -> None:
+    header = "row seed density time_secs valid certified timed_out density_stddev time_stddev"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["row", "seed", "density", "time_secs", "valid", "certified", "timed_out"]
-        )
+        writer = csv.DictWriter(fh, header.split(), restval="", extrasaction="ignore")
+        writer.writeheader()
         for t in report["trials"]:
+            dens = "t/o" if t["timed_out"] else t["density"]
             writer.writerow(
-                [
-                    "trial",
-                    t["seed"],
-                    "t/o" if t["timed_out"] else t["density"],
-                    f"{t['time_secs']:.6f}",
-                    t["valid"],
-                    t["certified"],
-                    t["timed_out"],
-                ]
+                {**t, "row": "trial", "density": dens, "time_secs": f"{t['time_secs']:.6f}"}
             )
         writer.writerow(
-            [
-                "summary",
-                report["seed"],
-                f"{report['density_mean']:.6f}",
-                f"{report['time_mean_secs']:.6f}",
-                f"{report['density_stddev']:.6f}",
-                f"{report['time_stddev_secs']:.6f}",
-                "",
-            ]
+            {
+                "row": "summary",
+                "seed": report["seed"],
+                "density": f"{report['density_mean']:.6f}",
+                "time_secs": f"{report['time_mean_secs']:.6f}",
+                "density_stddev": f"{report['density_stddev']:.6f}",
+                "time_stddev": f"{report['time_stddev_secs']:.6f}",
+            }
         )
 
 

@@ -24,10 +24,11 @@ from .errors import GameFormatError, InitLosingError
 class SafetyGame:
     """Immutable two-player safety game over explicit positions.
 
-    Construct via :func:`parse_game` or :meth:`SafetyGame.build`.  The
-    instance exposes both a name-based view (``positions0``, ``edges``,
-    ...) and an index-based view (``pos_names``, ``out_edges``, ...) used
-    by the solving engines.
+    Construct via :func:`parse_game` or :meth:`SafetyGame.build`, the
+    validating entry points; the constructor trusts its input and only
+    interns it.  The instance exposes both a name-based view
+    (``positions0``, ``edges``, ...) and an index-based view
+    (``pos_names``, ``out_edges``, ...) used by the solving engines.
     """
 
     def __init__(
@@ -36,22 +37,7 @@ class SafetyGame:
         edges: dict[tuple[str, str], str],
         init: str,
     ):
-        if init not in owners:
-            raise GameFormatError(f"initial position {init!r} is not declared")
-        for (src, act), dst in edges.items():
-            if src not in owners:
-                raise GameFormatError(f"edge source {src!r} is not declared")
-            if dst not in owners:
-                raise GameFormatError(f"edge target {dst!r} is not declared")
-        act_owner: dict[str, int] = {}
-        for (src, act) in edges:
-            o = owners[src]
-            prev = act_owner.setdefault(act, o)
-            if prev != o:
-                raise GameFormatError(
-                    f"action {act!r} is used from positions of both players"
-                )
-
+        act_owner = {act: owners[src] for (src, act) in edges}
         self.pos_names: tuple[str, ...] = tuple(sorted(owners))
         self.pos_index: dict[str, int] = {p: i for i, p in enumerate(self.pos_names)}
         self.pos_owner: tuple[int, ...] = tuple(owners[p] for p in self.pos_names)
@@ -93,6 +79,11 @@ class SafetyGame:
         for p, o in positions.items():
             if o not in (0, 1):
                 raise GameFormatError(f"position {p!r} has owner {o!r}, expected 0 or 1")
+        if init not in positions:
+            raise GameFormatError(f"initial position {init!r} is not declared")
+        act_owner: dict[str, int] = {}
+        for (src, act), dst in edges.items():
+            _check_edge(positions, act_owner, src, act, dst)
         return cls(positions, edges, init)
 
     @property
@@ -135,7 +126,7 @@ class SafetyGame:
         )
 
 
-#: Player-0 position index -> the (action, target) index pairs it takes.
+#: Position index -> the (action, target) index pairs it takes.
 Moves = dict[int, tuple[tuple[int, int], ...]]
 
 
@@ -144,9 +135,11 @@ class MostPermissiveStrategy:
     """Winning region plus, per winning player-0 position, every action
     that keeps the play inside the winning region.
 
-    ``winning`` holds position names.  ``moves`` is in index form: it maps
-    each winning player-0 position index, in index order, to its allowed
-    (action, target) index edges, in ``out_edges`` order.
+    ``moves`` is in index form and keys every winning position, in index
+    order, so its keys are the winning region.  A player-0 position maps
+    to its allowed (action, target) index edges and a player-1 position to
+    all of its ``out_edges``, both in ``out_edges`` order.  ``winning``
+    holds the same region as position names, for the I/O edges.
     """
 
     winning: frozenset[str]
@@ -227,19 +220,10 @@ def parse_game(text: bytes | str) -> SafetyGame:
             if len(parts) != 4:
                 raise GameFormatError("expected 'edge <src> <action> <dst>'", lineno)
             src, act, dst = parts[1], parts[2], parts[3]
-            if src not in owners:
-                raise GameFormatError(f"edge from undeclared position {src!r}", lineno)
-            if dst not in owners:
-                raise GameFormatError(f"edge to undeclared position {dst!r}", lineno)
+            _check_edge(owners, act_owner, src, act, dst, lineno)
             if (src, act) in edges:
                 raise GameFormatError(
                     f"duplicate edge for ({src!r}, {act!r})", lineno
-                )
-            o = owners[src]
-            prev = act_owner.setdefault(act, o)
-            if prev != o:
-                raise GameFormatError(
-                    f"action {act!r} is used by both players", lineno
                 )
             edges[(src, act)] = dst
         else:
@@ -247,6 +231,16 @@ def parse_game(text: bytes | str) -> SafetyGame:
     if init is None:
         raise GameFormatError("missing init record")
     return SafetyGame(owners, edges, init)
+
+
+def _check_edge(owners, act_owner, src, act, dst, line=None) -> None:
+    """Reject an edge with an undeclared end or an action that both
+    players use, and record the action's owner in ``act_owner``."""
+    if src not in owners or dst not in owners:
+        end, p = ("target", dst) if src in owners else ("source", src)
+        raise GameFormatError(f"edge {end} {p!r} is undeclared", line)
+    if act_owner.setdefault(act, owners[src]) != owners[src]:
+        raise GameFormatError(f"action {act!r} is used by both players", line)
 
 
 def serialize_game(game: SafetyGame) -> bytes:
@@ -425,8 +419,9 @@ def compute_winning_region(game: SafetyGame) -> frozenset[str]:
 
 def most_permissive(game: SafetyGame, winning: frozenset[str]) -> MostPermissiveStrategy:
     """All actions per winning player-0 position whose target stays in
-    ``winning``.  Raises :class:`InitLosingError` when the initial
-    position is losing, since extraction is then meaningless.
+    ``winning``, and every edge of each winning player-1 position.
+    Raises :class:`InitLosingError` when the initial position is losing,
+    since extraction is then meaningless.
     """
     if game.init not in winning:
         raise InitLosingError(
@@ -435,9 +430,9 @@ def most_permissive(game: SafetyGame, winning: frozenset[str]) -> MostPermissive
     win = [p in winning for p in game.pos_names]
     owner, out = game.pos_owner, game.out_edges
     moves: Moves = {
-        v: tuple([e for e in out[v] if win[e[1]]])
+        v: out[v] if owner[v] else tuple([e for e in out[v] if win[e[1]]])
         for v in range(len(win))
-        if win[v] and owner[v] == 0
+        if win[v]
     }
     return MostPermissiveStrategy(winning=frozenset(winning), moves=moves)
 
@@ -491,12 +486,10 @@ def prune_reachable(game: SafetyGame, mp: MostPermissiveStrategy) -> SafetyGame:
     region.  Idempotent.
     """
     order, _ = reach(game, mp.moves)
-    names, owner, out = game.pos_names, game.pos_owner, game.out_edges
+    names, owner = game.pos_names, game.pos_owner
     positions = {names[v]: owner[v] for v in order}
     edges = {
-        (names[v], game.act_names[a]): names[d]
-        for v in order
-        for a, d in (out[v] if owner[v] else mp.moves[v])
+        (names[v], game.act_names[a]): names[d] for v in order for a, d in mp.moves[v]
     }
     return SafetyGame(positions, edges, game.init)
 
@@ -511,12 +504,12 @@ def validate_strategy(
     winning region, and hits no player-0 dead end.  On failure the
     verdict carries a shortest violating play.
     """
-    if game.init not in mp.winning:
+    if game.init_index not in mp.moves:
         return ValidationVerdict(False, PlayWitness((game.init,), ()))
     moves = strategy_moves(game, strat)
     order, parent = reach(game, moves)
     owner, out, names = game.pos_owner, game.out_edges, game.pos_names
-    winning = mp.winning
+    region = mp.moves  # its keys are the winning region
 
     def play_to(v: int, tail: tuple[int, int] | None) -> PlayWitness:
         # Each step replays the first edge of the parent that reaches the
@@ -542,7 +535,7 @@ def validate_strategy(
         if edges is None:
             return ValidationVerdict(False, play_to(v, None))
         for a, d in edges:
-            if names[d] not in winning:
+            if d not in region:
                 return ValidationVerdict(False, play_to(v, (a, d)))
     return ValidationVerdict(True, None)
 
@@ -580,12 +573,13 @@ def density(game: SafetyGame, strat: PositionalStrategy) -> int:
 
 
 def search_space_bits(game: SafetyGame, mp: MostPermissiveStrategy) -> float:
-    """Sum of log2 of the allowed-action count over winning player-0
-    positions; positions with a single allowed action contribute 0.
+    """Sum of log2 of the allowed-action count over the player-0 entries
+    of ``mp.moves``; positions with a single allowed action contribute 0.
 
     The benchmark harness reports this on the pruned game.
     """
-    return sum(math.log2(len(edges)) for edges in mp.moves.values() if edges)
+    owner = game.pos_owner
+    return sum(math.log2(len(e)) for v, e in mp.moves.items() if e and not owner[v])
 
 
 def restrict_to_reachable(

@@ -28,6 +28,7 @@ from .game import (
     SafetyGame,
     decode_support,
     reach,
+    strategy_moves,
 )
 from .rng import SplitMix64
 
@@ -37,14 +38,15 @@ def random_extract(
 ) -> PositionalStrategy:
     """Uniform random specialization of the most-permissive strategy,
     restricted to its reachable domain."""
-    if game.init not in mp.winning:
+    if game.init_index not in mp.moves:
         raise InitLosingError("cannot extract a strategy for a losing game")
     rng = SplitMix64(seed)
+    owner = game.pos_owner
     # Index order is sorted-name order, and each entry lists its actions
     # in name order, so a seed draws the same actions whatever the parse
     # order.
     moves: Moves = {
-        v: (edges[rng.below(len(edges))],) for v, edges in mp.moves.items()
+        v: (e[rng.below(len(e))],) for v, e in mp.moves.items() if not owner[v]
     }
     _, parent = reach(game, moves)
     names, acts = game.pos_names, game.act_names
@@ -102,7 +104,7 @@ def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
     empty reachable domain is vacuously locally optimal.  Raises
     ``ValueError`` for a strategy that is not winning.
     """
-    domain = {game.pos_index[p] for p in strat.choice}
+    domain = set(strategy_moves(game, strat))
     undefined = [
         v
         for v in range(len(game.pos_names))

@@ -143,5 +143,4 @@ def ilp_exact_extract(
             break
     if stats is not None:
         stats["nodes"] = node_log
-        stats["pruned_positions"] = problem.var_names
     return ExactResult(incumbent, incumbent_density, certified, lp_solves)

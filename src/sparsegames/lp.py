@@ -30,7 +30,6 @@ from .game import (
     PositionalStrategy,
     SafetyGame,
     decode_support,
-    most_permissive,
     prune_reachable,
 )
 
@@ -95,19 +94,17 @@ def support_rows(
     encodings: a support containing position ``v`` contains one of
     ``targets`` for every pair ``(v, targets)``.
 
-    Winning positions are covered in index order.  A player-0 position
-    gives one pair with the targets of its allowed actions, duplicates
-    kept; a player-1 position gives one ``(v, (d,))`` pair per distinct
-    successor, in index order.
+    The keys of ``mp.moves`` (the winning positions) are covered in index
+    order.  A player-0 position gives one pair with the targets of its
+    allowed actions, duplicates kept; a player-1 position gives one
+    ``(v, (d,))`` pair per distinct successor, in index order.
     """
     rows: list[tuple[int, tuple[int, ...]]] = []
-    for v, name in enumerate(game.pos_names):
-        if name not in mp.winning:
-            continue
+    for v, edges in mp.moves.items():
         if game.pos_owner[v] == 0:
-            rows.append((v, tuple([d for _, d in mp.moves.get(v, ())])))
+            rows.append((v, tuple([d for _, d in edges])))
         else:
-            rows += [(v, (d,)) for d in sorted({d for _, d in game.out_edges[v]})]
+            rows += [(v, (d,)) for d in sorted({d for _, d in edges})]
     return rows
 
 
@@ -120,7 +117,7 @@ def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
     targets accumulate coefficients) and a row per (player-1 position,
     distinct successor) pair.
     """
-    if set(game.pos_names) != set(mp.winning):
+    if len(mp.moves) != len(game.pos_names):
         raise ValueError("build_relaxation expects a game pruned to its winning part")
     names = game.pos_names
     n = len(names)
@@ -319,12 +316,14 @@ def _linear_expr(coefs: np.ndarray, names: tuple[str, ...]) -> str:
 def pruned_context(
     game: SafetyGame, mp: MostPermissiveStrategy
 ) -> tuple[SafetyGame, MostPermissiveStrategy]:
-    """Restrict to the reachable winning part and recompute the allowed
-    sets there; every engine encodes over this context.  Every position
-    ``prune_reachable`` keeps is winning in the pruned game, so its whole
-    position set is the winning region."""
+    """Restrict to the reachable winning part, where every engine
+    encodes.  Every position ``prune_reachable`` keeps is winning in the
+    pruned game and every edge it keeps is allowed, so the whole pruned
+    game is its own most-permissive strategy."""
     pruned = prune_reachable(game, mp)
-    return pruned, most_permissive(pruned, frozenset(pruned.pos_names))
+    return pruned, MostPermissiveStrategy(
+        frozenset(pruned.pos_names), dict(enumerate(pruned.out_edges))
+    )
 
 
 def replp_extract(

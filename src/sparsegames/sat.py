@@ -422,18 +422,17 @@ def build_cnf(
 ) -> tuple[Cnf, dict[str, int]]:
     """Boolean strategy constraints over the winning positions.
 
-    Variables number the winning positions in index order.  Unit clause
-    for init, then the clause ``!v | targets`` per :func:`support_rows`
-    pair.  When init is losing the instance is a single empty clause,
-    trivially unsatisfiable.
+    Variables number the keys of ``mp.moves`` (the winning positions) in
+    index order.  Unit clause for init, then the clause ``!v | targets``
+    per :func:`support_rows` pair.  When init is losing the instance is a
+    single empty clause, trivially unsatisfiable.
     """
-    if game.init not in mp.winning:
+    if game.init_index not in mp.moves:
         return Cnf(0, [[]]), {}
     var = [0] * len(game.pos_names)  # 0 marks a losing position
     var_map: dict[str, int] = {}
-    for v, name in enumerate(game.pos_names):
-        if name in mp.winning:
-            var[v] = var_map[name] = len(var_map) + 1
+    for v in mp.moves:
+        var[v] = var_map[game.pos_names[v]] = len(var_map) + 1
     clauses: list[list[int]] = [[var[game.init_index]]]
     for v, targets in support_rows(game, mp):
         # Sorted and deduplicated, a losing target shows as a leading 0.

@@ -62,17 +62,18 @@ def unchecked_most_permissive(game: sg.SafetyGame, winning: frozenset[str]):
     win_idx = {game.pos_index[p] for p in winning}
     moves = {}
     for v in sorted(win_idx):
-        if game.pos_owner[v] != 0:
-            continue
-        moves[v] = tuple(e for e in game.out_edges[v] if e[1] in win_idx)
+        out = game.out_edges[v]
+        moves[v] = out if game.pos_owner[v] else tuple(e for e in out if e[1] in win_idx)
     return sg.MostPermissiveStrategy(winning=frozenset(winning), moves=moves)
 
 
 def allowed_names(game: sg.SafetyGame, mp: sg.MostPermissiveStrategy):
-    """Name view of ``mp.moves``: position name -> allowed action names."""
+    """Name view of the player-0 entries of ``mp.moves``: position name ->
+    allowed action names."""
     return {
         game.pos_names[v]: tuple(game.act_names[a] for a, _ in edges)
         for v, edges in mp.moves.items()
+        if game.pos_owner[v] == 0
     }
 
 

@@ -101,6 +101,12 @@ def test_extract_reports_and_outputs(tmp_path, capsys):
         assert int(row[1]) == trial["seed"]
         assert int(row[2]) == trial["density"]
     assert rows[5][2] == f"{report['density_mean']:.6f}"
+    with open(csv_path) as fh:
+        summary = list(csv.DictReader(fh))[-1]
+    assert summary["row"] == "summary"
+    assert summary["valid"] == summary["certified"] == summary["timed_out"] == ""
+    assert summary["density_stddev"] == f"{report['density_stddev']:.6f}"
+    assert summary["time_stddev"] == f"{report['time_stddev_secs']:.6f}"
 
 
 def test_extract_exact_methods_agree_and_have_zero_stddev(tmp_path):

@@ -65,6 +65,34 @@ def test_build_errors(positions, edges, init, pattern):
         sg.SafetyGame.build(positions, edges, init)
 
 
+def _malformed_records(game):
+    """Three bad edges for ``game``, one per edge check: an undeclared
+    source, an undeclared target, and a player-0 action taken from a
+    player-1 position."""
+    p, q = min(game.positions0), min(game.positions1)
+    return [("ghost", "a0", p), (p, "a0", "ghost"), (q, min(game.actions0), p)]
+
+
+def test_parse_and_build_reject_bad_edges_alike():
+    checked = 0
+    for seed in range(40):
+        game = sg.gen_random(seed, 4, 4, 3)
+        if not game.actions0:
+            continue
+        positions = dict(zip(game.pos_names, game.pos_owner))
+        for src, act, dst in _malformed_records(game):
+            text = sg.serialize_game(game) + f"edge {src} {act} {dst}\n".encode()
+            with pytest.raises(GameFormatError) as parsed:
+                sg.parse_game(text)
+            with pytest.raises(GameFormatError) as built:
+                sg.SafetyGame.build(positions, {**game.edges, (src, act): dst}, game.init)
+            line = parsed.value.line
+            assert line == text.count(b"\n")
+            assert str(parsed.value) == f"line {line}: {built.value}"
+            checked += 1
+    assert checked >= 90
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(GameFormatError) as err:
         sg.parse_game(b"pos a 0\n# comment\npos a 0\n")
@@ -269,6 +297,15 @@ def test_most_permissive_keeps_all_safe_actions():
     assert mp.moves[v] == ((game.act_index["x"], w), (game.act_index["y"], w))
 
 
+def test_most_permissive_keys_are_the_winning_region():
+    for game, winning, mp in solvable_random_games(120, 6, 6, 3):
+        assert {game.pos_names[v] for v in mp.moves} == winning
+        assert list(mp.moves) == sorted(mp.moves)
+        for v, edges in mp.moves.items():
+            if game.pos_owner[v] == 1:
+                assert edges == game.out_edges[v]
+
+
 def test_most_permissive_raises_on_losing_game():
     game = sg.SafetyGame.build({"v": 0}, {}, "v")
     with pytest.raises(InitLosingError):
@@ -405,6 +442,7 @@ def test_specialization_soundness():
         choice = {
             game.pos_names[v]: min(game.act_names[a] for a, _ in edges)
             for v, edges in mp.moves.items()
+            if game.pos_owner[v] == 0
         }
         verdict = sg.validate_strategy(game, mp, sg.PositionalStrategy(choice))
         assert verdict.winning

@@ -237,3 +237,9 @@ def test_local_optimality_rejects_non_winning_strategy():
     )
     with pytest.raises(ValueError, match="not winning"):
         sg.is_locally_optimal(game, sg.PositionalStrategy({}))
+
+
+def test_local_optimality_rejects_undeclared_position():
+    strat = sg.PositionalStrategy({"nope": "step"})
+    with pytest.raises(ValueError, match="not winning"):
+        sg.is_locally_optimal(sg.gen_chain(2), strat)
