@@ -29,7 +29,6 @@ from pathlib import Path
 
 from .errors import (
     BudgetExhaustedError,
-    GameFormatError,
     InitLosingError,
     SparseGamesError,
     TimeoutExceededError,
@@ -411,10 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except InitLosingError:
         print("init losing", file=sys.stderr)
         return EXIT_INIT_LOSING
-    except (GameFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SparseGamesError as exc:
+    except (SparseGamesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

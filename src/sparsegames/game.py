@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .errors import GameFormatError, InitLosingError
@@ -437,14 +438,15 @@ def most_permissive(game: SafetyGame, winning: frozenset[str]) -> MostPermissive
     return MostPermissiveStrategy(winning=frozenset(winning), moves=moves)
 
 
-def reach(game: SafetyGame, moves: Moves) -> tuple[list[int], dict[int, int | None]]:
+def reach(game: SafetyGame, moves: Callable) -> tuple[list[int], dict[int, int | None]]:
     """Breadth-first exploration from init.
 
     A player-1 position takes every edge in ``out_edges``; a player-0
-    position ``v`` takes the (action, target) index pairs in ``moves[v]``
-    and none when ``v`` has no entry.  Returns the visit order and
-    ``parent``, which maps each visited position to the position that
-    discovered it (``None`` for init).
+    position ``v`` takes the (action, target) index pairs that
+    ``moves(v, ())`` returns, called once per visit, so a ``Moves`` dict
+    is passed as its ``.get``.  Returns the visit order and ``parent``,
+    which maps each visited position to the position that discovered it
+    (``None`` for init).
     """
     owner = game.pos_owner
     out = game.out_edges
@@ -452,7 +454,7 @@ def reach(game: SafetyGame, moves: Moves) -> tuple[list[int], dict[int, int | No
     parent: dict[int, int | None] = {init: None}
     order = [init]
     for v in order:
-        for _, d in out[v] if owner[v] else moves.get(v, ()):
+        for _, d in out[v] if owner[v] else moves(v, ()):
             if d not in parent:
                 parent[d] = v
                 order.append(d)
@@ -485,7 +487,7 @@ def prune_reachable(game: SafetyGame, mp: MostPermissiveStrategy) -> SafetyGame:
     winning, so the walk from the winning init never leaves the winning
     region.  Idempotent.
     """
-    order, _ = reach(game, mp.moves)
+    order, _ = reach(game, mp.moves.get)
     names, owner = game.pos_names, game.pos_owner
     positions = {names[v]: owner[v] for v in order}
     edges = {
@@ -507,7 +509,7 @@ def validate_strategy(
     if game.init_index not in mp.moves:
         return ValidationVerdict(False, PlayWitness((game.init,), ()))
     moves = strategy_moves(game, strat)
-    order, parent = reach(game, moves)
+    order, parent = reach(game, moves.get)
     owner, out, names = game.pos_owner, game.out_edges, game.pos_names
     region = mp.moves  # its keys are the winning region
 
@@ -540,25 +542,23 @@ def validate_strategy(
     return ValidationVerdict(True, None)
 
 
-def decode_support(game: SafetyGame, support: set[int]) -> PositionalStrategy:
-    """Read a strategy off a support set closed under player-1 moves:
-    breadth first from init, picking per player-0 position the smallest
-    action whose target is in the support."""
-    owner, out = game.pos_owner, game.out_edges
-    moves: Moves = {}
-    for v in support:
-        if owner[v] == 0:
-            for edge in out[v]:
-                if edge[1] in support:
-                    moves[v] = (edge,)
-                    break
-    order, _ = reach(game, moves)
+def decode_support(game: SafetyGame, flags: Sequence) -> PositionalStrategy:
+    """Read a strategy off a support closed under player-1 moves, given
+    as per-position flags: the one :func:`reach` walk from init picks, at
+    each player-0 position it reaches, the smallest action whose target is
+    flagged, so only successors of reached positions are read.  The
+    strategy names exactly the reached player-0 positions."""
+    out, names, acts = game.out_edges, game.pos_names, game.act_names
     choice: dict[str, str] = {}
-    for v in order:
-        if owner[v] == 0:
-            if v not in moves:
-                raise AssertionError("support offers no successor at a reached position")
-            choice[game.pos_names[v]] = game.act_names[moves[v][0][0]]
+
+    def pick(v: int, _) -> tuple[tuple[int, int], ...]:
+        for edge in out[v]:
+            if flags[edge[1]]:
+                choice[names[v]] = acts[edge[0]]
+                return (edge,)
+        raise AssertionError("support offers no successor at a reached position")
+
+    reach(game, pick)
     return PositionalStrategy(choice)
 
 
@@ -567,7 +567,7 @@ def density(game: SafetyGame, strat: PositionalStrategy) -> int:
 
     Defined choices at unreachable positions do not count.
     """
-    order, _ = reach(game, strategy_moves(game, strat))
+    order, _ = reach(game, strategy_moves(game, strat).get)
     owner = game.pos_owner
     return sum(1 for v in order if owner[v] == 0)
 
@@ -587,7 +587,7 @@ def restrict_to_reachable(
 ) -> PositionalStrategy:
     """Drop choices at positions that no play consistent with the
     strategy can visit."""
-    _, parent = reach(game, strategy_moves(game, strat))
+    _, parent = reach(game, strategy_moves(game, strat).get)
     pos_index = game.pos_index
     return PositionalStrategy(
         {p: a for p, a in strat.choice.items() if pos_index.get(p) in parent}

@@ -48,7 +48,7 @@ def random_extract(
     moves: Moves = {
         v: (e[rng.below(len(e))],) for v, e in mp.moves.items() if not owner[v]
     }
-    _, parent = reach(game, moves)
+    _, parent = reach(game, moves.get)
     names, acts = game.pos_names, game.act_names
     return PositionalStrategy(
         {names[v]: acts[e[0][0]] for v, e in moves.items() if v in parent}
@@ -91,7 +91,7 @@ def smart_random_extract(
             raise TimeoutExceededError("local search deadline expired")
         arena.try_delete(v)
 
-    return decode_support(game, set(arena.winning_indices()))
+    return decode_support(game, arena.alive)
 
 
 def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
@@ -104,7 +104,9 @@ def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
     empty reachable domain is vacuously locally optimal.  Raises
     ``ValueError`` for a strategy that is not winning.
     """
-    domain = set(strategy_moves(game, strat))
+    moves = strategy_moves(game, strat)
+    order, _ = reach(game, moves.get)
+    domain = {v for v in order if v in moves}
     undefined = [
         v
         for v in range(len(game.pos_names))

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TimeoutExceededError
-from .game import (
-    MostPermissiveStrategy,
-    PositionalStrategy,
-    SafetyGame,
-    density,
-)
+from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame
 from .heuristics import smart_random_extract
 from .lp import (
     INTEGRALITY_EPS,
@@ -54,6 +49,34 @@ def _ceil_eps(x: float) -> int:
     return math.ceil(x - INTEGRALITY_EPS)
 
 
+class _Frame:
+    """The pruned game, its relaxation and root LP, and the incumbent of
+    both exact engines: the warm start, replaced by every strictly sparser
+    decoded support.  A decoded strategy names the player-0 positions its
+    walk reaches in the pruned game, which keeps every edge of a reached
+    player-1 position, so its density in ``game`` is its number of choices.
+    """
+
+    def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy, warm_seed: int):
+        self.pruned, self.mp = pruned_context(game, mp)
+        self.problem = build_relaxation(self.pruned, self.mp)
+        self.best = smart_random_extract(game, mp.winning, warm_seed)
+        self.ub = len(self.best.choice)
+        self.root = lp_solve(self.problem)
+        if self.root.status == "infeasible":
+            raise AssertionError("relaxation of a winnable game cannot be infeasible")
+
+    def offer(self, flags) -> None:
+        """Decode a support of the pruned game, given as per-position
+        flags, and keep it when it is strictly sparser."""
+        candidate = decode_support(self.pruned, flags)
+        if len(candidate.choice) < self.ub:
+            self.best, self.ub = candidate, len(candidate.choice)
+
+    def result(self, certified: bool, work: int) -> ExactResult:
+        return ExactResult(self.best, self.ub, certified, work)
+
+
 def ilp_exact_extract(
     game: SafetyGame,
     mp: MostPermissiveStrategy,
@@ -65,39 +88,29 @@ def ilp_exact_extract(
 ) -> ExactResult:
     """Minimum-density positional strategy via branch-and-bound.
 
-    ``work`` counts LP solves.  When the node budget runs out the
+    The root LP and the warm-start incumbent come from :class:`_Frame`;
+    every integral node's support is offered to it.  ``work`` counts LP
+    solves, the root included.  When the node budget runs out the
     incumbent is returned with ``certified=False``; an expired
-    ``deadline`` raises :class:`TimeoutExceededError`.  When a
-    ``stats`` dict is supplied, every expanded node is recorded there as
-    (bound, zero-fixed variable indices, one-fixed variable indices).
+    ``deadline`` raises :class:`TimeoutExceededError`.  When a ``stats``
+    dict is supplied, every expanded node is recorded there as (bound,
+    zero-fixed variable indices, one-fixed variable indices).
     """
-    pruned, mp2 = pruned_context(game, mp)
-    problem = build_relaxation(pruned, mp2)
+    frame = _Frame(game, mp, warm_seed)
+    problem = frame.problem
     n = len(problem.var_names)
     eps = INTEGRALITY_EPS
-
-    incumbent = smart_random_extract(game, mp.winning, warm_seed)
-    incumbent_density = density(game, incumbent)
-
-    lp_solves = 0
+    lp_solves = 1
     certified = True
-
-    def node_bound(lo: np.ndarray, hi: np.ndarray):
-        nonlocal lp_solves
-        lp_solves += 1
-        return lp_solve(problem.with_bounds(lo, hi))
-
-    root_sol = node_bound(problem.lo, problem.hi)
-    if root_sol.status == "infeasible":
-        raise AssertionError("relaxation of a winnable game cannot be infeasible")
 
     # Heap entries: (bound, -depth, tiebreak counter, lo, hi, solution).
     counter = 0
-    heap = [(root_sol.objective_value, 0, counter, problem.lo, problem.hi, root_sol)]
+    root = frame.root
+    heap = [(root.objective_value, 0, counter, problem.lo, problem.hi, root)]
     node_log = [] if stats is not None else None
     while heap:
         bound, neg_depth, _, lo, hi, sol = heapq.heappop(heap)
-        if _ceil_eps(bound) >= incumbent_density:
+        if _ceil_eps(bound) >= frame.ub:
             break  # best-first: every remaining node is at least as bad
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceededError("branch-and-bound deadline expired")
@@ -112,11 +125,7 @@ def ilp_exact_extract(
         v = sol.values
         fractional = [i for i in range(n) if eps < v[i] < 1.0 - eps]
         if not fractional:
-            support = {i for i in range(n) if v[i] >= 1.0 - eps}
-            candidate = decode_support(pruned, support)
-            cand_density = density(game, candidate)
-            if cand_density < incumbent_density:
-                incumbent, incumbent_density = candidate, cand_density
+            frame.offer(v >= 1.0 - eps)
             continue
         branch = min(fractional, key=lambda i: (abs(v[i] - 0.5), i))
         for fix_value in (0.0, 1.0):
@@ -129,10 +138,11 @@ def ilp_exact_extract(
                 c_hi[branch] = 0.0
             else:
                 c_lo[branch] = 1.0
-            child = node_bound(c_lo, c_hi)
+            lp_solves += 1
+            child = lp_solve(problem.with_bounds(c_lo, c_hi))
             if child.status == "infeasible":
                 continue
-            if _ceil_eps(child.objective_value) >= incumbent_density:
+            if _ceil_eps(child.objective_value) >= frame.ub:
                 continue
             counter += 1
             heapq.heappush(
@@ -143,4 +153,4 @@ def ilp_exact_extract(
             break
     if stats is not None:
         stats["nodes"] = node_log
-    return ExactResult(incumbent, incumbent_density, certified, lp_solves)
+    return frame.result(certified, lp_solves)

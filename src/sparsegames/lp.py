@@ -381,8 +381,7 @@ def replp_extract(
                 stats["rounds"] = rounds
                 stats["zero_fix_retries"] = retries
                 stats["fixed_sizes"] = fixed_sizes
-            support = {i for i in range(n) if v[i] >= 1.0 - eps}
-            return decode_support(pruned, support)
+            return decode_support(pruned, v >= 1.0 - eps)
         pending_zero = [i for i in range(n) if v[i] <= eps and hi[i] > 0.0]
         for i in pending_zero:
             hi[i] = 0.0

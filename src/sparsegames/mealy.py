@@ -63,20 +63,20 @@ def parse_dfa(text: bytes | str) -> Dfa:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GameFormatError(f"input is not valid UTF-8: {exc}") from exc
-    accepting: set[str] = set()
+    accepting: dict[str, int] = {}  # state -> line of its first record
     game_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         parts = raw.split("#", 1)[0].split()
         if parts[:1] == ["accepting"]:
             if len(parts) != 2:
                 raise GameFormatError("expected 'accepting <id>'", lineno)
-            accepting.add(parts[1])
+            accepting.setdefault(parts[1], lineno)
             raw = ""
         game_lines.append(raw)
     game = parse_game("\n".join(game_lines))
-    for q in accepting:
+    for q, line in accepting.items():
         if q not in game.pos_index:
-            raise GameFormatError(f"accepting names undeclared state {q!r}")
+            raise GameFormatError(f"accepting names undeclared state {q!r}", line)
     return Dfa(game, frozenset(accepting))
 
 

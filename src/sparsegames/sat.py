@@ -18,26 +18,13 @@ model or refutation.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhaustedError, TimeoutExceededError
-from .game import (
-    MostPermissiveStrategy,
-    SafetyGame,
-    density,
-)
-from .heuristics import smart_random_extract
-from .ilp import ExactResult
-from .lp import (
-    INTEGRALITY_EPS,
-    build_relaxation,
-    decode_support,
-    lp_solve,
-    pruned_context,
-    support_rows,
-)
+from .game import MostPermissiveStrategy, SafetyGame
+from .ilp import ExactResult, _ceil_eps, _Frame
+from .lp import support_rows
 
 DEFAULT_CONFLICT_BUDGET = 10**7
 
@@ -100,9 +87,10 @@ class _Solver:
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
         self.polarity = [False] * (n + 1)
-        # Lazy max-heap over (-activity, var): entries are re-pushed on
-        # every bump and unassignment so priorities stay fresh; stale
-        # duplicates are skipped at pop time.
+        # Lazy max-heap over (-activity, var): every unassigned variable
+        # has an entry with its current activity, since only assigned ones
+        # are bumped, ``_backjump`` pushes on unassignment and a rescale
+        # rebuilds the heap.  Stale entries are skipped at pop time.
         self.order = [(0.0, v) for v in range(1, n + 1)]
         heapq.heapify(self.order)
         self.seen = bytearray(n + 1)
@@ -213,9 +201,6 @@ class _Solver:
                 if self.assign[u] == 0
             ]
             heapq.heapify(self.order)
-            return
-        if self.assign[v] == 0:
-            heapq.heappush(self.order, (-self.activity[v], v))
 
     # -- conflict analysis
 
@@ -308,9 +293,6 @@ class _Solver:
         while order:
             neg_act, v = heapq.heappop(order)
             if assign[v] == 0 and -neg_act == activity[v]:
-                return v if self.polarity[v] else -v
-        for v in range(1, self.nvars + 1):
-            if assign[v] == 0:
                 return v if self.polarity[v] else -v
         return 0
 
@@ -459,46 +441,39 @@ def sat_exact_extract(
 ) -> ExactResult:
     """Minimum-density extraction by binary search on a cardinality bound.
 
-    The lower end starts at the LP relaxation optimum rounded up, the
-    upper end at a greedy warm start's density.  Each probe solves the
-    base constraints plus at-most-k over the player-0 variables; a model
-    tightens the upper end to its decoded density, a refutation raises
-    the lower end.  ``work`` counts SAT calls.  When the conflict budget
-    runs out the best strategy so far is returned uncertified; an expired
-    ``deadline`` raises :class:`TimeoutExceededError`.
+    The lower end starts at the root LP optimum of :class:`_Frame`
+    rounded up, the upper end at its warm start's density.  Each probe
+    solves the base constraints plus at-most-k over the player-0
+    variables; a model is offered to the frame as the flags of its
+    position variables, which tightens the upper end, and a refutation
+    raises the lower end.  ``work`` counts SAT calls.  When the conflict
+    budget runs out the best strategy so far is returned uncertified; an
+    expired ``deadline`` raises :class:`TimeoutExceededError`.
     """
-    pruned, mp2 = pruned_context(game, mp)
-    base, _ = build_cnf(pruned, mp2)
+    frame = _Frame(game, mp, warm_seed)
+    base, _ = build_cnf(frame.pruned, frame.mp)
     # Every pruned position is winning, so variable v + 1 is position v.
-    n = len(pruned.pos_names)
-    p0_vars = [v + 1 for v in range(n) if pruned.pos_owner[v] == 0]
-
-    best = smart_random_extract(game, mp.winning, warm_seed)
-    ub = density(game, best)
-    relax = lp_solve(build_relaxation(pruned, mp2))
-    lb = max(0, math.ceil(relax.objective_value - INTEGRALITY_EPS))
+    p0_vars = [v + 1 for v, o in enumerate(frame.pruned.pos_owner) if o == 0]
+    lb = _ceil_eps(frame.root.objective_value)
 
     work = 0
-    while lb < ub:
+    while lb < frame.ub:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceededError("sat extraction deadline expired")
         # Plain bisection.  Probing midpoints keeps slack in the
         # cardinality constraint; models found there usually decode to a
         # density at the lower bound, so the zero-slack instances (the
         # hardest ones) are rarely solved at all.
-        mid = (lb + ub) // 2
+        mid = (lb + frame.ub) // 2
         card, n_aux = encode_at_most_k(p0_vars, mid, base.num_vars + 1)
         cnf = Cnf(base.num_vars + n_aux, base.clauses + card)
         work += 1
         try:
             outcome = sat_solve(cnf, max_conflicts, deadline)
         except BudgetExhaustedError:
-            return ExactResult(best, ub, False, work)
+            return frame.result(False, work)
         if outcome.status == "sat":
-            support = {v for v in range(n) if outcome.model[v]}
-            candidate = decode_support(pruned, support)
-            cand_density = density(game, candidate)
-            best, ub = candidate, cand_density
+            frame.offer(outcome.model)
         else:
             lb = mid + 1
-    return ExactResult(best, ub, True, work)
+    return frame.result(True, work)

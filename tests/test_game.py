@@ -1,8 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsegames as sg
 from sparsegames.errors import GameFormatError, InitLosingError
+from sparsegames.lp import pruned_context
 
 from conftest import (
     FIG_GAME,
@@ -571,7 +577,7 @@ def test_reach_kernel_matches_naive_closure(seed, n0, n1, k, strat_seed):
     strat = sg.PositionalStrategy(choice)
 
     seen = _naive_reach(game, strat)
-    order, _ = sg.game.reach(game, sg.game.strategy_moves(game, strat))
+    order, _ = sg.game.reach(game, sg.game.strategy_moves(game, strat).get)
     assert {game.pos_names[v] for v in order} == seen
     assert sg.restrict_to_reachable(game, strat).choice == {
         p: a for p, a in choice.items() if p in seen
@@ -594,3 +600,48 @@ def test_reach_kernel_matches_naive_closure(seed, n0, n1, k, strat_seed):
         assert last not in winning or (
             last in game.positions0 and (last, choice.get(last)) not in game.edges
         )
+
+
+def _setcover_corpus():
+    """The games of the benchmark's set-cover workload at seed 1."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus
+    spec.loader.exec_module(corpus)
+    return [sg.parse_game(inst.text) for inst in corpus.build("setcover", 1).instances]
+
+
+class _AskedFlags:
+    """Flags that record every index they are read at."""
+
+    def __init__(self, flags):
+        self.flags = flags
+        self.asked = []
+
+    def __getitem__(self, i):
+        self.asked.append(i)
+        return self.flags[i]
+
+
+def test_decode_support_reads_flags_only_at_successors_of_reached_positions():
+    games = [game for game, _, _ in solvable_random_games(40, 6, 6, 3)]
+    for game in games + _setcover_corpus():
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        pruned, mp2 = pruned_context(game, mp)
+        cnf, _ = sg.build_cnf(pruned, mp2)
+        # Every pruned position is winning, so variable v + 1 is position v.
+        flags = list(sg.sat_solve(cnf).model)
+        strat = sg.game.decode_support(pruned, flags)
+        assert sg.game.decode_support(pruned, tuple(flags)) == strat
+        assert sg.game.decode_support(pruned, np.array(flags)) == strat
+        asked = _AskedFlags(flags)
+        assert sg.game.decode_support(pruned, asked) == strat
+
+        order, _ = sg.game.reach(pruned, sg.game.strategy_moves(pruned, strat).get)
+        owner, out = pruned.pos_owner, pruned.out_edges
+        assert {pruned.pos_names[v] for v in order if owner[v] == 0} == set(strat.choice)
+        targets = {d for v in order if owner[v] == 0 for _, d in out[v]}
+        assert set(asked.asked) <= targets
+        assert sg.validate_strategy(game, mp, strat).winning
+        assert sg.density(game, strat) == len(strat.choice)

@@ -239,6 +239,17 @@ def test_local_optimality_rejects_non_winning_strategy():
         sg.is_locally_optimal(game, sg.PositionalStrategy({}))
 
 
+def test_local_optimality_judges_only_the_reachable_domain():
+    # wm1_1 is unreachable once e1 takes A, so its choice is not part of
+    # the domain; the strategy is the same as its restriction.
+    game = sg.gen_adversarial(1)
+    strat = sg.PositionalStrategy({"e1": "A", "wt1_1": "c", "wm1_1": "c"})
+    restricted = sg.restrict_to_reachable(game, strat)
+    assert restricted.choice == {"e1": "A", "wt1_1": "c"}
+    assert sg.is_locally_optimal(game, restricted)
+    assert sg.is_locally_optimal(game, strat)
+
+
 def test_local_optimality_rejects_undeclared_position():
     strat = sg.PositionalStrategy({"nope": "step"})
     with pytest.raises(ValueError, match="not winning"):

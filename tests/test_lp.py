@@ -180,8 +180,8 @@ def test_decode_support_picks_smallest_action():
         {("v", "x"): "b", ("v", "w"): "a", ("a", "z"): "a", ("b", "z"): "b"},
         "v",
     )
-    support = {game.pos_index["v"], game.pos_index["a"], game.pos_index["b"]}
-    strat = decode_support(game, support)
+    flags = [p in ("v", "a", "b") for p in game.pos_names]
+    strat = decode_support(game, flags)
     assert strat.choice == {"v": "w"}
 
 

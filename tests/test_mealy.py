@@ -200,6 +200,12 @@ def test_parse_dfa_rejects_undeclared_accepting():
         sg.parse_dfa(b"pos s 1\ninit s\naccepting nope\nedge s u s\n")
 
 
+def test_parse_dfa_undeclared_accepting_carries_its_line():
+    with pytest.raises(sg.GameFormatError, match="line 3: accepting") as info:
+        sg.parse_dfa(b"pos q 1\ninit q\naccepting z\n")
+    assert info.value.line == 3
+
+
 def test_parse_dfa_rejects_invalid_utf8():
     with pytest.raises(sg.GameFormatError, match="UTF-8"):
         sg.parse_dfa(b"pos s 1\xff\ninit s\naccepting s\nedge s u s\n")

@@ -116,7 +116,10 @@ def test_local_optima_match_subset_enumeration():
                 if game.init_index in region:
                     regions[frozenset(z)] = region
         expected = {
-            sg.density(game, sg.game.decode_support(game, region))
+            sg.density(
+                game,
+                sg.game.decode_support(game, [v in region for v in range(len(owner))]),
+            )
             for z, region in regions.items()
             if not any(z < other for other in regions)
         }

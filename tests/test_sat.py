@@ -238,10 +238,10 @@ def test_model_decodes_to_winning_strategy():
         cnf, var_map = sg.build_cnf(pruned, mp2)
         out = sg.sat_solve(cnf)
         assert out.status == "sat"
-        support = {
-            pruned.pos_index[p] for p, var in var_map.items() if out.model[var - 1]
-        }
-        strat = decode_support(pruned, support)
+        flags = [False] * len(pruned.pos_names)
+        for p, var in var_map.items():
+            flags[pruned.pos_index[p]] = out.model[var - 1]
+        strat = decode_support(pruned, flags)
         assert sg.validate_strategy(game, mp, strat).winning
 
 
