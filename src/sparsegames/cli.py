@@ -122,12 +122,18 @@ def _run_trial(
     )
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
+    """Mean and sample stddev; ``None`` for both when no trial completed,
+    so the JSON report holds ``null`` rather than a non-standard ``NaN``."""
     if not values:
-        return float("nan"), float("nan")
+        return None, None
     mean = statistics.fmean(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
     return mean, std
+
+
+def _fmt(value: float | None, template: str, missing: str = "n/a") -> str:
+    return missing if value is None else template.format(value)
 
 
 def _load_game(path: str) -> SafetyGame:
@@ -209,10 +215,10 @@ def _write_extract_csv(report: dict, path: str) -> None:
             {
                 "row": "summary",
                 "seed": report["seed"],
-                "density": f"{report['density_mean']:.6f}",
-                "time_secs": f"{report['time_mean_secs']:.6f}",
-                "density_stddev": f"{report['density_stddev']:.6f}",
-                "time_stddev": f"{report['time_stddev_secs']:.6f}",
+                "density": _fmt(report["density_mean"], "{:.6f}", ""),
+                "time_secs": _fmt(report["time_mean_secs"], "{:.6f}", ""),
+                "density_stddev": _fmt(report["density_stddev"], "{:.6f}", ""),
+                "time_stddev": _fmt(report["time_stddev_secs"], "{:.6f}", ""),
             }
         )
 
@@ -242,10 +248,12 @@ def cmd_extract(args) -> int:
         flag = "" if t["certified"] else " (uncertified)"
         print(f"trial seed={t['seed']} density={cell} time={t['time_secs']:.4f}s{flag}")
     print(
-        f"density mean={report['density_mean']:.4f} stddev={report['density_stddev']:.4f}"
+        f"density mean={_fmt(report['density_mean'], '{:.4f}')}"
+        f" stddev={_fmt(report['density_stddev'], '{:.4f}')}"
     )
     print(
-        f"time mean={report['time_mean_secs']:.4f}s stddev={report['time_stddev_secs']:.4f}s"
+        f"time mean={_fmt(report['time_mean_secs'], '{:.4f}s')}"
+        f" stddev={_fmt(report['time_stddev_secs'], '{:.4f}s')}"
     )
     best = min(
         (t for t in report["trials"] if not t["timed_out"] and t["valid"]),
@@ -255,7 +263,9 @@ def cmd_extract(args) -> int:
     if best is not None:
         sys.stdout.write(best["strategy"])
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True))
+        Path(args.json).write_text(
+            json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        )
     if args.csv:
         _write_extract_csv(report, args.csv)
     if any(t["timed_out"] or not t["certified"] for t in report["trials"]):
@@ -319,7 +329,10 @@ def cmd_bench(args) -> int:
         Path(args.csv).write_text(csv_text)
     if args.json:
         Path(args.json).write_text(
-            json.dumps({"columns": fields, "rows": table}, indent=2, sort_keys=True)
+            json.dumps(
+                {"columns": fields, "rows": table}, indent=2, sort_keys=True,
+                allow_nan=False,
+            )
         )
     return EXIT_OK
 

@@ -93,14 +93,16 @@ def ilp_exact_extract(
     solves, the root included.  When the node budget runs out the
     incumbent is returned with ``certified=False``; an expired
     ``deadline`` raises :class:`TimeoutExceededError`.  When a ``stats``
-    dict is supplied, every expanded node is recorded there as (bound,
-    zero-fixed variable indices, one-fixed variable indices).
+    dict is supplied, every expanded node is recorded under ``"nodes"`` as
+    (bound, zero-fixed variable indices, one-fixed variable indices), and
+    the simplex pivots of every LP solve under ``"pivots"``.
     """
     frame = _Frame(game, mp, warm_seed)
     problem = frame.problem
     n = len(problem.var_names)
     eps = INTEGRALITY_EPS
     lp_solves = 1
+    pivots = sum(frame.root.pivots)
     certified = True
 
     # Heap entries: (bound, -depth, tiebreak counter, lo, hi, solution).
@@ -140,6 +142,7 @@ def ilp_exact_extract(
                 c_lo[branch] = 1.0
             lp_solves += 1
             child = lp_solve(problem.with_bounds(c_lo, c_hi))
+            pivots += sum(child.pivots)
             if child.status == "infeasible":
                 continue
             if _ceil_eps(child.objective_value) >= frame.ub:
@@ -153,4 +156,5 @@ def ilp_exact_extract(
             break
     if stats is not None:
         stats["nodes"] = node_log
+        stats["pivots"] = pivots
     return frame.result(certified, lp_solves)

@@ -10,10 +10,16 @@ constraints are the :func:`support_rows`, shared with ``sat.py``.
 
 The solver is a dense two-phase primal simplex with variable bounds and
 Bland's rule, which makes it deterministic and cycle-free.  The tableau
-is dense, m x (n + 2m) floats for m rows and n variables, so it grows
-quadratically: the 769 pruned positions of ``gen_adversarial(64)`` take
-7.0 s to solve on one 2-core host and took 19 s on an earlier one, with
-the same code (CPython 3.11, numpy 2.4); the host sets the figure.
+is dense, m x (n + 2m) floats for m rows and n variables, so its memory
+grows quadratically.  A pivot does not touch all of it: picking the
+entering column and the ratio test are a few vector operations over the
+columns and rows, and the rank-1 update rewrites only the rows where the
+entering column is nonzero, which on the relaxations here is 1-3.5% of
+them.  One pivot therefore costs about that column's nonzeros times the
+tableau width.  The root LP of ``gen_adversarial(64)`` (833 rows, 769
+pruned positions) solves in 0.36-0.44 s on a 2-core host with CPython
+3.11 and numpy 2.4, where a full-height update took 12-18 s on the same
+host.
 """
 
 from __future__ import annotations
@@ -85,6 +91,9 @@ class LpSolution:
     status: str  # "optimal" | "infeasible"
     values: np.ndarray | None = None
     objective_value: float = 0.0
+    #: simplex pivots (basis changes plus bound flips) in phase 1 and
+    #: phase 2; an infeasible result stops after phase 1
+    pivots: tuple[int, int] = (0, 0)
 
 
 def support_rows(
@@ -156,38 +165,48 @@ def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 
-def _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots):
-    """Run primal simplex pivots until optimal; Bland's smallest-index
-    rule for entering and leaving choices (anti-cycling)."""
-    m, num_cols = T.shape
+def _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots) -> int:
+    """Run primal simplex pivots until optimal and return how many ran
+    (basis changes plus bound flips).  Bland's rule picks the
+    smallest-index entering column and, among the tied leaving rows, the
+    one whose basic variable has the smallest index (anti-cycling).
+
+    Each pivot costs a few vector operations over the row and column
+    widths plus the rank-1 update of the rows where the entering column is
+    nonzero.  The pivots are those of a scan over every column and a
+    full-height update: the first eligible column of the mask is the
+    first column such a scan accepts; rows with |ci| <= tol have an
+    infinite ratio, so the ratio test over the others finds the same
+    minimum and ties; and every tableau entry that changes goes through
+    the same ``t - c * r``, while subtracting ``0 * r`` from a skipped row
+    could flip only the sign of a zero.  ``beta`` is still updated at full
+    width, so rows with 0 < |ci| <= tol move exactly as before.
+    """
     tol = _PIVOT_TOL
-    for _ in range(max_pivots):
-        enter = -1
-        direction = 0.0
-        for j in range(num_cols):
-            st = status[j]
-            if st == _BASIC or hi_ext[j] - lo_ext[j] <= 0.0:
-                continue
-            if st == _AT_LOWER and d[j] < -tol:
-                enter, direction = j, 1.0
-                break
-            if st == _AT_UPPER and d[j] > tol:
-                enter, direction = j, -1.0
-                break
-        if enter < 0:
-            return
+    movable = hi_ext - lo_ext > 0.0  # the bounds are fixed within a phase
+    for pivots in range(max_pivots):
+        eligible = movable & (
+            ((status == _AT_LOWER) & (d < -tol)) | ((status == _AT_UPPER) & (d > tol))
+        )
+        enter = int(eligible.argmax())
+        if not eligible[enter]:
+            return pivots
+        direction = 1.0 if status[enter] == _AT_LOWER else -1.0
         col = T[:, enter]
         ci = direction * col
-        basis_arr = np.asarray(basis)
-        lo_b = lo_ext[basis_arr]
-        hi_b = hi_ext[basis_arr]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dec = np.where(ci > tol, (beta - lo_b) / np.where(ci > tol, ci, 1.0), np.inf)
-            inc = np.where(
-                ci < -tol, (hi_b - beta) / np.where(ci < -tol, -ci, 1.0), np.inf
-            )
-        ratios = np.maximum(np.minimum(dec, inc), 0.0)
-        min_ratio = ratios.min() if m else np.inf
+        act = np.flatnonzero(np.abs(ci) > tol)
+        c_act = ci[act]
+        b_act = beta[act]
+        basis_act = basis[act]
+        ratios = np.maximum(
+            np.where(
+                c_act > 0.0,
+                (b_act - lo_ext[basis_act]) / c_act,
+                (hi_ext[basis_act] - b_act) / -c_act,
+            ),
+            0.0,
+        )
+        min_ratio = ratios.min() if act.size else np.inf
         flip_cap = hi_ext[enter] - lo_ext[enter]
         t_star = min(min_ratio, flip_cap)
         if not np.isfinite(t_star):
@@ -203,8 +222,8 @@ def _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots):
                 status[enter] = _AT_LOWER
                 val[enter] = lo_ext[enter]
             continue
-        candidates = np.nonzero(ratios <= tie)[0]
-        leave_row = min(candidates, key=lambda i: basis[i])
+        candidates = act[ratios <= tie]
+        leave_row = candidates[basis[candidates].argmin()]
         piv = col[leave_row]
         leaving = basis[leave_row]
         new_enter_val = val[enter] + direction * t_star
@@ -219,7 +238,8 @@ def _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots):
         T[leave_row] = row
         colv = T[:, enter].copy()
         colv[leave_row] = 0.0
-        T -= np.outer(colv, row)
+        nz = np.flatnonzero(colv)
+        T[nz] -= np.outer(colv[nz], row)
         d -= d[enter] * row
         basis[leave_row] = enter
         status[enter] = _BASIC
@@ -229,7 +249,7 @@ def _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots):
 
 def lp_solve(problem: LpProblem) -> LpSolution:
     """Deterministic two-phase simplex returning a vertex optimum or
-    infeasibility."""
+    infeasibility, with the pivot count of each phase."""
     n = len(problem.var_names)
     m = problem.rows.shape[0]
     lo = problem.lo
@@ -252,7 +272,7 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     hi_ext = np.concatenate([hi, np.full(m, np.inf), np.full(m, np.inf)])
     T = A_ext * sigma[:, None]
     beta = np.abs(residual).astype(float)
-    basis = [n + m + i for i in range(m)]
+    basis = np.arange(n + m, num_cols)
     status = np.full(num_cols, _AT_LOWER, dtype=np.int8)
     status[basis] = _BASIC
     val = lo_ext.copy()
@@ -264,25 +284,25 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     c1 = np.zeros(num_cols)
     c1[n + m :] = 1.0
     d = c1 - T.sum(axis=0)
-    _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots)
+    phase1 = _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots)
     # Artificials leave the basis only at their lower bound 0, so the
     # remaining infeasibility is carried entirely by basic ones.
-    infeas = sum(beta[i] for i in range(m) if basis[i] >= n + m)
+    infeas = sum(beta[basis >= n + m])
     if infeas > _FEAS_TOL:
-        return LpSolution("infeasible")
+        return LpSolution("infeasible", pivots=(phase1, 0))
 
     # Phase 2: ban artificials and optimize the real objective.
     lo_ext[n + m :] = 0.0
     hi_ext[n + m :] = 0.0
     c2 = np.zeros(num_cols)
     c2[:n] = problem.objective
-    d = c2 - c2[np.asarray(basis)] @ T
-    _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots)
+    d = c2 - c2[basis] @ T
+    phase2 = _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots)
 
     values = val.copy()
-    values[np.asarray(basis)] = beta
+    values[basis] = beta
     x = np.clip(values[:n], lo, hi)
-    return LpSolution("optimal", x, float(problem.objective @ x))
+    return LpSolution("optimal", x, float(problem.objective @ x), (phase1, phase2))
 
 
 def format_lp(problem: LpProblem) -> str:
@@ -343,7 +363,10 @@ def replp_extract(
     position.  If a round's zero-fixings make the LP infeasible the round
     is retried without them (this is recorded); feasibility with the
     upward fixings alone always holds because the all-ones point over the
-    winning region satisfies every constraint.
+    winning region satisfies every constraint.  A ``stats`` dict receives
+    ``rounds``, ``zero_fix_retries``, ``fixed_sizes`` (zero-fixed and
+    one-fixed counts per round) and ``pivots``, the simplex pivots of
+    every LP solve, retried rounds included.
     """
     pruned, mp2 = pruned_context(game, mp)
     problem = build_relaxation(pruned, mp2)
@@ -354,11 +377,13 @@ def replp_extract(
     pending_zero: list[int] | None = None
     rounds = 0
     retries = 0
+    pivots = 0
     fixed_sizes: list[tuple[int, int]] = []
     for _ in range(n + 2):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceededError("replp deadline expired")
         sol = lp_solve(problem.with_bounds(lo, hi))
+        pivots += sum(sol.pivots)
         if sol.status == "infeasible":
             if pending_zero:
                 for i in pending_zero:
@@ -381,6 +406,7 @@ def replp_extract(
                 stats["rounds"] = rounds
                 stats["zero_fix_retries"] = retries
                 stats["fixed_sizes"] = fixed_sizes
+                stats["pivots"] = pivots
             return decode_support(pruned, v >= 1.0 - eps)
         pending_zero = [i for i in range(n) if v[i] <= eps and hi[i] > 0.0]
         for i in pending_zero:

@@ -183,6 +183,33 @@ def test_timeout_reports_to(tmp_path, capsys):
     assert "t/o" in capsys.readouterr().out
 
 
+def test_all_timed_out_reports_have_no_nan(tmp_path, capsys):
+    path = _write_game(tmp_path, sg.gen_adversarial(3))
+    json_path = tmp_path / "report.json"
+    csv_path = tmp_path / "report.csv"
+    code = main(
+        ["extract", path, "--method", "ilp", "--runs", "2",
+         "--timeout-secs", "0.000001",
+         "--json", str(json_path), "--csv", str(csv_path)]
+    )
+    assert code == 3
+    out = capsys.readouterr().out
+    assert "density mean=n/a stddev=n/a" in out
+    assert "time mean=n/a stddev=n/a" in out
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(json_path.read_text(), parse_constant=reject)
+    for key in ("density_mean", "density_stddev", "time_mean_secs", "time_stddev_secs"):
+        assert report[key] is None
+    with open(csv_path) as fh:
+        summary = list(csv.DictReader(fh))[-1]
+    assert summary["row"] == "summary"
+    for key in ("density", "time_secs", "density_stddev", "time_stddev"):
+        assert summary[key] == ""
+
+
 def test_bench_empty_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -1,8 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import sparsegames as sg
-from sparsegames.lp import build_relaxation, decode_support, pruned_context
+import sparsegames.lp as lp_mod
+from sparsegames.lp import (
+    INTEGRALITY_EPS,
+    build_relaxation,
+    decode_support,
+    pruned_context,
+)
 
 from conftest import solvable_random_games
 
@@ -17,6 +25,29 @@ def _bounded(names, objective, rows, rhs, lo=None, hi=None):
         np.zeros(n) if lo is None else np.array(lo, dtype=float),
         np.ones(n) if hi is None else np.array(hi, dtype=float),
     )
+
+
+def _random_lps(seed, count):
+    """Small LPs with random dense rows and general bounds inside [0, 1]."""
+    rng = sg.SplitMix64(seed)
+
+    def rnd():
+        return rng.next_u64() / 2**64
+
+    out = []
+    for _ in range(count):
+        n = 1 + rng.below(8)
+        m = rng.below(10)
+        rows = np.array(
+            [[(rnd() * 4 - 2) if rng.below(3) else 0.0 for _ in range(n)]
+             for _ in range(m)]
+        ).reshape(m, n)
+        rhs = np.array([rnd() * 2 - 1 for _ in range(m)])
+        c = np.array([rnd() * 4 - 2 for _ in range(n)])
+        lo = np.array([rnd() * 0.5 for _ in range(n)])
+        hi = np.array([l + rnd() * (1 - l) for l in lo])
+        out.append(sg.LpProblem(tuple(f"x{i}" for i in range(n)), c, rows, rhs, lo, hi))
+    return out
 
 
 def test_minimize_single_variable():
@@ -196,26 +227,12 @@ def test_format_lp_dump():
 
 def test_simplex_matches_scipy_on_general_random_lps():
     linprog = pytest.importorskip("scipy.optimize").linprog
-    rng = sg.SplitMix64(4242)
-
-    def rnd():
-        return rng.next_u64() / 2**64
-
-    for trial in range(150):
-        n = 1 + rng.below(8)
-        m = rng.below(10)
-        rows = np.array(
-            [[(rnd() * 4 - 2) if rng.below(3) else 0.0 for _ in range(n)]
-             for _ in range(m)]
-        ).reshape(m, n)
-        rhs = np.array([rnd() * 2 - 1 for _ in range(m)])
-        c = np.array([rnd() * 4 - 2 for _ in range(n)])
-        lo = np.array([rnd() * 0.5 for _ in range(n)])
-        hi = np.array([l + rnd() * (1 - l) for l in lo])
-        prob = sg.LpProblem(tuple(f"x{i}" for i in range(n)), c, rows, rhs, lo, hi)
+    for trial, prob in enumerate(_random_lps(4242, 150)):
+        rows, rhs, lo, hi = prob.rows, prob.rhs, prob.lo, prob.hi
+        m = rows.shape[0]
         mine = sg.lp_solve(prob)
         ref = linprog(
-            c,
+            prob.objective,
             A_ub=-rows if m else None,
             b_ub=-rhs if m else None,
             bounds=list(zip(lo, hi)),
@@ -237,8 +254,6 @@ def test_simplex_matches_scipy_on_general_random_lps():
 def test_replp_retries_round_without_zero_fixings(monkeypatch):
     # Force one fixing round infeasible to exercise the documented retry:
     # the round is replayed without its zero-fixings and recorded.
-    import sparsegames.lp as lp_mod
-
     game, winning, mp = solvable_random_games(1, 6, 6, 3, start_seed=63)[0]
     real_solve = lp_mod.lp_solve
     calls = {"n": 0}
@@ -257,8 +272,6 @@ def test_replp_retries_round_without_zero_fixings(monkeypatch):
 
 
 def test_replp_raises_when_infeasible_without_zero_fixings(monkeypatch):
-    import sparsegames.lp as lp_mod
-
     game, winning, mp = solvable_random_games(1, 5, 5, 2)[0]
     monkeypatch.setattr(
         lp_mod, "lp_solve", lambda problem: lp_mod.LpSolution("infeasible")
@@ -274,3 +287,176 @@ def test_unbounded_reported_as_internal_error():
     prob.hi = np.array([np.inf])
     with pytest.raises((RuntimeError, ValueError)):
         sg.lp_solve(prob)
+
+
+# SHA-256 prefix of ``values.tobytes()``, objective and pivots per phase of
+# the root LPs below.  Taken before the pivot loop was vectorised, so they
+# pin its pivot sequence: the same columns enter, the same rows leave, and
+# the vertex is the same down to the last bit.
+_PINNED_ROOTS = (
+    ("chain16", "optimal", "acfc7c36fce590b1", 16.0, (47, 16)),
+    ("adversarial1", "optimal", "8e9f1863b022561f", 2.0, (27, 10)),
+    ("adversarial2", "optimal", "7034d44746f0fa41", 4.0, (54, 20)),
+    ("adversarial3", "optimal", "27812b353c2188b7", 6.0, (81, 30)),
+    ("adversarial4", "optimal", "61149171d781a0f8", 8.0, (108, 40)),
+    ("adversarial5", "optimal", "047bb43fbb5866d7", 10.0, (135, 50)),
+    ("adversarial6", "optimal", "03400ed158e09e8f", 12.0, (162, 60)),
+    ("adversarial7", "optimal", "8630a39a6549d82f", 14.0, (189, 70)),
+    ("adversarial8", "optimal", "9da7506cd1bff54a", 16.0, (216, 80)),
+    ("random91", "optimal", "b3d14d005da31e63", 2.0, (28, 4)),
+    ("random183", "optimal", "3ad30f9d5ae4a6f8", 2.5, (16, 4)),
+    ("random218", "optimal", "c4b2c7ffe1d3aef5", 2.0, (30, 7)),
+    ("random270", "optimal", "7abac89bc1393fbd", 2.1999999999999997, (26, 4)),
+)
+
+# Every LP of ``ilp_exact_extract`` on ``gen_random(63, 6, 6, 3)``, the root
+# first, in solve order.  An infeasible child stops after phase 1.
+_PINNED_ILP_NODES = (
+    ("optimal", "6392aa96c3d7efb3", 2.1666666666666665, (25, 6)),
+    ("optimal", "791f80ee107364c0", 2.5, (26, 2)),
+    ("optimal", "408145ded2b1185a", 2.999999999999999, (24, 1)),
+    ("infeasible", None, 0.0, (16, 0)),
+    ("optimal", "93a8f4a2ba3926a2", 3.0, (28, 1)),
+    ("optimal", "7d8d28508221b2bc", 3.0, (22, 2)),
+    ("optimal", "4f2dbff0eb41870f", 4.0, (21, 3)),
+    ("infeasible", None, 0.0, (24, 0)),
+    ("optimal", "f75eeb4afdc212dd", 4.0, (24, 1)),
+    ("infeasible", None, 0.0, (19, 0)),
+    ("optimal", "5685dc127ae46674", 3.5, (25, 2)),
+)
+
+
+def _pin(sol):
+    digest = None
+    if sol.values is not None:
+        digest = hashlib.sha256(sol.values.tobytes()).hexdigest()[:16]
+    return sol.status, digest, sol.objective_value, sol.pivots
+
+
+def test_lp_solutions_are_pinned(monkeypatch):
+    import sparsegames.ilp as ilp_mod
+
+    games = {"chain16": sg.gen_chain(16)}
+    games.update({f"adversarial{i}": sg.gen_adversarial(i) for i in range(1, 9)})
+    games.update({f"random{s}": sg.gen_random(s, 12, 12, 3) for s in (91, 183, 218, 270)})
+    for label, *pinned in _PINNED_ROOTS:
+        game = games[label]
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        sol = sg.lp_solve(build_relaxation(*pruned_context(game, mp)))
+        assert _pin(sol) == tuple(pinned), label
+
+    solved = []
+
+    def recording(problem):
+        solved.append(sg.lp_solve(problem))
+        return solved[-1]
+
+    monkeypatch.setattr(ilp_mod, "lp_solve", recording)
+    game = sg.gen_random(63, 6, 6, 3)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    stats = {}
+    result = sg.ilp_exact_extract(game, mp, stats=stats)
+    assert (result.density, result.work) == (4, len(_PINNED_ILP_NODES))
+    assert [_pin(sol) for sol in solved] == list(_PINNED_ILP_NODES)
+    assert stats["pivots"] == sum(sum(p) for *_, p in _PINNED_ILP_NODES)
+
+
+def test_root_lp_of_adversarial_32():
+    # 417 rows over 385 pruned positions: the size where the dense solver
+    # used to take about a second per root.
+    game = sg.gen_adversarial(32)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    prob = build_relaxation(*pruned_context(game, mp))
+    assert prob.rows.shape == (417, 385)
+    sol = sg.lp_solve(prob)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(64.0, abs=1e-9)
+    x = sol.values
+    assert np.all(np.minimum(x, 1.0 - x) <= INTEGRALITY_EPS)
+    assert np.all(prob.rows @ x >= prob.rhs - 1e-9)
+    assert np.all(x >= prob.lo) and np.all(x <= prob.hi)
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        return
+    ref = linprog(
+        prob.objective,
+        A_ub=-prob.rows,
+        b_ub=-prob.rhs,
+        bounds=list(zip(prob.lo, prob.hi)),
+        method="highs",
+    )
+    assert ref.status == 0
+    assert sol.objective_value == pytest.approx(ref.fun, abs=1e-6)
+
+
+def _full_height_pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots):
+    """Reference pivot loop: scans every column for Bland's entering
+    variable, runs the ratio test over every row and subtracts the rank-1
+    update from the whole tableau."""
+    m, num_cols = T.shape
+    tol = lp_mod._PIVOT_TOL
+    for pivots in range(max_pivots):
+        enter = -1
+        for j in range(num_cols):
+            if status[j] == lp_mod._BASIC or hi_ext[j] - lo_ext[j] <= 0.0:
+                continue
+            if status[j] == lp_mod._AT_LOWER and d[j] < -tol:
+                enter, direction = j, 1.0
+                break
+            if status[j] == lp_mod._AT_UPPER and d[j] > tol:
+                enter, direction = j, -1.0
+                break
+        if enter < 0:
+            return pivots
+        col = T[:, enter]
+        ci = direction * col
+        lo_b = lo_ext[basis]
+        hi_b = hi_ext[basis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dec = np.where(ci > tol, (beta - lo_b) / np.where(ci > tol, ci, 1.0), np.inf)
+            inc = np.where(ci < -tol, (hi_b - beta) / np.where(ci < -tol, -ci, 1.0), np.inf)
+        ratios = np.maximum(np.minimum(dec, inc), 0.0)
+        flip_cap = hi_ext[enter] - lo_ext[enter]
+        t_star = min(ratios.min(), flip_cap)
+        tie = t_star + 1e-12 * (1.0 + abs(t_star))
+        if flip_cap <= tie:
+            beta -= ci * flip_cap
+            if status[enter] == lp_mod._AT_LOWER:
+                status[enter], val[enter] = lp_mod._AT_UPPER, hi_ext[enter]
+            else:
+                status[enter], val[enter] = lp_mod._AT_LOWER, lo_ext[enter]
+            continue
+        leave_row = min(np.nonzero(ratios <= tie)[0], key=lambda i: basis[i])
+        piv = col[leave_row]
+        leaving = basis[leave_row]
+        new_enter_val = val[enter] + direction * t_star
+        beta -= ci * t_star
+        if ci[leave_row] > 0:
+            status[leaving], val[leaving] = lp_mod._AT_LOWER, lo_ext[leaving]
+        else:
+            status[leaving], val[leaving] = lp_mod._AT_UPPER, hi_ext[leaving]
+        row = T[leave_row] / piv
+        T[leave_row] = row
+        colv = T[:, enter].copy()
+        colv[leave_row] = 0.0
+        T -= np.outer(colv, row)
+        d -= d[enter] * row
+        basis[leave_row] = enter
+        status[enter] = lp_mod._BASIC
+        beta[leave_row] = new_enter_val
+    raise RuntimeError("simplex pivot budget exhausted")
+
+
+def test_pivot_loop_matches_full_height_reference(monkeypatch):
+    problems = _random_lps(4242, 150)
+    for game, winning, mp in solvable_random_games(60, 6, 6, 3):
+        problems.append(build_relaxation(*pruned_context(game, mp)))
+    for game in (sg.gen_chain(8), sg.gen_adversarial(4)):
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        problems.append(build_relaxation(*pruned_context(game, mp)))
+    fast = [sg.lp_solve(prob) for prob in problems]
+    monkeypatch.setattr(lp_mod, "_pivot_loop", _full_height_pivot_loop)
+    for prob, mine in zip(problems, fast):
+        ref = sg.lp_solve(prob)
+        assert _pin(mine) == _pin(ref)
