@@ -50,21 +50,39 @@ def _ceil_eps(x: float) -> int:
 
 
 class _Frame:
-    """The pruned game, its relaxation and root LP, and the incumbent of
-    both exact engines: the warm start, replaced by every strictly sparser
-    decoded support.  A decoded strategy names the player-0 positions its
-    walk reaches in the pruned game, which keeps every edge of a reached
-    player-1 position, so its density in ``game`` is its number of choices.
+    """The pruned game, its relaxation and root LP, the lower bound ``lb``
+    (the root optimum rounded up), and the incumbent of both exact engines:
+    the warm start, replaced by every strictly sparser decoded support.  A
+    decoded strategy names the player-0 positions its walk reaches in the
+    pruned game, which keeps every edge of a reached player-1 position, so
+    its density in ``game`` is its number of choices.
+
+    An integral root is offered at once: its support has at most ``lb``
+    player-0 positions, so it certifies ``ub == lb`` before any search.
+    Integrality is judged on the values, since a fractional root can have
+    an integral objective.  ``deadline`` bounds the warm start.
     """
 
-    def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy, warm_seed: int):
+    def __init__(
+        self,
+        game: SafetyGame,
+        mp: MostPermissiveStrategy,
+        warm_seed: int,
+        deadline: float | None,
+    ):
         self.pruned, self.mp = pruned_context(game, mp)
         self.problem = build_relaxation(self.pruned, self.mp)
-        self.best = smart_random_extract(game, mp.winning, warm_seed)
+        self.best = smart_random_extract(
+            game, mp.winning, warm_seed, deadline=deadline
+        )
         self.ub = len(self.best.choice)
         self.root = lp_solve(self.problem)
         if self.root.status == "infeasible":
             raise AssertionError("relaxation of a winnable game cannot be infeasible")
+        self.lb = _ceil_eps(self.root.objective_value)
+        v = self.root.values
+        if ((v <= INTEGRALITY_EPS) | (v >= 1.0 - INTEGRALITY_EPS)).all():
+            self.offer(v >= 1.0 - INTEGRALITY_EPS)
 
     def offer(self, flags) -> None:
         """Decode a support of the pruned game, given as per-position
@@ -89,15 +107,17 @@ def ilp_exact_extract(
     """Minimum-density positional strategy via branch-and-bound.
 
     The root LP and the warm-start incumbent come from :class:`_Frame`;
-    every integral node's support is offered to it.  ``work`` counts LP
-    solves, the root included.  When the node budget runs out the
-    incumbent is returned with ``certified=False``; an expired
-    ``deadline`` raises :class:`TimeoutExceededError`.  When a ``stats``
-    dict is supplied, every expanded node is recorded under ``"nodes"`` as
+    every integral node's support is offered to it, the root's by the
+    frame itself, so an integral root ends the search before any node is
+    expanded.  ``work`` counts LP solves, the root included.  When the
+    node budget runs out the incumbent is returned with
+    ``certified=False``; an expired ``deadline`` raises
+    :class:`TimeoutExceededError`.  When a ``stats`` dict is supplied,
+    every expanded node is recorded under ``"nodes"`` as
     (bound, zero-fixed variable indices, one-fixed variable indices), and
     the simplex pivots of every LP solve under ``"pivots"``.
     """
-    frame = _Frame(game, mp, warm_seed)
+    frame = _Frame(game, mp, warm_seed, deadline)
     problem = frame.problem
     n = len(problem.var_names)
     eps = INTEGRALITY_EPS

@@ -1,12 +1,16 @@
 """Boolean engine: CNF encoding of the strategy constraints, an internal
-CDCL solver, cardinality constraints, and binary-search minimization.
+CDCL solver, cardinality constraints, and minimization by probes that
+start at the LP bound.
 
 The clauses are the pairs of :func:`sparsegames.lp.support_rows`, which
 also give the LP relaxation its rows: a pair ``(v, (t1, t2))`` is the row
 ``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here.
-Minimization is a binary search on the number of true player-0
-variables, constrained with a sequential-counter at-most-k encoding,
-between an LP-derived lower bound and the density of a greedy warm start.
+Minimization bounds the number of true player-0 variables with a
+sequential-counter at-most-k encoding.  It starts from the shared exact
+frame: an integral LP root is already certified there and needs no SAT
+call.  Otherwise the first probe asks for k = the LP optimum rounded up,
+and only a refutation leads to a binary search between that bound plus
+one and the density of the best strategy so far.
 
 The solver is a conventional CDCL: two watched literals per clause,
 first-UIP conflict learning, decaying variable activities with
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExhaustedError, TimeoutExceededError
 from .game import MostPermissiveStrategy, SafetyGame
-from .ilp import ExactResult, _ceil_eps, _Frame
+from .ilp import ExactResult, _Frame
 from .lp import support_rows
 
 DEFAULT_CONFLICT_BUDGET = 10**7
@@ -41,6 +45,7 @@ class Cnf:
 class SatOutcome:
     status: str  # "sat" | "unsat"
     model: tuple[bool, ...] | None = None
+    conflicts: int = 0
 
 
 def to_dimacs(cnf: Cnf, comments: tuple[str, ...] = ()) -> str:
@@ -320,7 +325,7 @@ class _Solver:
                     if time.monotonic() > deadline:
                         raise TimeoutExceededError("SAT deadline expired")
                 if not self.trail_lim:
-                    return SatOutcome("unsat")
+                    return SatOutcome("unsat", conflicts=conflicts)
                 learned, bj_level = self._analyze(confl)
                 self._backjump(bj_level)
                 if len(learned) == 1:
@@ -344,7 +349,7 @@ class _Solver:
                     model = tuple(
                         self.assign[v] == 1 for v in range(1, self.nvars + 1)
                     )
-                    return SatOutcome("sat", model)
+                    return SatOutcome("sat", model, conflicts)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, -1)
 
@@ -438,42 +443,55 @@ def sat_exact_extract(
     max_conflicts: int = DEFAULT_CONFLICT_BUDGET,
     warm_seed: int = 0,
     deadline: float | None = None,
+    stats: dict | None = None,
 ) -> ExactResult:
-    """Minimum-density extraction by binary search on a cardinality bound.
+    """Minimum-density extraction by SAT probes on a cardinality bound.
 
-    The lower end starts at the root LP optimum of :class:`_Frame`
-    rounded up, the upper end at its warm start's density.  Each probe
-    solves the base constraints plus at-most-k over the player-0
-    variables; a model is offered to the frame as the flags of its
-    position variables, which tightens the upper end, and a refutation
-    raises the lower end.  ``work`` counts SAT calls.  When the conflict
-    budget runs out the best strategy so far is returned uncertified; an
-    expired ``deadline`` raises :class:`TimeoutExceededError`.
+    The lower end starts at :class:`_Frame`'s ``lb``, the root LP optimum
+    rounded up, and the upper end at its incumbent's density.  When the
+    root is integral the frame has already closed the gap, so no probe
+    runs and the result is certified with ``work == 0``.  Otherwise the
+    first probe is at k = ``lb``; after a refutation the search bisects
+    the remaining range.  Each probe solves the base constraints plus
+    at-most-k over the player-0 variables; a model is offered to the
+    frame as the flags of its position variables, which tightens the
+    upper end, and a refutation raises the lower end.  ``work`` counts
+    SAT calls.  When the conflict budget runs out the best strategy so
+    far is returned uncertified; an expired ``deadline`` raises
+    :class:`TimeoutExceededError`.  When a ``stats`` dict is supplied,
+    every probe is recorded under ``"probes"`` as (k, status, conflicts),
+    with status ``"budget"`` for the probe that exhausted the budget.
     """
-    frame = _Frame(game, mp, warm_seed)
+    frame = _Frame(game, mp, warm_seed, deadline)
     base, _ = build_cnf(frame.pruned, frame.mp)
     # Every pruned position is winning, so variable v + 1 is position v.
     p0_vars = [v + 1 for v, o in enumerate(frame.pruned.pos_owner) if o == 0]
-    lb = _ceil_eps(frame.root.objective_value)
 
-    work = 0
+    lb = mid = frame.lb
+    probes = []
+    certified = True
     while lb < frame.ub:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceededError("sat extraction deadline expired")
-        # Plain bisection.  Probing midpoints keeps slack in the
-        # cardinality constraint; models found there usually decode to a
-        # density at the lower bound, so the zero-slack instances (the
-        # hardest ones) are rarely solved at all.
-        mid = (lb + frame.ub) // 2
         card, n_aux = encode_at_most_k(p0_vars, mid, base.num_vars + 1)
         cnf = Cnf(base.num_vars + n_aux, base.clauses + card)
-        work += 1
         try:
             outcome = sat_solve(cnf, max_conflicts, deadline)
         except BudgetExhaustedError:
-            return frame.result(False, work)
+            probes.append((mid, "budget", max_conflicts + 1))
+            certified = False
+            break
+        probes.append((mid, outcome.status, outcome.conflicts))
         if outcome.status == "sat":
             frame.offer(outcome.model)
         else:
             lb = mid + 1
-    return frame.result(True, work)
+        # The first probe asks whether the LP bound is attained; after
+        # that, plain bisection.  Probing midpoints keeps slack in the
+        # cardinality constraint; models found there usually decode to a
+        # density at the lower bound, so the zero-slack instances (the
+        # hardest ones) are rarely solved at all.
+        mid = (lb + frame.ub) // 2
+    if stats is not None:
+        stats["probes"] = probes
+    return frame.result(certified, len(probes))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -57,6 +58,53 @@ def test_deadline_raises():
     game, mp = _branching_game()
     with pytest.raises(sg.TimeoutExceededError):
         sg.ilp_exact_extract(game, mp, deadline=0.0)
+
+
+def test_expired_deadline_stops_both_engines_in_warm_start(monkeypatch):
+    # The warm start honours the deadline, so no LP is solved; on this
+    # game the root is integral and no later check would see it.
+    monkeypatch.setattr(sg.ilp, "lp_solve", None)
+    game = sg.gen_adversarial(3)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
+        with pytest.raises(sg.TimeoutExceededError):
+            engine(game, mp, deadline=0.0)
+
+
+# (SHA-256 prefix of the serialized strategy, density, certified, work) of
+# ilp_exact_extract with warm seeds 0 and 1, recorded before the shared
+# frame offered an integral root itself.
+_ILP_PINS = {
+    "chain8": [("dea93beba4e18286", 8, True, 1)] * 2,
+    "adv1": [("eb3c679319f168fb", 2, True, 1)] * 2,
+    "adv2": [("92b6c6544aa9abc4", 4, True, 1)] * 2,
+    "adv3": [("7c584583487df259", 6, True, 1)] * 2,
+    "adv4": [("a8529aafddc24875", 8, True, 1)] * 2,
+    "adv5": [("6dcb9d29fe6a1134", 10, True, 1)] * 2,
+    "adv6": [("80c0396c0d5d4d80", 12, True, 1)] * 2,
+    "adv7": [("9e09b19c7103f194", 14, True, 1)] * 2,
+    "adv8": [("7ffacef5ac1b7a3a", 16, True, 1)] * 2,
+    "random63": [("3f1ebf72356c170a", 4, True, 11), ("292cdc46d4830ef5", 4, True, 11)],
+    "random264": [("f7f6be676b907b61", 3, True, 3)] * 2,
+    "random348": [("ac974495176b1159", 3, True, 3)] * 2,
+    "random13": [("db6c85e085d8c1e3", 3, True, 5)] * 2,
+}
+
+
+def test_ilp_results_are_pinned():
+    games = {"chain8": sg.gen_chain(8)}
+    games.update((f"adv{i}", sg.gen_adversarial(i)) for i in range(1, 9))
+    games.update((f"random{s}", sg.gen_random(s, 6, 6, 3)) for s in (63, 264, 348))
+    games["random13"] = sg.gen_random(13, 8, 8, 3)
+    for name, game in games.items():
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        got = []
+        for warm in (0, 1):
+            res = sg.ilp_exact_extract(game, mp, warm_seed=warm)
+            text = sg.serialize_strategy(res.strategy)
+            digest = hashlib.sha256(text).hexdigest()[:16]
+            got.append((digest, res.density, res.certified, res.work))
+        assert got == _ILP_PINS[name], name
 
 
 def test_deterministic_result():

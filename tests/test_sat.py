@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 import sparsegames as sg
-from sparsegames.lp import pruned_context
+from sparsegames.ilp import _Frame
+from sparsegames.lp import INTEGRALITY_EPS, pruned_context
 from sparsegames.sat import _luby
 
 from conftest import solvable_random_games, unchecked_most_permissive
@@ -72,6 +73,23 @@ def test_conflict_budget_raises_distinct_error():
     with pytest.raises(sg.BudgetExhaustedError):
         sg.sat_solve(sg.Cnf(2, clauses), max_conflicts=1)
     assert sg.sat_solve(sg.Cnf(2, clauses)).status == "unsat"
+
+
+def test_conflicts_count_is_the_budget_boundary():
+    rng = sg.SplitMix64(77)
+    counted = 0
+    for _ in range(200):
+        cnf = _random_cnf(rng, max_vars=15, max_clauses=60)
+        out = sg.sat_solve(cnf)
+        again = sg.sat_solve(cnf, max_conflicts=out.conflicts)
+        assert (again.status, again.model, again.conflicts) == (
+            out.status, out.model, out.conflicts,
+        )
+        if out.conflicts:
+            counted += 1
+            with pytest.raises(sg.BudgetExhaustedError):
+                sg.sat_solve(cnf, max_conflicts=out.conflicts - 1)
+    assert counted > 0
 
 
 def test_luby_sequence():
@@ -254,15 +272,82 @@ def test_sat_exact_matches_ilp_on_random_games():
         assert sg.validate_strategy(game, mp, a.strategy).winning
 
 
+def _solved(game):
+    return game, sg.most_permissive(game, sg.compute_winning_region(game))
+
+
 def test_sat_exact_budget_exhaustion_returns_uncertified():
-    game = sg.gen_adversarial(3)
-    mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    res = sg.sat_exact_extract(game, mp, max_conflicts=1)
+    # The root LP of this game is fractional, so a probe runs and one
+    # conflict exhausts its budget.
+    game, mp = _solved(sg.gen_random(13, 8, 8, 3))
+    stats = {}
+    res = sg.sat_exact_extract(game, mp, max_conflicts=1, stats=stats)
+    assert stats["probes"] == [(2, "budget", 2)] and res.work == 1
     assert not res.certified
     assert sg.validate_strategy(game, mp, res.strategy).winning
     full = sg.sat_exact_extract(game, mp)
     assert full.certified
     assert res.density >= full.density
+    # An integral root certifies before any probe, whatever the budget.
+    game, mp = _solved(sg.gen_adversarial(3))
+    res = sg.sat_exact_extract(game, mp, max_conflicts=1)
+    assert res.certified and res.work == 0 and res.density == 6
+
+
+def test_sat_exact_certifies_integral_root_without_probes(monkeypatch):
+    calls = []
+    real = sg.sat.sat_solve
+    monkeypatch.setattr(
+        sg.sat, "sat_solve", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    cases = [(sg.gen_chain(8), 8)]
+    cases += [(sg.gen_adversarial(i), 2 * i) for i in range(1, 9)]
+    for game, density in cases:
+        game, mp = _solved(game)
+        for warm in (0, 1):
+            res = sg.sat_exact_extract(game, mp, warm_seed=warm)
+            assert (res.density, res.certified, res.work) == (density, True, 0)
+            assert sg.validate_strategy(game, mp, res.strategy).winning
+    assert calls == []
+
+
+def test_fractional_root_with_integral_objective_is_searched():
+    # Both roots have objective 2 (up to rounding) but fractional values,
+    # so the frame must not take them as certificates: the optimum is 3.
+    for seed in (264, 348):
+        game, mp = _solved(sg.gen_random(seed, 6, 6, 3))
+        frame = _Frame(game, mp, 0, None)
+        v = frame.root.values
+        assert frame.lb == 2
+        assert ((v > INTEGRALITY_EPS) & (v < 1.0 - INTEGRALITY_EPS)).any()
+        best, _ = sg.brute_force_min_density(game, mp)
+        assert best == 3
+        for engine in (sg.sat_exact_extract, sg.ilp_exact_extract):
+            res = engine(game, mp)
+            assert res.certified and res.density == best
+            assert sg.validate_strategy(game, mp, res.strategy).winning
+
+
+def test_sat_exact_probes_the_lp_bound_first():
+    # Root 2.17 rounds up to 3; the optimum is 4, so the one probe at
+    # k = 3 is refuted and the warm start's density 4 is certified.
+    game, mp = _solved(sg.gen_random(63, 6, 6, 3))
+    runs = []
+    for _ in range(2):
+        stats = {}
+        res = sg.sat_exact_extract(game, mp, stats=stats)
+        assert res.certified and res.density == 4 and res.work == 1
+        runs.append(stats["probes"])
+    [(k, status, conflicts)] = runs[0]
+    assert (k, status) == (3, "unsat") and conflicts >= 0
+    assert runs[0] == runs[1]
+    # Root objective 2 with fractional values, warm start 4, optimum 2:
+    # bisection would probe k = 3 first, the LP bound certifies at once.
+    game, mp = _solved(sg.gen_random(1666, 6, 6, 3))
+    stats = {}
+    res = sg.sat_exact_extract(game, mp, stats=stats)
+    assert res.certified and res.density == 2 and res.work == 1
+    assert [p[:2] for p in stats["probes"]] == [(2, "sat")]
 
 
 def test_density_zero_game_across_engines():
