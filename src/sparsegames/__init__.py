@@ -35,7 +35,6 @@ from .game import (
     density,
     most_permissive,
     parse_game,
-    prune_reachable,
     restrict_to_reachable,
     search_space_bits,
     serialize_game,
@@ -118,7 +117,6 @@ __all__ = [
     "most_permissive",
     "parse_dfa",
     "parse_game",
-    "prune_reachable",
     "random_extract",
     "replp_extract",
     "restrict_to_reachable",

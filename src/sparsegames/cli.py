@@ -27,12 +27,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import (
-    BudgetExhaustedError,
-    InitLosingError,
-    SparseGamesError,
-    TimeoutExceededError,
-)
+from .errors import InitLosingError, SparseGamesError, TimeoutExceededError
 from .game import (
     MostPermissiveStrategy,
     SafetyGame,
@@ -105,7 +100,7 @@ def _run_trial(
             strat, certified = result.strategy, result.certified
         else:
             raise ValueError(f"unknown method {method!r}")
-    except (TimeoutExceededError, BudgetExhaustedError):
+    except TimeoutExceededError:
         return TrialRecord(seed, True, time_secs=time.perf_counter() - start)
     elapsed = time.perf_counter() - start
     if timeout_secs is not None and elapsed > timeout_secs:
@@ -338,12 +333,16 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.family == "chain":
-        game = gen_chain(args.n)
-    elif args.family == "adversarial":
-        game = gen_adversarial(args.n)
-    else:
-        game = gen_random(args.seed, args.n0, args.n1, args.k)
+    try:
+        if args.family == "chain":
+            game = gen_chain(args.n)
+        elif args.family == "adversarial":
+            game = gen_adversarial(args.n)
+        else:
+            game = gen_random(args.seed, args.n0, args.n1, args.k)
+    except ValueError as exc:  # a size out of the family's range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     data = serialize_game(game)
     if args.out:
         Path(args.out).write_bytes(data)

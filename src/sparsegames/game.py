@@ -6,10 +6,10 @@ alphabet along a partial edge function.  A finite play ending in a
 player-0 position is lost by player 0; every infinite play and every
 finite play ending in a player-1 position is won by player 0.
 
-Position and action identifiers are free-form tokens.  At construction
-they are interned into dense integer indices in lexicographic order, so
-index order never depends on declaration order and all engines can work
-on flat arrays.
+Position and action identifiers are free-form tokens.  Parsing and
+building intern them into dense integer indices in lexicographic order,
+so index order never depends on declaration order and all engines work
+on flat arrays; names are kept only for input and output.
 """
 
 from __future__ import annotations
@@ -22,52 +22,42 @@ from dataclasses import dataclass
 from .errors import GameFormatError, InitLosingError
 
 
+@dataclass
 class SafetyGame:
     """Immutable two-player safety game over explicit positions.
 
+    The index arrays are the game: ``pos_owner`` and ``act_owner`` give
+    each position's and action's player, ``out_edges[v]`` lists the
+    (action, target) index pairs of position ``v`` sorted, and
+    ``init_index`` is the initial position.  ``pos_names`` and
+    ``act_names`` are sorted, so index order is name order.  Names,
+    ``edges`` and ``positions0/1``, ``actions0/1`` are views for the I/O
+    edges.
+
     Construct via :func:`parse_game` or :meth:`SafetyGame.build`, the
-    validating entry points; the constructor trusts its input and only
-    interns it.  The instance exposes both a name-based view
-    (``positions0``, ``edges``, ...) and an index-based view
-    (``pos_names``, ``out_edges``, ...) used by the solving engines.
+    validating entry points; the constructor trusts its arrays and
+    derives only the name lookups, ``init`` and ``in_sources``.  Games
+    with equal arrays are equal.
     """
 
-    def __init__(
-        self,
-        owners: dict[str, int],
-        edges: dict[tuple[str, str], str],
-        init: str,
-    ):
-        act_owner = {act: owners[src] for (src, act) in edges}
-        self.pos_names: tuple[str, ...] = tuple(sorted(owners))
-        self.pos_index: dict[str, int] = {p: i for i, p in enumerate(self.pos_names)}
-        self.pos_owner: tuple[int, ...] = tuple(owners[p] for p in self.pos_names)
-        self.act_names: tuple[str, ...] = tuple(sorted(act_owner))
-        self.act_index: dict[str, int] = {a: i for i, a in enumerate(self.act_names)}
-        self.act_owner: tuple[int, ...] = tuple(act_owner[a] for a in self.act_names)
-        self.init: str = init
-        self.init_index: int = self.pos_index[init]
-        self.edges: dict[tuple[str, str], str] = dict(edges)
+    pos_names: tuple[str, ...]
+    pos_owner: tuple[int, ...]
+    act_names: tuple[str, ...]
+    act_owner: tuple[int, ...]
+    out_edges: tuple[tuple[tuple[int, int], ...], ...]
+    init_index: int
 
-        n = len(self.pos_names)
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        incoming: list[list[int]] = [[] for _ in range(n)]
-        for (src, act), dst in edges.items():
-            s = self.pos_index[src]
-            d = self.pos_index[dst]
-            out[s].append((self.act_index[act], d))
-        for s in range(n):
-            out[s].sort()
-            for _, d in out[s]:
+    def __post_init__(self):
+        self.pos_index = {p: i for i, p in enumerate(self.pos_names)}
+        self.act_index = {a: i for i, a in enumerate(self.act_names)}
+        self.init = self.pos_names[self.init_index]
+        incoming: list[list[int]] = [[] for _ in self.pos_names]
+        for s, edges in enumerate(self.out_edges):
+            for _, d in edges:
                 incoming[d].append(s)
-        self.out_edges: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(lst) for lst in out
-        )
         # One entry per incoming edge (multiplicity matters for the
         # successor counters used by the fixpoint).
-        self.in_sources: tuple[tuple[int, ...], ...] = tuple(
-            tuple(lst) for lst in incoming
-        )
+        self.in_sources = tuple(map(tuple, incoming))
 
     @classmethod
     def build(
@@ -85,7 +75,17 @@ class SafetyGame:
         act_owner: dict[str, int] = {}
         for (src, act), dst in edges.items():
             _check_edge(positions, act_owner, src, act, dst)
-        return cls(positions, edges, init)
+        return _intern(positions, act_owner, edges, init)
+
+    @property
+    def edges(self) -> dict[tuple[str, str], str]:
+        """Name view of ``out_edges``: (source, action) -> target."""
+        names, acts = self.pos_names, self.act_names
+        return {
+            (names[v], acts[a]): names[d]
+            for v, out in enumerate(self.out_edges)
+            for a, d in out
+        }
 
     @property
     def positions0(self) -> frozenset[str]:
@@ -107,23 +107,13 @@ class SafetyGame:
         i = self.pos_index[pos]
         return tuple(sorted({self.pos_names[d] for _, d in self.out_edges[i]}))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SafetyGame):
-            return NotImplemented
-        return (
-            self.pos_names == other.pos_names
-            and self.pos_owner == other.pos_owner
-            and self.init == other.init
-            and self.edges == other.edges
-        )
-
     def __hash__(self) -> int:
-        return hash((self.pos_names, self.pos_owner, self.init))
+        return hash((self.pos_names, self.pos_owner, self.init_index))
 
     def __repr__(self) -> str:
         return (
-            f"SafetyGame(|V0|={len(self.positions0)}, |V1|={len(self.positions1)}, "
-            f"edges={len(self.edges)}, init={self.init!r})"
+            f"SafetyGame(|V0|={self.pos_owner.count(0)}, |V1|={self.pos_owner.count(1)}, "
+            f"edges={sum(map(len, self.out_edges))}, init={self.init!r})"
         )
 
 
@@ -231,7 +221,7 @@ def parse_game(text: bytes | str) -> SafetyGame:
             raise GameFormatError(f"unknown record {kind!r}", lineno)
     if init is None:
         raise GameFormatError("missing init record")
-    return SafetyGame(owners, edges, init)
+    return _intern(owners, act_owner, edges, init)
 
 
 def _check_edge(owners, act_owner, src, act, dst, line=None) -> None:
@@ -244,6 +234,23 @@ def _check_edge(owners, act_owner, src, act, dst, line=None) -> None:
         raise GameFormatError(f"action {act!r} is used by both players", line)
 
 
+def _intern(owners, act_owner, edges, init) -> SafetyGame:
+    """Index arrays of validated owner and edge maps, with positions and
+    actions numbered in sorted-name order."""
+    pos_names = tuple(sorted(owners))
+    act_names = tuple(sorted(act_owner))
+    pos_index = {p: i for i, p in enumerate(pos_names)}
+    act_index = {a: i for i, a in enumerate(act_names)}
+    out: list[list[tuple[int, int]]] = [[] for _ in pos_names]
+    for (src, act), dst in edges.items():
+        out[pos_index[src]].append((act_index[act], pos_index[dst]))
+    return SafetyGame(
+        pos_names, tuple([owners[p] for p in pos_names]),
+        act_names, tuple([act_owner[a] for a in act_names]),
+        tuple([tuple(sorted(lst)) for lst in out]), pos_index[init],
+    )
+
+
 def serialize_game(game: SafetyGame) -> bytes:
     """Render a game to the text format, deterministically.
 
@@ -251,12 +258,11 @@ def serialize_game(game: SafetyGame) -> bytes:
     lines sorted lexicographically.  ``parse_game`` of the output is
     structurally equal to the input.
     """
-    lines = [
-        f"pos {p} {o}" for p, o in zip(game.pos_names, game.pos_owner)
-    ]
-    lines.append(f"init {game.init}")
-    lines.extend(
-        sorted(f"edge {src} {act} {dst}" for (src, act), dst in game.edges.items())
+    names, acts = game.pos_names, game.act_names
+    lines = [f"pos {p} {o}" for p, o in zip(names, game.pos_owner)] + [f"init {game.init}"]
+    lines += sorted(
+        f"edge {names[v]} {acts[a]} {names[d]}"
+        for v, out in enumerate(game.out_edges) for a, d in out
     )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -461,6 +467,30 @@ def reach(game: SafetyGame, moves: Callable) -> tuple[list[int], dict[int, int |
     return order, parent
 
 
+def pruned_context(
+    game: SafetyGame, mp: MostPermissiveStrategy
+) -> tuple[SafetyGame, MostPermissiveStrategy]:
+    """Restrict the game to positions reachable from init when player 0
+    ranges over the most-permissive actions and player 1 moves freely,
+    which is where every engine encodes.  A winning player-1 position has
+    only winning successors and every allowed target is winning, so the
+    pruned game is all winning and is its own most-permissive strategy,
+    returned beside it.  Kept positions and actions are renumbered by
+    rank, as interning their names afresh would.  Idempotent."""
+    order, _ = reach(game, mp.moves.get)
+    kept = sorted(order)
+    rank = {v: i for i, v in enumerate(kept)}
+    used = sorted({a for v in kept for a, _ in mp.moves[v]})
+    act_rank = {a: i for i, a in enumerate(used)}
+    out = tuple([tuple([(act_rank[a], rank[d]) for a, d in mp.moves[v]]) for v in kept])
+    pruned = SafetyGame(
+        tuple([game.pos_names[v] for v in kept]), tuple([game.pos_owner[v] for v in kept]),
+        tuple([game.act_names[a] for a in used]), tuple([game.act_owner[a] for a in used]),
+        out, rank[game.init_index],
+    )
+    return pruned, MostPermissiveStrategy(frozenset(pruned.pos_names), dict(enumerate(out)))
+
+
 def strategy_moves(game: SafetyGame, strat: PositionalStrategy) -> Moves:
     """Index edges of ``strat`` for :func:`reach`.  A choice that names no
     edge of ``game`` is dropped, so its position behaves as undefined."""
@@ -475,25 +505,6 @@ def strategy_moves(game: SafetyGame, strat: PositionalStrategy) -> Moves:
                     moves[v] = (edge,)
                     break
     return moves
-
-
-def prune_reachable(game: SafetyGame, mp: MostPermissiveStrategy) -> SafetyGame:
-    """Restrict the game to positions reachable from init when player 0
-    ranges over the most-permissive actions and player 1 moves freely.
-
-    Every position of the result is winning and reachable, so downstream
-    encodings need no explicit winning-region filter: a winning player-1
-    position has only winning successors, and every allowed target is
-    winning, so the walk from the winning init never leaves the winning
-    region.  Idempotent.
-    """
-    order, _ = reach(game, mp.moves.get)
-    names, owner = game.pos_names, game.pos_owner
-    positions = {names[v]: owner[v] for v in order}
-    edges = {
-        (names[v], game.act_names[a]): names[d] for v in order for a, d in mp.moves[v]
-    }
-    return SafetyGame(positions, edges, game.init)
 
 
 def validate_strategy(

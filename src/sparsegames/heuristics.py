@@ -74,15 +74,15 @@ def smart_random_extract(
     once.  The result is the smallest-action specialization of what
     remains, restricted to its reachable domain, and is locally optimal.
 
-    ``winning`` must be the winning region of ``game``; it only decides
-    whether init is winning.  The candidates come from the arena's own
-    initial fixpoint, which is that same region, listed in index order,
-    which is sorted-name order.
+    ``winning`` should be the winning region of ``game``.  Init counts as
+    losing when it is outside ``winning`` or outside the arena's own
+    initial fixpoint.  The candidates come from that fixpoint, listed in
+    index order, which is sorted-name order.
     """
-    if game.init not in winning:
+    arena = Arena(game)
+    if game.init not in winning or not arena.alive[game.init_index]:
         raise InitLosingError("cannot extract a strategy for a losing game")
     rng = SplitMix64(seed)
-    arena = Arena(game)
     owner = game.pos_owner
     order = [v for v in arena.winning_indices() if owner[v] == 0]
     rng.shuffle(order)

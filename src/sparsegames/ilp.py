@@ -6,8 +6,9 @@ is its LP optimum; a node is pruned once the bound rounded up reaches
 the incumbent density.  Branching picks the most fractional variable
 (fractional part closest to one half, smallest index on ties) and
 explores the fix-to-0 child first.  The incumbent starts from the greedy
-local-search heuristic, so the search is an anytime algorithm whose
-candidate is always a valid winning strategy.
+local-search heuristic and is always a valid winning strategy.  When the
+node budget runs out it is returned uncertified; an expired deadline
+raises :class:`TimeoutExceededError` and discards it.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .game import (
     PositionalStrategy,
     SafetyGame,
     decode_support,
-    prune_reachable,
+    pruned_context,
 )
 
 logger = logging.getLogger(__name__)
@@ -331,19 +331,6 @@ def _linear_expr(coefs: np.ndarray, names: tuple[str, ...]) -> str:
         else:
             parts.append(f"{'-' if coef < 0 else '+'} {coef_txt}{name}")
     return " ".join(parts) if parts else "0"
-
-
-def pruned_context(
-    game: SafetyGame, mp: MostPermissiveStrategy
-) -> tuple[SafetyGame, MostPermissiveStrategy]:
-    """Restrict to the reachable winning part, where every engine
-    encodes.  Every position ``prune_reachable`` keeps is winning in the
-    pruned game and every edge it keeps is allowed, so the whole pruned
-    game is its own most-permissive strategy."""
-    pruned = prune_reachable(game, mp)
-    return pruned, MostPermissiveStrategy(
-        frozenset(pruned.pos_names), dict(enumerate(pruned.out_edges))
-    )
 
 
 def replp_extract(

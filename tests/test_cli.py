@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
+import re
 
 import pytest
 
 import sparsegames as sg
-from sparsegames.cli import main
+from sparsegames.cli import METHODS as CLI_METHODS, main
 
 
 def _write_game(tmp_path, game, name="game.txt"):
@@ -286,6 +288,21 @@ def test_gen_writes_parseable_games(tmp_path):
     assert sg.parse_game(out.read_bytes()) == sg.gen_random(5, 4, 3, 2)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chain", "0"],
+        ["adversarial", "0"],
+        ["random", "--seed", "1", "--n0", "0", "--n1", "3", "--k", "2"],
+    ],
+)
+def test_gen_out_of_range_size_is_usage_error(args, capsys):
+    assert main(["gen", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "requires" in captured.err
+    assert captured.out == ""
+
+
 def test_gen_prints_to_stdout(capsys):
     assert main(["gen", "chain", "2"]) == 0
     out = capsys.readouterr().out
@@ -298,3 +315,75 @@ def test_oracle_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "minimum_density 4" in out
     assert "local_optimum_densities [4, 5, 6]" in out
+
+
+_PINNED_GAMES = {
+    "chain64": ["chain", "64"],
+    "adversarial8": ["adversarial", "8"],
+    "random0": ["random", "--seed", "0", "--n0", "50", "--n1", "50", "--k", "3"],
+}
+
+
+def _pinned_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pinned_outputs(tmp_path, capsys) -> dict[str, str]:
+    """Digests of the seeded output of ``gen``, ``solve`` and ``extract
+    --runs 4 --json`` for every method, with timings and temporary paths
+    taken out."""
+    digests = {}
+    for label, gen_args in _PINNED_GAMES.items():
+        path = tmp_path / f"{label}.txt"
+        assert main(["gen", *gen_args, "--out", str(path)]) == 0
+        digests[f"{label} gen"] = _pinned_digest(path.read_text())
+        code = main(["solve", str(path)])
+        digests[f"{label} solve"] = _pinned_digest(f"{code}\n{capsys.readouterr().out}")
+        for method in CLI_METHODS:
+            json_path = tmp_path / f"{label}-{method}.json"
+            code = main(
+                ["extract", str(path), "--method", method, "--runs", "4",
+                 "--json", str(json_path)]
+            )
+            out = capsys.readouterr().out
+            out = re.sub(r" time=\S+", "", out)
+            out = re.sub(r"^time mean=.*\n", "", out, flags=re.M)
+            report = json.loads(json_path.read_text())
+            for trial in report["trials"]:
+                del trial["time_secs"]
+            del report["game"], report["time_mean_secs"], report["time_stddev_secs"]
+            digests[f"{label} {method}"] = _pinned_digest(
+                f"{code}\n{out}{json.dumps(report, sort_keys=True)}"
+            )
+    return digests
+
+
+#: Recorded before the game model moved to interned index arrays; any
+#: change in seeded output, strategies or statistics shows here.
+PINNED_CLI_DIGESTS = {
+    "adversarial8 gen": "f2aafe6ae7c6c724",
+    "adversarial8 ilp": "8e6d289a0427f846",
+    "adversarial8 random": "bb717577ef1b8b18",
+    "adversarial8 replp": "5a73773a09297da9",
+    "adversarial8 sat": "7721adbc7d1a8006",
+    "adversarial8 smart": "de59469036001d4a",
+    "adversarial8 solve": "4b0d5fc5367bba7e",
+    "chain64 gen": "a6c9044ab2ef6b80",
+    "chain64 ilp": "cc0c0c3f54666462",
+    "chain64 random": "f109ff43768191ab",
+    "chain64 replp": "ad03ea1267ed7ae4",
+    "chain64 sat": "93f3b007468c3df2",
+    "chain64 smart": "a89e8a7d4298ddad",
+    "chain64 solve": "d758355c3267fb8b",
+    "random0 gen": "63e9d8856be5313c",
+    "random0 ilp": "e136c72ec7daccdf",
+    "random0 random": "b3bd8ac1aaa543ff",
+    "random0 replp": "374ce8051023810c",
+    "random0 sat": "39ee32fd1fe4e396",
+    "random0 smart": "7f4c40ad6144dfd4",
+    "random0 solve": "51fc32e420ab65ff",
+}
+
+
+def test_seeded_cli_output_is_pinned(tmp_path, capsys):
+    assert _pinned_outputs(tmp_path, capsys) == PINNED_CLI_DIGESTS

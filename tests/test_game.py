@@ -127,6 +127,71 @@ def test_roundtrip_many_random_games():
         assert sg.parse_game(sg.serialize_game(game)) == game
 
 
+# Free-form tokens: any characters but whitespace and the comment mark.
+# A small alphabet mixed in makes tokens share prefixes, and "\x01" sorts
+# below the separating space.
+_TOKENS = st.text(
+    st.sampled_from("a\x01") | st.characters(blacklist_categories=("Cs",)).filter(
+        lambda c: not c.isspace() and c != "#"
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _game_maps(draw):
+    """Owner map, edge map and init of an arbitrary valid game."""
+    owners = draw(st.dictionaries(_TOKENS, st.integers(0, 1), min_size=1, max_size=8))
+    act_owner = draw(st.dictionaries(_TOKENS, st.integers(0, 1), max_size=6))
+    names = sorted(owners)
+    edges = {}
+    for src in names:
+        own = sorted(a for a, o in act_owner.items() if o == owners[src])
+        for act in draw(st.lists(st.sampled_from(own), unique=True) if own else st.just([])):
+            edges[(src, act)] = draw(st.sampled_from(names))
+    return owners, edges, draw(st.sampled_from(names))
+
+
+def _shuffled_text(owners, edges, init, rnd) -> str:
+    """The game's records in a random order that declares each position
+    before the records that name it."""
+    pos_lines = [f"pos {p} {o}" for p, o in owners.items()]
+    rnd.shuffle(pos_lines)
+    declared = {line.split()[1]: k for k, line in enumerate(pos_lines)}
+    later = [(declared[init], f"init {init}")] + [
+        (max(declared[src], declared[dst]), f"edge {src} {act} {dst}")
+        for (src, act), dst in edges.items()
+    ]
+    rnd.shuffle(later)
+    slots = [[] for _ in pos_lines]
+    for first, line in later:
+        slots[rnd.randint(first, len(pos_lines) - 1)].append(line)
+    return "".join(
+        f"{pos}\n" + "".join(f"{line}\n" for line in slot)
+        for pos, slot in zip(pos_lines, slots)
+    )
+
+
+@given(_game_maps(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_parse_serialize_build_agree_on_arbitrary_tokens(maps, rnd):
+    owners, edges, init = maps
+    built = sg.SafetyGame.build(owners, edges, init)
+    text = sg.serialize_game(built)
+    lines = [f"pos {p} {o}" for p, o in sorted(owners.items())] + [f"init {init}"]
+    lines += sorted(f"edge {src} {act} {dst}" for (src, act), dst in edges.items())
+    assert text.decode() == "".join(f"{line}\n" for line in lines)
+    assert built.edges == edges
+    assert dict(zip(built.pos_names, built.pos_owner)) == owners
+    for _ in range(3):
+        game = sg.parse_game(_shuffled_text(owners, edges, init, rnd))
+        assert game == built
+        assert game.edges == edges
+        assert sg.serialize_game(game) == text
+    assert sg.parse_game(text) == built
+
+
 def test_serialize_deterministic():
     game = sg.gen_adversarial(2)
     assert sg.serialize_game(game) == sg.serialize_game(game)
@@ -332,7 +397,7 @@ def test_prune_drops_isolated_position():
         {("p", "z"): "p", ("island", "z2"): "island"},
         "p",
     )
-    pruned = sg.prune_reachable(game, _mp(game))
+    pruned = pruned_context(game, _mp(game))[0]
     assert "island" not in pruned.pos_names
     assert pruned.init == "p"
 
@@ -343,8 +408,8 @@ def test_prune_is_idempotent():
         winning = sg.compute_winning_region(game)
         if game.init not in winning:
             continue
-        pruned = sg.prune_reachable(game, _mp(game))
-        again = sg.prune_reachable(pruned, _mp(pruned))
+        pruned = pruned_context(game, _mp(game))[0]
+        again = pruned_context(pruned, _mp(pruned))[0]
         assert again == pruned
 
 
@@ -373,7 +438,7 @@ def test_prune_matches_name_filter():
                     seen.add(dst)
                     stack.append(dst)
         keep = seen & winning
-        expected = sg.SafetyGame(
+        expected = sg.SafetyGame.build(
             {p: game.pos_owner[game.pos_index[p]] for p in keep},
             {
                 (src, act): dst
@@ -382,7 +447,7 @@ def test_prune_matches_name_filter():
             },
             game.init,
         )
-        pruned = sg.prune_reachable(game, mp)
+        pruned = pruned_context(game, mp)[0]
         assert pruned == expected
         assert sg.serialize_game(pruned) == sg.serialize_game(expected)
         count += 1
@@ -396,7 +461,7 @@ def test_pruned_game_is_entirely_winning():
         winning = sg.compute_winning_region(game)
         if game.init not in winning:
             continue
-        pruned = sg.prune_reachable(game, _mp(game))
+        pruned = pruned_context(game, _mp(game))[0]
         assert sg.compute_winning_region(pruned) == frozenset(pruned.pos_names)
 
 
@@ -404,7 +469,7 @@ def test_prune_preserves_minimum_density():
     count = 0
     for game, winning, mp in solvable_random_games(200, 5, 5, 2, max_bits=16):
         best_before, _ = sg.brute_force_min_density(game, mp)
-        pruned = sg.prune_reachable(game, mp)
+        pruned = pruned_context(game, mp)[0]
         best_after, _ = sg.brute_force_min_density(pruned, _mp(pruned))
         assert best_before == best_after
         count += 1

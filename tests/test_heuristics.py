@@ -84,6 +84,15 @@ def test_random_extract_raises_on_losing_game():
         sg.random_extract(game, mp, 0)
 
 
+def test_smart_raises_when_its_own_fixpoint_loses_init():
+    # The caller's region claims every position wins; the arena's own
+    # fixpoint shows that init loses, which must not reach the decoder.
+    game = sg.gen_random(1, 6, 6, 2)
+    assert game.init not in sg.compute_winning_region(game)
+    with pytest.raises(sg.InitLosingError):
+        sg.smart_random_extract(game, frozenset(game.pos_names), 0)
+
+
 def test_smart_deterministic():
     game = sg.gen_adversarial(3)
     winning = sg.compute_winning_region(game)
