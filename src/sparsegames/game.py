@@ -68,6 +68,7 @@ class SafetyGame:
     ) -> "SafetyGame":
         """Build a game from owner and edge maps, validating invariants."""
         for p, o in positions.items():
+            _check_name(p)
             if o not in (0, 1):
                 raise GameFormatError(f"position {p!r} has owner {o!r}, expected 0 or 1")
         if init not in positions:
@@ -75,6 +76,8 @@ class SafetyGame:
         act_owner: dict[str, int] = {}
         for (src, act), dst in edges.items():
             _check_edge(positions, act_owner, src, act, dst)
+        for act in act_owner:
+            _check_name(act)
         return _intern(positions, act_owner, edges, init)
 
     @property
@@ -232,6 +235,13 @@ def _check_edge(owners, act_owner, src, act, dst, line=None) -> None:
         raise GameFormatError(f"edge {end} {p!r} is undeclared", line)
     if act_owner.setdefault(act, owners[src]) != owners[src]:
         raise GameFormatError(f"action {act!r} is used by both players", line)
+
+
+def _check_name(name: str) -> None:
+    """Reject a position or action name that the text format cannot hold
+    as one token: an empty name, or one with whitespace or ``#``."""
+    if "#" in name or name.split() != [name]:
+        raise GameFormatError(f"name {name!r} is empty or holds whitespace or '#'")
 
 
 def _intern(owners, act_owner, edges, init) -> SafetyGame:

@@ -123,7 +123,7 @@ def ilp_exact_extract(
     n = len(problem.var_names)
     eps = INTEGRALITY_EPS
     lp_solves = 1
-    pivots = sum(frame.root.pivots)
+    pivots = frame.root.pivots
     certified = True
 
     # Heap entries: (bound, -depth, tiebreak counter, lo, hi, solution).
@@ -163,7 +163,7 @@ def ilp_exact_extract(
                 c_lo[branch] = 1.0
             lp_solves += 1
             child = lp_solve(problem.with_bounds(c_lo, c_hi))
-            pivots += sum(child.pivots)
+            pivots += child.pivots
             if child.status == "infeasible":
                 continue
             if _ceil_eps(child.objective_value) >= frame.ub:

@@ -1,5 +1,5 @@
-"""Linear-programming engine: relaxation builder, bounded-variable
-simplex, and the repetitive rounding heuristic.
+"""Linear-programming engine: relaxation builder, bounded dual simplex,
+and the repetitive rounding heuristic.
 
 The relaxation has one [0,1] variable per position of the pruned winning
 game.  A feasible 0/1 point is exactly the indicator of a position set
@@ -8,18 +8,29 @@ player-0 member an allowed successor inside the set, so minimizing the
 player-0 mass lower-bounds the minimum strategy density.  The
 constraints are the :func:`support_rows`, shared with ``sat.py``.
 
-The solver is a dense two-phase primal simplex with variable bounds and
-Bland's rule, which makes it deterministic and cycle-free.  The tableau
-is dense, m x (n + 2m) floats for m rows and n variables, so its memory
-grows quadratically.  A pivot does not touch all of it: picking the
-entering column and the ratio test are a few vector operations over the
-columns and rows, and the rank-1 update rewrites only the rows where the
-entering column is nonzero, which on the relaxations here is 1-3.5% of
-them.  One pivot therefore costs about that column's nonzeros times the
-tableau width.  The root LP of ``gen_adversarial(64)`` (833 rows, 769
-pruned positions) solves in 0.36-0.44 s on a 2-core host with CPython
-3.11 and numpy 2.4, where a full-height update took 12-18 s on the same
-host.
+The solver is a dense bounded dual simplex.  Its columns are the n
+structural variables and one surplus per row (``rows @ x - s = rhs``,
+``s >= 0``); the surplus columns start basic, so the m x (n + m) tableau
+starts as ``[-rows | I]`` and there is no phase 1.  Every variable is
+boxed, so starting each at the bound its cost prefers makes the start
+dual feasible for any bounds, and the same loop solves the root, every
+branch-and-bound child and every rounding round.  The pivot rule is
+Bland's over the reversed column order: the largest-index bound-violating
+basic variable leaves, and the smallest dual ratio enters, the largest
+index on ties.  The tie rule is what keeps the trap roots integral: with
+smallest-index ties the loop ends on fractional optimal vertices of
+``gen_adversarial`` roots, where ``ilp`` can no longer certify at the
+root.
+
+A pivot does not touch all of the tableau: picking the leaving row and
+the entering column are a few vector operations over the rows and
+columns, and the rank-1 update rewrites only the rows where the entering
+column is nonzero: under 1% of them on the roots of ``gen_chain`` and
+``gen_adversarial``, about half on unplanted random set covers.  One
+pivot therefore costs about that column's nonzeros times the tableau
+width.  The root LP of ``gen_adversarial(64)`` (833 rows, 769 pruned
+positions) takes 320 pivots in 0.06-0.07 s on a 2-core host with CPython
+3.11 and numpy 2.4.
 """
 
 from __future__ import annotations
@@ -76,7 +87,8 @@ class LpProblem:
             raise ValueError("bound vectors do not match variables")
         if not self.row_labels:
             self.row_labels = tuple(f"c{i}" for i in range(self.rows.shape[0]))
-        if np.any(self.lo < -0.0) or np.any(self.hi > 1.0) or np.any(self.lo > self.hi):
+        # Written so that every comparison must hold: NaN fails them all.
+        if not ((0.0 <= self.lo) & (self.lo <= self.hi) & (self.hi <= 1.0)).all():
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
 
     def with_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "LpProblem":
@@ -91,9 +103,9 @@ class LpSolution:
     status: str  # "optimal" | "infeasible"
     values: np.ndarray | None = None
     objective_value: float = 0.0
-    #: simplex pivots (basis changes plus bound flips) in phase 1 and
-    #: phase 2; an infeasible result stops after phase 1
-    pivots: tuple[int, int] = (0, 0)
+    #: dual simplex pivots, up to the optimum or to the row that proves
+    #: the LP infeasible
+    pivots: int = 0
 
 
 def support_rows(
@@ -162,147 +174,98 @@ def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
     )
 
 
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+def _dual_loop(T, beta, d, basis, upper, lo_ext, hi_ext, max_pivots) -> tuple[int, bool]:
+    """Run bounded dual simplex pivots from a dual feasible basis until
+    every basic variable lies within its bounds.  Returns how many pivots
+    ran and whether the LP is feasible.
 
-
-def _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots) -> int:
-    """Run primal simplex pivots until optimal and return how many ran
-    (basis changes plus bound flips).  Bland's rule picks the
-    smallest-index entering column and, among the tied leaving rows, the
-    one whose basic variable has the smallest index (anti-cycling).
+    The leaving variable is the basic variable outside its bounds with the
+    largest index.  The entering column is, among the nonbasic columns
+    that move it toward the violated bound, the one with the smallest dual
+    ratio |d_j / T_rj|, the largest index on ties: Bland's rule over the
+    reversed column order, so the pivots are deterministic and cannot
+    cycle.  A leaving row with no such column proves the LP infeasible.
+    Basic columns are exact unit vectors, so in the leaving row only the
+    leaving variable's own column is nonzero among them.
 
     Each pivot costs a few vector operations over the row and column
     widths plus the rank-1 update of the rows where the entering column is
-    nonzero.  The pivots are those of a scan over every column and a
-    full-height update: the first eligible column of the mask is the
-    first column such a scan accepts; rows with |ci| <= tol have an
-    infinite ratio, so the ratio test over the others finds the same
-    minimum and ties; and every tableau entry that changes goes through
-    the same ``t - c * r``, while subtracting ``0 * r`` from a skipped row
-    could flip only the sign of a zero.  ``beta`` is still updated at full
-    width, so rows with 0 < |ci| <= tol move exactly as before.
+    nonzero.  Every tableau entry that changes goes through the same
+    ``t - c * r`` as in a full-height update, and subtracting ``0 * r``
+    from a skipped row could flip only the sign of a zero.
     """
-    tol = _PIVOT_TOL
-    movable = hi_ext - lo_ext > 0.0  # the bounds are fixed within a phase
+    movable = hi_ext > lo_ext
     for pivots in range(max_pivots):
-        eligible = movable & (
-            ((status == _AT_LOWER) & (d < -tol)) | ((status == _AT_UPPER) & (d > tol))
-        )
-        enter = int(eligible.argmax())
-        if not eligible[enter]:
-            return pivots
-        direction = 1.0 if status[enter] == _AT_LOWER else -1.0
-        col = T[:, enter]
-        ci = direction * col
-        act = np.flatnonzero(np.abs(ci) > tol)
-        c_act = ci[act]
-        b_act = beta[act]
-        basis_act = basis[act]
-        ratios = np.maximum(
-            np.where(
-                c_act > 0.0,
-                (b_act - lo_ext[basis_act]) / c_act,
-                (hi_ext[basis_act] - b_act) / -c_act,
-            ),
-            0.0,
-        )
-        min_ratio = ratios.min() if act.size else np.inf
-        flip_cap = hi_ext[enter] - lo_ext[enter]
-        t_star = min(min_ratio, flip_cap)
-        if not np.isfinite(t_star):
-            raise RuntimeError("LP is unbounded; this cannot happen with [0,1] bounds")
-        tie = t_star + 1e-12 * (1.0 + abs(t_star))
-        if flip_cap <= tie:
-            # Bound flip: the entering variable crosses to its other bound.
-            beta -= ci * flip_cap
-            if status[enter] == _AT_LOWER:
-                status[enter] = _AT_UPPER
-                val[enter] = hi_ext[enter]
-            else:
-                status[enter] = _AT_LOWER
-                val[enter] = lo_ext[enter]
-            continue
-        candidates = act[ratios <= tie]
-        leave_row = candidates[basis[candidates].argmin()]
-        piv = col[leave_row]
-        leaving = basis[leave_row]
-        new_enter_val = val[enter] + direction * t_star
-        beta -= ci * t_star
-        if ci[leave_row] > 0:
-            status[leaving] = _AT_LOWER
-            val[leaving] = lo_ext[leaving]
-        else:
-            status[leaving] = _AT_UPPER
-            val[leaving] = hi_ext[leaving]
-        row = T[leave_row] / piv
-        T[leave_row] = row
+        lo_b = lo_ext[basis]
+        hi_b = hi_ext[basis]
+        low = beta < lo_b - _FEAS_TOL
+        bad = np.flatnonzero(low | (beta > hi_b + _FEAS_TOL))
+        if not bad.size:
+            return pivots, True
+        r = bad[basis[bad].argmax()]
+        leaving = basis[r]
+        target = lo_b[r] if low[r] else hi_b[r]
+        alpha = T[r]
+        # How fast the leaving variable moves toward its target as each
+        # nonbasic variable moves off its bound into its box; it moves by
+        # -alpha_j per unit that x_j rises.
+        gain = np.where(upper == low[r], alpha, -alpha)
+        eligible = movable & (gain > _PIVOT_TOL)
+        eligible[leaving] = False
+        cols = np.flatnonzero(eligible)
+        if not cols.size:
+            return pivots, False
+        ratios = np.abs(d[cols] / alpha[cols])
+        t = ratios.min()
+        enter = cols[np.flatnonzero(ratios <= t + 1e-12 * (1.0 + t))[-1]]
+        piv = alpha[enter]
+        step = (beta[r] - target) / piv
+        enter_val = (hi_ext[enter] if upper[enter] else lo_ext[enter]) + step
+        beta -= T[:, enter] * step
+        upper[leaving] = not low[r]
+        row = T[r] / piv
+        T[r] = row
         colv = T[:, enter].copy()
-        colv[leave_row] = 0.0
+        colv[r] = 0.0
         nz = np.flatnonzero(colv)
         T[nz] -= np.outer(colv[nz], row)
         d -= d[enter] * row
-        basis[leave_row] = enter
-        status[enter] = _BASIC
-        beta[leave_row] = new_enter_val
+        basis[r] = enter
+        beta[r] = enter_val
     raise RuntimeError("simplex pivot budget exhausted")
 
 
 def lp_solve(problem: LpProblem) -> LpSolution:
-    """Deterministic two-phase simplex returning a vertex optimum or
-    infeasibility, with the pivot count of each phase."""
+    """Deterministic bounded dual simplex from the surplus basis,
+    returning a vertex optimum or infeasibility and the pivot count."""
     n = len(problem.var_names)
     m = problem.rows.shape[0]
-    lo = problem.lo
-    hi = problem.hi
-    if m == 0:
-        x = np.where(problem.objective > 0, lo, hi)
-        return LpSolution("optimal", x, float(problem.objective @ x))
-
-    # Columns: structural | surplus (one per row) | artificial (one per row).
-    num_cols = n + 2 * m
-    A_ext = np.zeros((m, num_cols))
-    A_ext[:, :n] = problem.rows
-    A_ext[:, n : n + m] = -np.eye(m)
-    x0 = lo.copy()
-    residual = problem.rhs - problem.rows @ x0
-    sigma = np.where(residual >= 0, 1.0, -1.0)
-    A_ext[:, n + m :] = np.diag(sigma)
-
-    lo_ext = np.concatenate([lo, np.zeros(m), np.zeros(m)])
-    hi_ext = np.concatenate([hi, np.full(m, np.inf), np.full(m, np.inf)])
-    T = A_ext * sigma[:, None]
-    beta = np.abs(residual).astype(float)
-    basis = np.arange(n + m, num_cols)
-    status = np.full(num_cols, _AT_LOWER, dtype=np.int8)
-    status[basis] = _BASIC
-    val = lo_ext.copy()
-    val[n : n + m] = 0.0
-
-    max_pivots = 20000 + 200 * (m + n)
-
-    # Phase 1: minimize the artificial mass.
-    c1 = np.zeros(num_cols)
-    c1[n + m :] = 1.0
-    d = c1 - T.sum(axis=0)
-    phase1 = _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots)
-    # Artificials leave the basis only at their lower bound 0, so the
-    # remaining infeasibility is carried entirely by basic ones.
-    infeas = sum(beta[basis >= n + m])
-    if infeas > _FEAS_TOL:
-        return LpSolution("infeasible", pivots=(phase1, 0))
-
-    # Phase 2: ban artificials and optimize the real objective.
-    lo_ext[n + m :] = 0.0
-    hi_ext[n + m :] = 0.0
-    c2 = np.zeros(num_cols)
-    c2[:n] = problem.objective
-    d = c2 - c2[basis] @ T
-    phase2 = _pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots)
-
-    values = val.copy()
+    lo, hi, c = problem.lo, problem.hi, problem.objective
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("lp_solve needs finite bounds")
+    # Columns: the n structural variables, then one surplus per row, with
+    # rows @ x - s = rhs and s >= 0.  The surplus basis has the tableau
+    # [-rows | I].  Each structural variable starts at the bound its cost
+    # prefers, so every reduced cost is dual feasible whatever the bounds.
+    T = np.zeros((m, n + m))
+    np.negative(problem.rows, out=T[:, :n])
+    np.fill_diagonal(T[:, n:], 1.0)
+    upper = np.zeros(n + m, dtype=bool)
+    upper[:n] = c < 0.0
+    beta = problem.rows @ np.where(upper[:n], hi, lo) - problem.rhs
+    d = np.concatenate([c, np.zeros(m)])
+    basis = np.arange(n, n + m)
+    lo_ext = np.concatenate([lo, np.zeros(m)])
+    hi_ext = np.concatenate([hi, np.full(m, np.inf)])
+    pivots, feasible = _dual_loop(
+        T, beta, d, basis, upper, lo_ext, hi_ext, 20000 + 200 * (m + n)
+    )
+    if not feasible:
+        return LpSolution("infeasible", pivots=pivots)
+    values = np.where(upper, hi_ext, lo_ext)
     values[basis] = beta
     x = np.clip(values[:n], lo, hi)
-    return LpSolution("optimal", x, float(problem.objective @ x), (phase1, phase2))
+    return LpSolution("optimal", x, float(c @ x), pivots)
 
 
 def format_lp(problem: LpProblem) -> str:
@@ -370,7 +333,7 @@ def replp_extract(
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceededError("replp deadline expired")
         sol = lp_solve(problem.with_bounds(lo, hi))
-        pivots += sum(sol.pivots)
+        pivots += sol.pivots
         if sol.status == "infeasible":
             if pending_zero:
                 for i in pending_zero:

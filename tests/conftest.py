@@ -56,6 +56,33 @@ def solvable_random_games(count, n0=5, n1=5, k=2, start_seed=0, max_bits=None):
     return out
 
 
+def gap_game(n: int, k: int):
+    """Unplanted random set cover with an integrality gap: n elements and
+    n sets of k members drawn with ``random.Random(1)``, plus a singleton
+    set for each element in no set.  Returns the game, in the shape of
+    ``perfbench/corpus.py``'s ``setcover_game``, and the sets.  Player 1
+    picks an element, player 0 answers with a set holding it, so the
+    minimum density is n plus the minimum cover."""
+    import random
+
+    rng = random.Random(1)
+    sets = [sorted(rng.sample(range(n), k)) for _ in range(n)]
+    covered = {e for members in sets for e in members}
+    sets += [[e] for e in range(n) if e not in covered]
+    we, ws = len(str(n - 1)), len(str(len(sets) - 1))
+    positions = {"r": 1}
+    edges = {}
+    for e in range(n):
+        positions[f"x{e:0{we}d}"] = 0
+        edges[("r", f"pick{e:0{we}d}")] = f"x{e:0{we}d}"
+    for s, members in enumerate(sets):
+        positions[f"s{s:0{ws}d}"] = 0
+        edges[(f"s{s:0{ws}d}", "back")] = "r"
+        for e in members:
+            edges[(f"x{e:0{we}d}", f"use{s:0{ws}d}")] = f"s{s:0{ws}d}"
+    return sg.SafetyGame.build(positions, edges, "r"), sets
+
+
 def unchecked_most_permissive(game: sg.SafetyGame, winning: frozenset[str]):
     """Most-permissive structure without the init-winning check, so tests
     can exercise losing games."""

@@ -64,6 +64,13 @@ def test_parse_errors(text, pattern):
         ({"a": 0}, {("b", "x"): "a"}, "a", "source"),
         ({"a": 0}, {("a", "x"): "b"}, "a", "target"),
         ({"a": 0, "b": 1}, {("a", "x"): "b", ("b", "x"): "a"}, "a", "both players"),
+        # Names that serialize_game could write but parse_game not read back.
+        ({"a b": 1, "q": 0}, {("a b", "t"): "q", ("q", "u"): "a b"}, "a b", "whitespace"),
+        ({"": 0}, {}, "", "empty"),
+        ({"a#": 0}, {}, "a#", "'#'"),
+        ({"a": 1}, {("a", "t\tu"): "a"}, "a", "whitespace"),
+        ({"a": 1}, {("a", ""): "a"}, "a", "empty"),
+        ({"a": 1}, {("a", "#t"): "a"}, "a", "'#'"),
     ],
 )
 def test_build_errors(positions, edges, init, pattern):

@@ -7,10 +7,10 @@ import pytest
 import sparsegames as sg
 from sparsegames.lp import build_relaxation, pruned_context
 
-from conftest import solvable_random_games
+from conftest import gap_game, solvable_random_games
 
 # gen_random(63, 6, 6, 3) has a fractional root relaxation, so the
-# branch-and-bound actually branches (11 LP solves when found).
+# branch-and-bound actually branches (7 LP solves).
 BRANCHING_SEED = 63
 
 
@@ -84,11 +84,37 @@ _ILP_PINS = {
     "adv6": [("80c0396c0d5d4d80", 12, True, 1)] * 2,
     "adv7": [("9e09b19c7103f194", 14, True, 1)] * 2,
     "adv8": [("7ffacef5ac1b7a3a", 16, True, 1)] * 2,
-    "random63": [("3f1ebf72356c170a", 4, True, 11), ("292cdc46d4830ef5", 4, True, 11)],
+    "random63": [("3f1ebf72356c170a", 4, True, 7), ("292cdc46d4830ef5", 4, True, 7)],
     "random264": [("f7f6be676b907b61", 3, True, 3)] * 2,
     "random348": [("ac974495176b1159", 3, True, 3)] * 2,
     "random13": [("db6c85e085d8c1e3", 3, True, 5)] * 2,
 }
+
+
+def test_integrality_gap_solved_exactly():
+    # 40 elements, 40 sets of 6: the optimum lies above the root rounded
+    # up, so ilp must branch and sat must refute a bound.
+    game, sets = gap_game(40, 6)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    root = sg.lp_solve(build_relaxation(*pruned_context(game, mp)))
+    assert root.status == "optimal"
+    assert np.ceil(root.objective_value - 1e-9) == 48
+    for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
+        res = engine(game, mp)
+        assert (res.density, res.certified) == (49, True), engine.__name__
+        assert sg.validate_strategy(game, mp, res.strategy).winning
+    optimize = pytest.importorskip("scipy.optimize")
+    cover = np.zeros((40, len(sets)))
+    for s, members in enumerate(sets):
+        cover[members, s] = 1.0
+    ref = optimize.milp(
+        np.ones(len(sets)),
+        constraints=optimize.LinearConstraint(cover, lb=1.0),
+        integrality=np.ones(len(sets)),
+        bounds=optimize.Bounds(0.0, 1.0),
+    )
+    assert ref.status == 0
+    assert 40 + round(ref.fun) == 49
 
 
 def test_ilp_results_are_pinned():

@@ -64,8 +64,10 @@ def test_infeasible_by_constraints():
 
 
 def test_bad_bounds_rejected_at_build():
-    with pytest.raises(ValueError):
-        _bounded(["x"], [1.0], [[1.0]], [0.0], lo=[1.0], hi=[0.0])
+    # A NaN bound fails every comparison, so it must be rejected too.
+    for lo, hi in (([1.0], [0.0]), ([np.nan], [1.0]), ([0.0], [np.nan])):
+        with pytest.raises(ValueError):
+            _bounded(["x"], [1.0], [[1.0]], [0.5], lo=lo, hi=hi)
 
 
 def test_lp_solve_deterministic():
@@ -289,40 +291,37 @@ def test_unbounded_reported_as_internal_error():
         sg.lp_solve(prob)
 
 
-# SHA-256 prefix of ``values.tobytes()``, objective and pivots per phase of
-# the root LPs below.  Taken before the pivot loop was vectorised, so they
-# pin its pivot sequence: the same columns enter, the same rows leave, and
-# the vertex is the same down to the last bit.
+# SHA-256 prefix of ``values.tobytes()``, objective and pivots of the root
+# LPs below.  They pin the dual simplex's pivot sequence: the same columns
+# enter, the same rows leave, and the vertex is the same down to the last
+# bit.
 _PINNED_ROOTS = (
-    ("chain16", "optimal", "acfc7c36fce590b1", 16.0, (47, 16)),
-    ("adversarial1", "optimal", "8e9f1863b022561f", 2.0, (27, 10)),
-    ("adversarial2", "optimal", "7034d44746f0fa41", 4.0, (54, 20)),
-    ("adversarial3", "optimal", "27812b353c2188b7", 6.0, (81, 30)),
-    ("adversarial4", "optimal", "61149171d781a0f8", 8.0, (108, 40)),
-    ("adversarial5", "optimal", "047bb43fbb5866d7", 10.0, (135, 50)),
-    ("adversarial6", "optimal", "03400ed158e09e8f", 12.0, (162, 60)),
-    ("adversarial7", "optimal", "8630a39a6549d82f", 14.0, (189, 70)),
-    ("adversarial8", "optimal", "9da7506cd1bff54a", 16.0, (216, 80)),
-    ("random91", "optimal", "b3d14d005da31e63", 2.0, (28, 4)),
-    ("random183", "optimal", "3ad30f9d5ae4a6f8", 2.5, (16, 4)),
-    ("random218", "optimal", "c4b2c7ffe1d3aef5", 2.0, (30, 7)),
-    ("random270", "optimal", "7abac89bc1393fbd", 2.1999999999999997, (26, 4)),
+    ("chain16", "optimal", "acfc7c36fce590b1", 16.0, 31),
+    ("adversarial1", "optimal", "8e9f1863b022561f", 2.0, 5),
+    ("adversarial2", "optimal", "7034d44746f0fa41", 4.0, 10),
+    ("adversarial3", "optimal", "27812b353c2188b7", 6.0, 15),
+    ("adversarial4", "optimal", "61149171d781a0f8", 8.0, 20),
+    ("adversarial5", "optimal", "047bb43fbb5866d7", 10.0, 25),
+    ("adversarial6", "optimal", "03400ed158e09e8f", 12.0, 30),
+    ("adversarial7", "optimal", "8630a39a6549d82f", 14.0, 35),
+    ("adversarial8", "optimal", "9da7506cd1bff54a", 16.0, 40),
+    ("random91", "optimal", "6c66c15ad58d8dbe", 2.0, 6),
+    ("random183", "optimal", "7138d0b0c5c7467a", 2.5, 7),
+    ("random218", "optimal", "e7bb3a289fe77ecf", 2.0, 3),
+    ("random270", "optimal", "290c0cc6b2708cab", 2.2, 15),
 )
 
 # Every LP of ``ilp_exact_extract`` on ``gen_random(63, 6, 6, 3)``, the root
-# first, in solve order.  An infeasible child stops after phase 1.
+# first, in solve order.  An infeasible child counts the pivots up to the
+# row that proves it infeasible.
 _PINNED_ILP_NODES = (
-    ("optimal", "6392aa96c3d7efb3", 2.1666666666666665, (25, 6)),
-    ("optimal", "791f80ee107364c0", 2.5, (26, 2)),
-    ("optimal", "408145ded2b1185a", 2.999999999999999, (24, 1)),
-    ("infeasible", None, 0.0, (16, 0)),
-    ("optimal", "93a8f4a2ba3926a2", 3.0, (28, 1)),
-    ("optimal", "7d8d28508221b2bc", 3.0, (22, 2)),
-    ("optimal", "4f2dbff0eb41870f", 4.0, (21, 3)),
-    ("infeasible", None, 0.0, (24, 0)),
-    ("optimal", "f75eeb4afdc212dd", 4.0, (24, 1)),
-    ("infeasible", None, 0.0, (19, 0)),
-    ("optimal", "5685dc127ae46674", 3.5, (25, 2)),
+    ("optimal", "93f59cf55b3af1ed", 2.1666666666666665, 10),
+    ("optimal", "b6c2e60dbdfee4ea", 2.5, 7),
+    ("optimal", "2ed7ce65615321cb", 3.0, 8),
+    ("infeasible", None, 0.0, 4),
+    ("optimal", "b22b3fdb8c6c5e80", 4.0, 5),
+    ("optimal", "0a2eac8e1ec3f947", 4.0, 6),
+    ("optimal", "2f861c52ccabfaeb", 4.0, 6),
 )
 
 
@@ -358,7 +357,22 @@ def test_lp_solutions_are_pinned(monkeypatch):
     result = sg.ilp_exact_extract(game, mp, stats=stats)
     assert (result.density, result.work) == (4, len(_PINNED_ILP_NODES))
     assert [_pin(sol) for sol in solved] == list(_PINNED_ILP_NODES)
-    assert stats["pivots"] == sum(sum(p) for *_, p in _PINNED_ILP_NODES)
+    assert stats["pivots"] == sum(p for *_, p in _PINNED_ILP_NODES)
+
+
+def test_trap_roots_stay_integral():
+    # ``ilp._Frame`` certifies a trap game at the root only while its root
+    # LP lands on an integral vertex.  The objective alone does not show
+    # this: with smallest-index ties in the dual ratio test, 8 of these 9
+    # roots end on fractional optimal vertices of the same objective.
+    games = [sg.gen_chain(64)]
+    games += [sg.gen_adversarial(i) for i in (1, 2, 3, 4, 8, 12, 16, 24)]
+    for game in games:
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        sol = sg.lp_solve(build_relaxation(*pruned_context(game, mp)))
+        assert sol.status == "optimal"
+        x = sol.values
+        assert np.all(np.minimum(x, 1.0 - x) <= INTEGRALITY_EPS)
 
 
 def test_root_lp_of_adversarial_32():
@@ -390,61 +404,50 @@ def test_root_lp_of_adversarial_32():
     assert sol.objective_value == pytest.approx(ref.fun, abs=1e-6)
 
 
-def _full_height_pivot_loop(T, beta, d, basis, status, lo_ext, hi_ext, val, max_pivots):
-    """Reference pivot loop: scans every column for Bland's entering
-    variable, runs the ratio test over every row and subtracts the rank-1
+def _full_height_dual_loop(T, beta, d, basis, upper, lo_ext, hi_ext, max_pivots):
+    """Reference dual loop: scans every row for the leaving variable and
+    every nonbasic column for the entering one, and subtracts the rank-1
     update from the whole tableau."""
     m, num_cols = T.shape
-    tol = lp_mod._PIVOT_TOL
+    feas = lp_mod._FEAS_TOL
     for pivots in range(max_pivots):
-        enter = -1
+        r = -1
+        for i in range(m):
+            out = beta[i] < lo_ext[basis[i]] - feas or beta[i] > hi_ext[basis[i]] + feas
+            if out and (r < 0 or basis[i] > basis[r]):
+                r = i
+        if r < 0:
+            return pivots, True
+        leaving = basis[r]
+        low = beta[r] < lo_ext[leaving] - feas
+        target = lo_ext[leaving] if low else hi_ext[leaving]
+        basic = set(basis.tolist())
+        ratios = {}
         for j in range(num_cols):
-            if status[j] == lp_mod._BASIC or hi_ext[j] - lo_ext[j] <= 0.0:
+            if j in basic or hi_ext[j] <= lo_ext[j]:
                 continue
-            if status[j] == lp_mod._AT_LOWER and d[j] < -tol:
-                enter, direction = j, 1.0
-                break
-            if status[j] == lp_mod._AT_UPPER and d[j] > tol:
-                enter, direction = j, -1.0
-                break
-        if enter < 0:
-            return pivots
-        col = T[:, enter]
-        ci = direction * col
-        lo_b = lo_ext[basis]
-        hi_b = hi_ext[basis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dec = np.where(ci > tol, (beta - lo_b) / np.where(ci > tol, ci, 1.0), np.inf)
-            inc = np.where(ci < -tol, (hi_b - beta) / np.where(ci < -tol, -ci, 1.0), np.inf)
-        ratios = np.maximum(np.minimum(dec, inc), 0.0)
-        flip_cap = hi_ext[enter] - lo_ext[enter]
-        t_star = min(ratios.min(), flip_cap)
-        tie = t_star + 1e-12 * (1.0 + abs(t_star))
-        if flip_cap <= tie:
-            beta -= ci * flip_cap
-            if status[enter] == lp_mod._AT_LOWER:
-                status[enter], val[enter] = lp_mod._AT_UPPER, hi_ext[enter]
-            else:
-                status[enter], val[enter] = lp_mod._AT_LOWER, lo_ext[enter]
-            continue
-        leave_row = min(np.nonzero(ratios <= tie)[0], key=lambda i: basis[i])
-        piv = col[leave_row]
-        leaving = basis[leave_row]
-        new_enter_val = val[enter] + direction * t_star
-        beta -= ci * t_star
-        if ci[leave_row] > 0:
-            status[leaving], val[leaving] = lp_mod._AT_LOWER, lo_ext[leaving]
-        else:
-            status[leaving], val[leaving] = lp_mod._AT_UPPER, hi_ext[leaving]
-        row = T[leave_row] / piv
-        T[leave_row] = row
+            a = T[r, j]
+            # the leaving variable moves by -a per unit that x_j rises
+            toward = (a if upper[j] else -a) if low else (-a if upper[j] else a)
+            if toward > lp_mod._PIVOT_TOL:
+                ratios[j] = abs(d[j] / a)
+        if not ratios:
+            return pivots, False
+        t = min(ratios.values())
+        enter = max(j for j, q in ratios.items() if q <= t + 1e-12 * (1.0 + t))
+        piv = T[r, enter]
+        step = (beta[r] - target) / piv
+        enter_val = (hi_ext[enter] if upper[enter] else lo_ext[enter]) + step
+        beta -= T[:, enter] * step
+        upper[leaving] = not low
+        row = T[r] / piv
+        T[r] = row
         colv = T[:, enter].copy()
-        colv[leave_row] = 0.0
+        colv[r] = 0.0
         T -= np.outer(colv, row)
         d -= d[enter] * row
-        basis[leave_row] = enter
-        status[enter] = lp_mod._BASIC
-        beta[leave_row] = new_enter_val
+        basis[r] = enter
+        beta[r] = enter_val
     raise RuntimeError("simplex pivot budget exhausted")
 
 
@@ -456,7 +459,7 @@ def test_pivot_loop_matches_full_height_reference(monkeypatch):
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
         problems.append(build_relaxation(*pruned_context(game, mp)))
     fast = [sg.lp_solve(prob) for prob in problems]
-    monkeypatch.setattr(lp_mod, "_pivot_loop", _full_height_pivot_loop)
+    monkeypatch.setattr(lp_mod, "_dual_loop", _full_height_dual_loop)
     for prob, mine in zip(problems, fast):
         ref = sg.lp_solve(prob)
         assert _pin(mine) == _pin(ref)
