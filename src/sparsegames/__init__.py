@@ -13,7 +13,6 @@ Quick start::
 """
 
 from .errors import (
-    BudgetExhaustedError,
     DfaDeadEndError,
     GameFormatError,
     InfeasibleAfterFixError,
@@ -75,7 +74,6 @@ from .sat import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExhaustedError",
     "Cnf",
     "Dfa",
     "ExactResult",

@@ -12,7 +12,9 @@ Subcommands:
   optimum densities (guarded exhaustive search).
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 initial position losing,
-3 timeout or uncertified exact result.
+3 a trial timed out before it had a strategy (``t/o``), or an exact
+engine's budget or deadline ran out and it returned its incumbent
+uncertified.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import statistics
 import sys
 import time
@@ -103,8 +106,6 @@ def _run_trial(
     except TimeoutExceededError:
         return TrialRecord(seed, True, time_secs=time.perf_counter() - start)
     elapsed = time.perf_counter() - start
-    if timeout_secs is not None and elapsed > timeout_secs:
-        return TrialRecord(seed, True, time_secs=elapsed)
     verdict = validate_strategy(game, mp, strat)
     return TrialRecord(
         seed,
@@ -138,11 +139,12 @@ def _load_game(path: str) -> SafetyGame:
 def _solve_stats(game: SafetyGame) -> tuple[dict, MostPermissiveStrategy | None]:
     """Game statistics, and the most-permissive strategy when init wins."""
     winning = compute_winning_region(game)
+    p0, a0 = game.pos_owner.count(0), game.act_owner.count(0)
     stats = {
-        "positions0": len(game.positions0),
-        "positions1": len(game.positions1),
-        "actions0": len(game.actions0),
-        "actions1": len(game.actions1),
+        "positions0": p0,
+        "positions1": len(game.pos_owner) - p0,
+        "actions0": a0,
+        "actions1": len(game.act_owner) - a0,
         "winning": len(winning),
         "init_winning": game.init in winning,
         "search_space_bits": None,
@@ -219,9 +221,6 @@ def _write_extract_csv(report: dict, path: str) -> None:
 
 
 def cmd_extract(args) -> int:
-    if args.runs < 1:
-        print("--runs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     game = _load_game(args.game)
     mp = most_permissive(game, compute_winning_region(game))
 
@@ -362,6 +361,20 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _runs(text: str) -> int:
+    runs = int(text)
+    if runs < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return runs
+
+
+def _seconds(text: str) -> float:
+    secs = float(text)
+    if math.isnan(secs):
+        raise argparse.ArgumentTypeError("must be a number, not nan")
+    return secs
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sparsegames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,8 +387,8 @@ def _build_parser() -> _Parser:
     p_extract.add_argument("game")
     p_extract.add_argument("--method", required=True, choices=METHODS)
     p_extract.add_argument("--seed", type=int, default=0)
-    p_extract.add_argument("--runs", type=int, default=1)
-    p_extract.add_argument("--timeout-secs", type=float, default=600.0)
+    p_extract.add_argument("--runs", type=_runs, default=1)
+    p_extract.add_argument("--timeout-secs", type=_seconds, default=600.0)
     p_extract.add_argument("--json")
     p_extract.add_argument("--csv")
     p_extract.add_argument("--dump-cnf")
@@ -386,8 +399,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("corpus")
     p_bench.add_argument("--methods", default=",".join(METHODS))
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--runs", type=int, default=5)
-    p_bench.add_argument("--timeout-secs", type=float, default=600.0)
+    p_bench.add_argument("--runs", type=_runs, default=5)
+    p_bench.add_argument("--timeout-secs", type=_seconds, default=600.0)
     p_bench.add_argument("--json")
     p_bench.add_argument("--csv")
     p_bench.set_defaults(func=cmd_bench)

@@ -43,11 +43,6 @@ class SearchSpaceTooLargeError(SparseGamesError):
     """The brute-force oracle refuses instances beyond its guard."""
 
 
-class BudgetExhaustedError(SparseGamesError):
-    """A solver ran out of its configured resource budget (distinct from
-    proving unsatisfiability or infeasibility)."""
-
-
 class InfeasibleAfterFixError(SparseGamesError):
     """Defensive error: an LP fixing round became infeasible even after
     dropping the round's zero-fixings."""

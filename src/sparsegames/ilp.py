@@ -7,8 +7,7 @@ the incumbent density.  Branching picks the most fractional variable
 (fractional part closest to one half, smallest index on ties) and
 explores the fix-to-0 child first.  The incumbent starts from the greedy
 local-search heuristic and is always a valid winning strategy.  When the
-node budget runs out it is returned uncertified; an expired deadline
-raises :class:`TimeoutExceededError` and discards it.
+node budget or the deadline runs out it is returned uncertified.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TimeoutExceededError
 from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame
 from .heuristics import smart_random_extract
 from .lp import (
@@ -37,8 +35,8 @@ DEFAULT_NODE_BUDGET = 10**6
 @dataclass(eq=False)
 class ExactResult:
     """Outcome of an exact engine: the best strategy found, its density,
-    whether optimality was certified (budget not exhausted), and how much
-    work was spent."""
+    whether optimality was certified (no budget or deadline ran out), and
+    how much work was spent."""
 
     strategy: PositionalStrategy
     density: int
@@ -111,12 +109,13 @@ def ilp_exact_extract(
     every integral node's support is offered to it, the root's by the
     frame itself, so an integral root ends the search before any node is
     expanded.  ``work`` counts LP solves, the root included.  When the
-    node budget runs out the incumbent is returned with
-    ``certified=False``; an expired ``deadline`` raises
-    :class:`TimeoutExceededError`.  When a ``stats`` dict is supplied,
-    every expanded node is recorded under ``"nodes"`` as
-    (bound, zero-fixed variable indices, one-fixed variable indices), and
-    the simplex pivots of every LP solve under ``"pivots"``.
+    node budget or the ``deadline`` runs out before a child LP, the
+    incumbent is returned with ``certified=False``; only the warm start
+    raises :class:`TimeoutExceededError`, before there is an incumbent.
+    When a ``stats`` dict is supplied, every expanded node is recorded
+    under ``"nodes"`` as (bound, zero-fixed variable indices, one-fixed
+    variable indices), and the simplex pivots of every LP solve under
+    ``"pivots"``.
     """
     frame = _Frame(game, mp, warm_seed, deadline)
     problem = frame.problem
@@ -135,8 +134,6 @@ def ilp_exact_extract(
         bound, neg_depth, _, lo, hi, sol = heapq.heappop(heap)
         if _ceil_eps(bound) >= frame.ub:
             break  # best-first: every remaining node is at least as bad
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceededError("branch-and-bound deadline expired")
         if node_log is not None:
             node_log.append(
                 (
@@ -152,7 +149,9 @@ def ilp_exact_extract(
             continue
         branch = min(fractional, key=lambda i: (abs(v[i] - 0.5), i))
         for fix_value in (0.0, 1.0):
-            if lp_solves >= node_budget:
+            if lp_solves >= node_budget or (
+                deadline is not None and time.monotonic() > deadline
+            ):
                 certified = False
                 break
             c_lo = lo.copy()

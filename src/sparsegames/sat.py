@@ -8,9 +8,8 @@ also give the LP relaxation its rows: a pair ``(v, (t1, t2))`` is the row
 Minimization bounds the number of true player-0 variables with a
 sequential-counter at-most-k encoding.  It starts from the shared exact
 frame: an integral LP root is already certified there and needs no SAT
-call.  Otherwise the first probe asks for k = the LP optimum rounded up,
-and only a refutation leads to a binary search between that bound plus
-one and the density of the best strategy so far.
+call.  Otherwise the probes ask for k = the LP optimum rounded up, then
+one more after each refutation, so the first model is optimal.
 
 The solver is a conventional CDCL: two watched literals per clause,
 first-UIP conflict learning, decaying variable activities with
@@ -25,7 +24,6 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExhaustedError, TimeoutExceededError
 from .game import MostPermissiveStrategy, SafetyGame
 from .ilp import ExactResult, _Frame
 from .lp import support_rows
@@ -43,7 +41,7 @@ class Cnf:
 
 @dataclass(eq=False)
 class SatOutcome:
-    status: str  # "sat" | "unsat"
+    status: str  # "sat" | "unsat" | "unknown" (conflict budget or deadline ran out)
     model: tuple[bool, ...] | None = None
     conflicts: int = 0
 
@@ -317,13 +315,12 @@ class _Solver:
             if confl >= 0:
                 conflicts += 1
                 since_restart += 1
-                if conflicts > max_conflicts:
-                    raise BudgetExhaustedError(
-                        f"conflict budget of {max_conflicts} exhausted"
-                    )
-                if deadline is not None and conflicts % 512 == 0:
-                    if time.monotonic() > deadline:
-                        raise TimeoutExceededError("SAT deadline expired")
+                if conflicts > max_conflicts or (
+                    deadline is not None
+                    and conflicts % 512 == 0
+                    and time.monotonic() > deadline
+                ):
+                    return SatOutcome("unknown", conflicts=conflicts)
                 if not self.trail_lim:
                     return SatOutcome("unsat", conflicts=conflicts)
                 learned, bj_level = self._analyze(confl)
@@ -359,8 +356,8 @@ def sat_solve(
     max_conflicts: int = DEFAULT_CONFLICT_BUDGET,
     deadline: float | None = None,
 ) -> SatOutcome:
-    """Complete CDCL check; raises :class:`BudgetExhaustedError` when the
-    conflict budget runs out (distinct from unsat)."""
+    """Complete CDCL check; "unknown" when the conflict budget or the
+    deadline runs out first."""
     solver = _Solver(cnf.num_vars)
     for clause in cnf.clauses:
         solver.add_clause(clause)
@@ -447,51 +444,36 @@ def sat_exact_extract(
 ) -> ExactResult:
     """Minimum-density extraction by SAT probes on a cardinality bound.
 
-    The lower end starts at :class:`_Frame`'s ``lb``, the root LP optimum
-    rounded up, and the upper end at its incumbent's density.  When the
-    root is integral the frame has already closed the gap, so no probe
-    runs and the result is certified with ``work == 0``.  Otherwise the
-    first probe is at k = ``lb``; after a refutation the search bisects
-    the remaining range.  Each probe solves the base constraints plus
-    at-most-k over the player-0 variables; a model is offered to the
-    frame as the flags of its position variables, which tightens the
-    upper end, and a refutation raises the lower end.  ``work`` counts
-    SAT calls.  When the conflict budget runs out the best strategy so
-    far is returned uncertified; an expired ``deadline`` raises
-    :class:`TimeoutExceededError`.  When a ``stats`` dict is supplied,
-    every probe is recorded under ``"probes"`` as (k, status, conflicts),
-    with status ``"budget"`` for the probe that exhausted the budget.
+    The probes start at :class:`_Frame`'s ``lb``, the root LP optimum
+    rounded up, and end below its incumbent's density.  When the root is
+    integral the frame has already closed the gap, so no probe runs and
+    the result is certified with ``work == 0``.  Otherwise each probe
+    solves the base constraints plus at-most-k over the player-0
+    variables for k = ``lb``, ``lb + 1``, ...; a refutation raises k by
+    one, and the first model, offered to the frame as the flags of its
+    position variables, is optimal.  ``work`` counts SAT calls.  When
+    the conflict budget or the ``deadline`` runs out first, the best
+    strategy so far is returned uncertified.  When a ``stats`` dict is
+    supplied, every probe is recorded under ``"probes"`` as
+    (k, status, conflicts).
     """
     frame = _Frame(game, mp, warm_seed, deadline)
     base, _ = build_cnf(frame.pruned, frame.mp)
     # Every pruned position is winning, so variable v + 1 is position v.
     p0_vars = [v + 1 for v, o in enumerate(frame.pruned.pos_owner) if o == 0]
 
-    lb = mid = frame.lb
+    k = frame.lb
     probes = []
-    certified = True
-    while lb < frame.ub:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceededError("sat extraction deadline expired")
-        card, n_aux = encode_at_most_k(p0_vars, mid, base.num_vars + 1)
+    while k < frame.ub and (deadline is None or time.monotonic() <= deadline):
+        card, n_aux = encode_at_most_k(p0_vars, k, base.num_vars + 1)
         cnf = Cnf(base.num_vars + n_aux, base.clauses + card)
-        try:
-            outcome = sat_solve(cnf, max_conflicts, deadline)
-        except BudgetExhaustedError:
-            probes.append((mid, "budget", max_conflicts + 1))
-            certified = False
+        outcome = sat_solve(cnf, max_conflicts, deadline)
+        probes.append((k, outcome.status, outcome.conflicts))
+        if outcome.status == "unknown":
             break
-        probes.append((mid, outcome.status, outcome.conflicts))
         if outcome.status == "sat":
             frame.offer(outcome.model)
-        else:
-            lb = mid + 1
-        # The first probe asks whether the LP bound is attained; after
-        # that, plain bisection.  Probing midpoints keeps slack in the
-        # cardinality constraint; models found there usually decode to a
-        # density at the lower bound, so the zero-slack instances (the
-        # hardest ones) are rarely solved at all.
-        mid = (lb + frame.ub) // 2
+        k += 1
     if stats is not None:
         stats["probes"] = probes
-    return frame.result(certified, len(probes))
+    return frame.result(k >= frame.ub, len(probes))

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import math
 import re
+import types
 
 import pytest
 
@@ -183,6 +185,38 @@ def test_timeout_reports_to(tmp_path, capsys):
     )
     assert code == 3
     assert "t/o" in capsys.readouterr().out
+
+
+def test_deadline_after_warm_start_prints_uncertified_density(
+    tmp_path, capsys, monkeypatch
+):
+    # The engine's clock reads past the deadline once the warm start is
+    # done; the trial keeps the warm start's density 4, uncertified.
+    monkeypatch.setattr(sg.ilp, "time", types.SimpleNamespace(monotonic=lambda: math.inf))
+    path = _write_game(tmp_path, sg.gen_random(63, 6, 6, 3))
+    code = main(["extract", path, "--method", "ilp", "--timeout-secs", "3600"])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert re.search(r"^trial seed=0 density=4 time=\S+s \(uncertified\)$", out, re.M)
+    assert "t/o" not in out and "density mean=4.0000" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bench", "{dir}", "--methods", "smart", "--runs", "0"],
+        ["extract", "{game}", "--method", "smart", "--runs", "0"],
+        ["bench", "{dir}", "--methods", "smart", "--timeout-secs", "nan"],
+        ["extract", "{game}", "--method", "smart", "--timeout-secs", "nan"],
+    ],
+)
+def test_bad_runs_or_timeout_is_usage_error(args, tmp_path, capsys):
+    path = _write_game(tmp_path, sg.gen_chain(3))
+    args = [a.format(dir=tmp_path, game=path) for a in args]
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_all_timed_out_reports_have_no_nan(tmp_path, capsys):

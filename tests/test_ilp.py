@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import math
+import time
+import types
 
 import numpy as np
 import pytest
@@ -69,6 +72,22 @@ def test_expired_deadline_stops_both_engines_in_warm_start(monkeypatch):
     for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
         with pytest.raises(sg.TimeoutExceededError):
             engine(game, mp, deadline=0.0)
+
+
+def test_deadline_after_warm_start_returns_uncertified_incumbent(monkeypatch):
+    # The warm start reads the real clock and finishes; each engine's own
+    # clock then reads past the deadline, before the first child LP or
+    # SAT probe, so the warm start comes back uncertified.
+    expired = types.SimpleNamespace(monotonic=lambda: math.inf)
+    monkeypatch.setattr(sg.ilp, "time", expired)
+    monkeypatch.setattr(sg.sat, "time", expired)
+    game, mp = _branching_game()
+    deadline = time.monotonic() + 3600.0
+    for engine, work in ((sg.ilp_exact_extract, 1), (sg.sat_exact_extract, 0)):
+        res = engine(game, mp, deadline=deadline)
+        assert (res.density, res.certified, res.work) == (4, False, work)
+        assert sg.validate_strategy(game, mp, res.strategy).winning
+        assert sg.density(game, res.strategy) == 4
 
 
 # (SHA-256 prefix of the serialized strategy, density, certified, work) of

@@ -67,12 +67,33 @@ def test_sat_solve_deterministic():
     assert a.status == b.status and a.model == b.model
 
 
-def test_conflict_budget_raises_distinct_error():
+def test_conflict_budget_returns_unknown():
     # A pigeonhole-flavored unsat core that needs more than one conflict.
     clauses = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
-    with pytest.raises(sg.BudgetExhaustedError):
-        sg.sat_solve(sg.Cnf(2, clauses), max_conflicts=1)
+    out = sg.sat_solve(sg.Cnf(2, clauses), max_conflicts=1)
+    assert (out.status, out.model, out.conflicts) == ("unknown", None, 2)
     assert sg.sat_solve(sg.Cnf(2, clauses)).status == "unsat"
+
+
+def _pigeonhole(holes: int) -> sg.Cnf:
+    # holes + 1 pigeons, each in some hole, no two in the same hole.
+    var = lambda i, j: i * holes + j + 1
+    pigeons = range(holes + 1)
+    clauses = [[var(i, j) for j in range(holes)] for i in pigeons]
+    for j in range(holes):
+        clauses += [[-var(a, j), -var(b, j)] for a in pigeons for b in pigeons if a < b]
+    return sg.Cnf((holes + 1) * holes, clauses)
+
+
+def test_expired_deadline_returns_unknown():
+    # The clock is read every 512 conflicts; this refutation needs more.
+    cnf = _pigeonhole(6)
+    assert sg.sat_solve(cnf).conflicts > 512
+    out = sg.sat_solve(cnf, deadline=0.0)
+    assert (out.status, out.model, out.conflicts) == ("unknown", None, 512)
+    # A refutation that ends before the first reading is not cut short.
+    small = _pigeonhole(4)
+    assert sg.sat_solve(small, deadline=0.0).status == "unsat"
 
 
 def test_conflicts_count_is_the_budget_boundary():
@@ -87,8 +108,8 @@ def test_conflicts_count_is_the_budget_boundary():
         )
         if out.conflicts:
             counted += 1
-            with pytest.raises(sg.BudgetExhaustedError):
-                sg.sat_solve(cnf, max_conflicts=out.conflicts - 1)
+            cut = sg.sat_solve(cnf, max_conflicts=out.conflicts - 1)
+            assert (cut.status, cut.conflicts) == ("unknown", out.conflicts)
     assert counted > 0
 
 
@@ -282,7 +303,7 @@ def test_sat_exact_budget_exhaustion_returns_uncertified():
     game, mp = _solved(sg.gen_random(13, 8, 8, 3))
     stats = {}
     res = sg.sat_exact_extract(game, mp, max_conflicts=1, stats=stats)
-    assert stats["probes"] == [(2, "budget", 2)] and res.work == 1
+    assert stats["probes"] == [(2, "unknown", 2)] and res.work == 1
     assert not res.certified
     assert sg.validate_strategy(game, mp, res.strategy).winning
     full = sg.sat_exact_extract(game, mp)
