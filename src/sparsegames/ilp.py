@@ -8,6 +8,14 @@ the incumbent density.  Branching picks the most fractional variable
 explores the fix-to-0 child first.  The incumbent starts from the greedy
 local-search heuristic and is always a valid winning strategy.  When the
 node budget or the deadline runs out it is returned uncertified.
+
+A child differs from its parent only in one bound, so the parent's
+optimal basis stays dual feasible for it and the dual simplex needs only
+a few pivots from there (Land & Doig 1960; Koberstein, *The Dual Simplex
+Method*, 2005).  A heap node keeps only its basis header (m basis
+indices and n + m bound flags), not its tableau.  A popped node's tableau
+is rebuilt once from the root's optimal tableau, pivoting in only the
+columns where the two bases differ, and each child solve gets a copy.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame
 from .heuristics import smart_random_extract
 from .lp import (
     INTEGRALITY_EPS,
+    Tableau,
     build_relaxation,
     decode_support,
     lp_solve,
@@ -49,8 +58,9 @@ def _ceil_eps(x: float) -> int:
 
 
 class _Frame:
-    """The pruned game, its relaxation and root LP, the lower bound ``lb``
-    (the root optimum rounded up), and the incumbent of both exact engines:
+    """The pruned game, its relaxation, its root LP solved cold and the
+    root's optimal ``tableau``, the lower bound ``lb`` (the root optimum
+    rounded up), and the incumbent of both exact engines:
     the warm start, replaced by every strictly sparser decoded support.  A
     decoded strategy names the player-0 positions its walk reaches in the
     pruned game, which keeps every edge of a reached player-1 position, so
@@ -75,7 +85,8 @@ class _Frame:
             game, mp.winning, warm_seed, deadline=deadline
         )
         self.ub = len(self.best.choice)
-        self.root = lp_solve(self.problem)
+        self.tableau = Tableau.surplus(self.problem)
+        self.root = lp_solve(self.problem, self.tableau)
         if self.root.status == "infeasible":
             raise AssertionError("relaxation of a winnable game cannot be infeasible")
         self.lb = _ceil_eps(self.root.objective_value)
@@ -108,7 +119,8 @@ def ilp_exact_extract(
     The root LP and the warm-start incumbent come from :class:`_Frame`;
     every integral node's support is offered to it, the root's by the
     frame itself, so an integral root ends the search before any node is
-    expanded.  ``work`` counts LP solves, the root included.  When the
+    expanded.  Each child LP starts from a copy of its parent's optimal
+    tableau.  ``work`` counts LP solves, the root included.  When the
     node budget or the ``deadline`` runs out before a child LP, the
     incumbent is returned with ``certified=False``; only the warm start
     raises :class:`TimeoutExceededError`, before there is an incumbent.
@@ -148,6 +160,7 @@ def ilp_exact_extract(
             frame.offer(v >= 1.0 - eps)
             continue
         branch = min(fractional, key=lambda i: (abs(v[i] - 0.5), i))
+        start = frame.tableau.rebuilt(sol.basis, sol.upper)
         for fix_value in (0.0, 1.0):
             if lp_solves >= node_budget or (
                 deadline is not None and time.monotonic() > deadline
@@ -161,7 +174,7 @@ def ilp_exact_extract(
             else:
                 c_lo[branch] = 1.0
             lp_solves += 1
-            child = lp_solve(problem.with_bounds(c_lo, c_hi))
+            child = lp_solve(problem.with_bounds(c_lo, c_hi), start.copy())
             pivots += child.pivots
             if child.status == "infeasible":
                 continue

@@ -10,17 +10,19 @@ constraints are the :func:`support_rows`, shared with ``sat.py``.
 
 The solver is a dense bounded dual simplex.  Its columns are the n
 structural variables and one surplus per row (``rows @ x - s = rhs``,
-``s >= 0``); the surplus columns start basic, so the m x (n + m) tableau
-starts as ``[-rows | I]`` and there is no phase 1.  Every variable is
-boxed, so starting each at the bound its cost prefers makes the start
-dual feasible for any bounds, and the same loop solves the root, every
-branch-and-bound child and every rounding round.  The pivot rule is
-Bland's over the reversed column order: the largest-index bound-violating
-basic variable leaves, and the smallest dual ratio enters, the largest
-index on ties.  The tie rule is what keeps the trap roots integral: with
-smallest-index ties the loop ends on fractional optimal vertices of
-``gen_adversarial`` roots, where ``ilp`` can no longer certify at the
-root.
+``s >= 0``).  A cold solve starts from the surplus basis, whose m x (n + m)
+tableau is ``[-rows | I]``, so there is no phase 1; the root and every
+rounding round start there.  A branch-and-bound child starts from its
+parent's optimal basis instead (:class:`Tableau`), since the two differ
+only in bounds.  Every structural variable is boxed, so putting each
+nonbasic one at the bound its reduced cost prefers makes any start dual
+feasible for any bounds, and one loop solves from every start.  The
+pivot rule is Bland's over the reversed column order: the largest-index
+bound-violating basic variable leaves, and the smallest dual ratio
+enters, the largest index on ties.  The tie rule is what keeps the trap
+roots integral: with smallest-index ties the loop ends on fractional
+optimal vertices of ``gen_adversarial`` roots, where ``ilp`` can no
+longer certify at the root.
 
 A pivot does not touch all of the tableau: picking the leaving row and
 the entering column are a few vector operations over the rows and
@@ -30,7 +32,9 @@ column is nonzero: under 1% of them on the roots of ``gen_chain`` and
 pivot therefore costs about that column's nonzeros times the tableau
 width.  The root LP of ``gen_adversarial(64)`` (833 rows, 769 pruned
 positions) takes 320 pivots in 0.06-0.07 s on a 2-core host with CPython
-3.11 and numpy 2.4.
+3.11 and numpy 2.4.  Every pivot and every product on a tableau is
+elementwise numpy, with no BLAS or LAPACK call, so the pivots and the
+results do not depend on how many threads such a library runs.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ INTEGRALITY_EPS = 1e-9
 
 _FEAS_TOL = 1e-7
 _PIVOT_TOL = 1e-9
+#: a reduced cost this close to 0 leaves a start's bound flag as it is:
+#: rounding leaves costs of about 1e-16 where they are 0, and moving such a
+#: variable to its other bound takes the start off its parent's vertex
+#: (1,474 pivots instead of 1,006 for ``ilp`` on a 40-element set cover)
+_COST_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -106,6 +115,13 @@ class LpSolution:
     #: dual simplex pivots, up to the optimum or to the row that proves
     #: the LP infeasible
     pivots: int = 0
+    #: the optimal basis header: the basic column of each row (m ints;
+    #: columns below n are the variables, the others one surplus per row)
+    #: and which columns sit at their upper bound (n + m bools, read where
+    #: nonbasic); None when infeasible.  :meth:`Tableau.rebuilt` turns it
+    #: back into a start.
+    basis: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
 
 def support_rows(
@@ -174,6 +190,84 @@ def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
     )
 
 
+@dataclass(eq=False)
+class Tableau:
+    """A basis header with its tableau, the start of an :func:`lp_solve`.
+
+    ``T`` is the m x (n + m) tableau of ``basis`` (the basic column of
+    each row) over the columns of ``rows @ x - s = rhs``, and ``d`` holds
+    the reduced costs of the objective.  Both depend only on the rows, the
+    objective and the basis, not on the bounds, so one tableau starts any
+    problem that differs from its own only in bounds.  ``upper`` flags the
+    nonbasic columns at their upper bound; a solve keeps these flags only
+    where a reduced cost of 0 leaves the choice open.
+    """
+
+    T: np.ndarray
+    d: np.ndarray
+    basis: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def surplus(cls, problem: LpProblem) -> "Tableau":
+        """The surplus basis: every surplus column basic, so the tableau is
+        ``[-rows | I]`` and the reduced costs are the objective."""
+        n = len(problem.var_names)
+        m = problem.rows.shape[0]
+        T = np.zeros((m, n + m))
+        np.negative(problem.rows, out=T[:, :n])
+        np.fill_diagonal(T[:, n:], 1.0)
+        d = np.concatenate([problem.objective, np.zeros(m)])
+        return cls(T, d, np.arange(n, n + m), np.zeros(n + m, dtype=bool))
+
+    def copy(self) -> "Tableau":
+        return Tableau(self.T.copy(), self.d.copy(), self.basis.copy(), self.upper.copy())
+
+    def rebuilt(self, basis: np.ndarray, upper: np.ndarray) -> "Tableau":
+        """A copy pivoted to the basis header (``basis``, ``upper``).
+
+        Only the columns basic in the header but not here enter, in index
+        order, each in the row with the largest magnitude in its column
+        among the rows whose basic column the header does not keep (the
+        first such row on ties).  Some such entry is nonzero whenever the header's
+        columns are independent.  The pivots are the elementwise rank-1
+        updates of :func:`_pivot`, so the result does not depend on how a
+        linear-algebra library splits its work.  The rows come out in this
+        tableau's order, not the header's.
+        """
+        T, d, basis_now = self.T.copy(), self.d.copy(), self.basis.copy()
+        wanted = np.zeros(T.shape[1], dtype=bool)
+        wanted[basis] = True
+        present = np.zeros(T.shape[1], dtype=bool)
+        present[basis_now] = True
+        open_rows = ~wanted[basis_now]
+        for enter in np.flatnonzero(wanted & ~present):
+            rows = np.flatnonzero(open_rows)
+            r = rows[np.abs(T[rows, enter]).argmax()]
+            if abs(T[r, enter]) <= _PIVOT_TOL:
+                raise ValueError("basis header is singular")
+            _pivot(T, d, basis_now, r, enter)
+            open_rows[r] = False
+        return Tableau(T, d, basis_now, upper.copy())
+
+
+def _pivot(T, d, basis, r, enter) -> None:
+    """Make column ``enter`` basic in row ``r``: divide the row by its
+    pivot and subtract multiples of it from the rows where the column is
+    nonzero and from the reduced costs.  Every tableau entry that changes
+    goes through the same ``t - c * r`` as in a full-height update, and
+    subtracting ``0 * r`` from a skipped row could flip only the sign of a
+    zero."""
+    row = T[r] / T[r, enter]
+    T[r] = row
+    colv = T[:, enter].copy()
+    colv[r] = 0.0
+    nz = np.flatnonzero(colv)
+    T[nz] -= np.outer(colv[nz], row)
+    d -= d[enter] * row
+    basis[r] = enter
+
+
 def _dual_loop(T, beta, d, basis, upper, lo_ext, hi_ext, max_pivots) -> tuple[int, bool]:
     """Run bounded dual simplex pivots from a dual feasible basis until
     every basic variable lies within its bounds.  Returns how many pivots
@@ -189,10 +283,7 @@ def _dual_loop(T, beta, d, basis, upper, lo_ext, hi_ext, max_pivots) -> tuple[in
     leaving variable's own column is nonzero among them.
 
     Each pivot costs a few vector operations over the row and column
-    widths plus the rank-1 update of the rows where the entering column is
-    nonzero.  Every tableau entry that changes goes through the same
-    ``t - c * r`` as in a full-height update, and subtracting ``0 * r``
-    from a skipped row could flip only the sign of a zero.
+    widths plus the rank-1 update of :func:`_pivot`.
     """
     movable = hi_ext > lo_ext
     for pivots in range(max_pivots):
@@ -218,45 +309,53 @@ def _dual_loop(T, beta, d, basis, upper, lo_ext, hi_ext, max_pivots) -> tuple[in
         ratios = np.abs(d[cols] / alpha[cols])
         t = ratios.min()
         enter = cols[np.flatnonzero(ratios <= t + 1e-12 * (1.0 + t))[-1]]
-        piv = alpha[enter]
-        step = (beta[r] - target) / piv
+        step = (beta[r] - target) / alpha[enter]
         enter_val = (hi_ext[enter] if upper[enter] else lo_ext[enter]) + step
         beta -= T[:, enter] * step
         upper[leaving] = not low[r]
-        row = T[r] / piv
-        T[r] = row
-        colv = T[:, enter].copy()
-        colv[r] = 0.0
-        nz = np.flatnonzero(colv)
-        T[nz] -= np.outer(colv[nz], row)
-        d -= d[enter] * row
-        basis[r] = enter
+        _pivot(T, d, basis, r, enter)
         beta[r] = enter_val
     raise RuntimeError("simplex pivot budget exhausted")
 
 
-def lp_solve(problem: LpProblem) -> LpSolution:
-    """Deterministic bounded dual simplex from the surplus basis,
-    returning a vertex optimum or infeasibility and the pivot count."""
+def lp_solve(problem: LpProblem, start: Tableau | None = None) -> LpSolution:
+    """Deterministic bounded dual simplex, returning a vertex optimum or
+    infeasibility, the pivot count and the final basis header.
+
+    It starts from ``start``, a :class:`Tableau` of the problem's rows and
+    objective, which it pivots in place to the final basis; without one it
+    starts from :meth:`Tableau.surplus`.  Each nonbasic variable with a
+    finite box goes to the bound its reduced cost prefers, keeping the
+    start's flag where the cost is 0 (within rounding), so every start is
+    dual feasible whatever the bounds.  The basic values are then
+    recomputed from the bounds.
+    """
     n = len(problem.var_names)
     m = problem.rows.shape[0]
     lo, hi, c = problem.lo, problem.hi, problem.objective
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("lp_solve needs finite bounds")
+    if start is None:
+        start = Tableau.surplus(problem)
+    if start.T.shape != (m, n + m):
+        raise ValueError("start tableau does not match the problem")
+    T, d, basis, upper = start.T, start.d, start.basis, start.upper
     # Columns: the n structural variables, then one surplus per row, with
-    # rows @ x - s = rhs and s >= 0.  The surplus basis has the tableau
-    # [-rows | I].  Each structural variable starts at the bound its cost
-    # prefers, so every reduced cost is dual feasible whatever the bounds.
-    T = np.zeros((m, n + m))
-    np.negative(problem.rows, out=T[:, :n])
-    np.fill_diagonal(T[:, n:], 1.0)
-    upper = np.zeros(n + m, dtype=bool)
-    upper[:n] = c < 0.0
-    beta = problem.rows @ np.where(upper[:n], hi, lo) - problem.rhs
-    d = np.concatenate([c, np.zeros(m)])
-    basis = np.arange(n, n + m)
+    # rows @ x - s = rhs and s >= 0; the surplus columns stay at 0 when
+    # nonbasic.
     lo_ext = np.concatenate([lo, np.zeros(m)])
     hi_ext = np.concatenate([hi, np.full(m, np.inf)])
+    boxed = hi_ext > lo_ext
+    boxed[n:] = False
+    boxed[basis] = False
+    tied = np.abs(d[boxed]) <= _COST_TOL
+    upper[boxed] = np.where(tied, upper[boxed], d[boxed] < 0.0)
+    x = np.where(upper[:n], hi, lo)
+    x[basis[basis < n]] = 0.0
+    # The basic values are B^-1 (rhs - rows @ x_N), and the surplus block
+    # of T is B^-1 (-I).  einsum sums elementwise, with no BLAS call.
+    w = np.einsum("ij,j->i", problem.rows, x) - problem.rhs
+    beta = np.einsum("ij,j->i", T[:, n:], w)
     pivots, feasible = _dual_loop(
         T, beta, d, basis, upper, lo_ext, hi_ext, 20000 + 200 * (m + n)
     )
@@ -265,7 +364,8 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     values = np.where(upper, hi_ext, lo_ext)
     values[basis] = beta
     x = np.clip(values[:n], lo, hi)
-    return LpSolution("optimal", x, float(c @ x), pivots)
+    objective = float(np.einsum("i,i->", c, x))
+    return LpSolution("optimal", x, objective, pivots, basis.copy(), upper.copy())
 
 
 def format_lp(problem: LpProblem) -> str:

@@ -1,8 +1,13 @@
 import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from sparsegames.lp import build_relaxation, pruned_context
 from conftest import gap_game, solvable_random_games
 
 # gen_random(63, 6, 6, 3) has a fractional root relaxation, so the
-# branch-and-bound actually branches (7 LP solves).
+# branch-and-bound actually branches (9 LP solves).
 BRANCHING_SEED = 63
 
 
@@ -92,7 +97,9 @@ def test_deadline_after_warm_start_returns_uncertified_incumbent(monkeypatch):
 
 # (SHA-256 prefix of the serialized strategy, density, certified, work) of
 # ilp_exact_extract with warm seeds 0 and 1, recorded before the shared
-# frame offered an integral root itself.
+# frame offered an integral root itself.  random63's work went from 7 to 9
+# LP solves, with the same strategies, when each child started from its
+# parent's optimal basis instead of the surplus basis.
 _ILP_PINS = {
     "chain8": [("dea93beba4e18286", 8, True, 1)] * 2,
     "adv1": [("eb3c679319f168fb", 2, True, 1)] * 2,
@@ -103,7 +110,7 @@ _ILP_PINS = {
     "adv6": [("80c0396c0d5d4d80", 12, True, 1)] * 2,
     "adv7": [("9e09b19c7103f194", 14, True, 1)] * 2,
     "adv8": [("7ffacef5ac1b7a3a", 16, True, 1)] * 2,
-    "random63": [("3f1ebf72356c170a", 4, True, 7), ("292cdc46d4830ef5", 4, True, 7)],
+    "random63": [("3f1ebf72356c170a", 4, True, 9), ("292cdc46d4830ef5", 4, True, 9)],
     "random264": [("f7f6be676b907b61", 3, True, 3)] * 2,
     "random348": [("ac974495176b1159", 3, True, 3)] * 2,
     "random13": [("db6c85e085d8c1e3", 3, True, 5)] * 2,
@@ -199,3 +206,41 @@ def test_incumbent_always_valid_anytime():
         game, mp = _branching_game()
         res = sg.ilp_exact_extract(game, mp, node_budget=budget)
         assert sg.validate_strategy(game, mp, res.strategy).winning
+
+
+def test_children_start_from_their_parents_basis():
+    # Solving every child LP from the surplus basis took 8,667 pivots on
+    # this game; from each parent's optimal basis it takes about 1,000.
+    game, _ = gap_game(40, 6)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    stats = {}
+    res = sg.ilp_exact_extract(game, mp, stats=stats)
+    assert (res.density, res.certified) == (49, True)
+    assert stats["pivots"] < 3000
+
+
+def _search_fingerprints():
+    """(strategy digest, density, work, pivots) of ilp on two branching
+    games."""
+    out = []
+    for game in (gap_game(20, 4)[0], sg.gen_random(63, 6, 6, 3)):
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        stats = {}
+        res = sg.ilp_exact_extract(game, mp, stats=stats)
+        digest = hashlib.sha256(sg.serialize_strategy(res.strategy)).hexdigest()
+        out.append([digest, res.density, res.work, stats["pivots"]])
+    return out
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # Every pivot is elementwise, so one BLAS thread must give the same
+    # search as the default thread count.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(sg.__file__).parents[1]), str(here)])
+    script = "import json, test_ilp; print(json.dumps(test_ilp._search_fingerprints()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == _search_fingerprints()

@@ -12,7 +12,7 @@ from sparsegames.lp import (
     pruned_context,
 )
 
-from conftest import solvable_random_games
+from conftest import gap_game, solvable_random_games
 
 
 def _bounded(names, objective, rows, rhs, lo=None, hi=None):
@@ -313,15 +313,18 @@ _PINNED_ROOTS = (
 
 # Every LP of ``ilp_exact_extract`` on ``gen_random(63, 6, 6, 3)``, the root
 # first, in solve order.  An infeasible child counts the pivots up to the
-# row that proves it infeasible.
+# row that proves it infeasible; each child starts from its parent's
+# optimal basis.
 _PINNED_ILP_NODES = (
     ("optimal", "93f59cf55b3af1ed", 2.1666666666666665, 10),
-    ("optimal", "b6c2e60dbdfee4ea", 2.5, 7),
-    ("optimal", "2ed7ce65615321cb", 3.0, 8),
-    ("infeasible", None, 0.0, 4),
-    ("optimal", "b22b3fdb8c6c5e80", 4.0, 5),
-    ("optimal", "0a2eac8e1ec3f947", 4.0, 6),
-    ("optimal", "2f861c52ccabfaeb", 4.0, 6),
+    ("optimal", "65100c6f6eea98f5", 2.5, 4),
+    ("optimal", "7d8d28508221b2bc", 3.0, 3),
+    ("infeasible", None, 0.0, 0),
+    ("optimal", "1c243ab5ebb02a90", 3.0, 2),
+    ("infeasible", None, 0.0, 1),
+    ("optimal", "d72f37b53198c19f", 4.0, 2),
+    ("infeasible", None, 0.0, 3),
+    ("optimal", "1af8a285ecf0c681", 3.5, 1),
 )
 
 
@@ -346,8 +349,8 @@ def test_lp_solutions_are_pinned(monkeypatch):
 
     solved = []
 
-    def recording(problem):
-        solved.append(sg.lp_solve(problem))
+    def recording(problem, start=None):
+        solved.append(sg.lp_solve(problem, start))
         return solved[-1]
 
     monkeypatch.setattr(ilp_mod, "lp_solve", recording)
@@ -463,3 +466,89 @@ def test_pivot_loop_matches_full_height_reference(monkeypatch):
     for prob, mine in zip(problems, fast):
         ref = sg.lp_solve(prob)
         assert _pin(mine) == _pin(ref)
+
+
+def _child_bounds(rng, sol, lo, hi):
+    """Bounds of a branch-and-bound child of a node with optimum ``sol``:
+    one to three variables fixed at a bound (a basic variable strictly
+    inside its box or any nonbasic one), and sometimes one other bound
+    relaxed to the edge of [0, 1]."""
+    n = len(lo)
+    lo, hi = lo.copy(), hi.copy()
+    x = sol.values
+    inside = [i for i in sol.basis if i < n and lo[i] < x[i] < hi[i]]
+    nonbasic = sorted(set(range(n)) - set(sol.basis.tolist()))
+    for _ in range(1 + rng.below(3)):
+        pool = inside if inside and rng.below(2) else nonbasic or inside
+        if not pool:
+            break
+        i = pool[rng.below(len(pool))]
+        if rng.below(2):
+            hi[i] = lo[i]
+        else:
+            lo[i] = hi[i]
+    if rng.below(3) == 0:
+        i = rng.below(n)
+        if rng.below(2):
+            lo[i] = 0.0
+        else:
+            hi[i] = 1.0
+    return lo, hi
+
+
+def test_warm_start_matches_cold_solve():
+    # Each child starts, as in ilp, from the root's optimal tableau rebuilt
+    # at its parent's basis header: the root itself for a child, the
+    # child's optimum for a grandchild, so the rebuild pivots in the
+    # columns where the two bases differ.
+    problems = _random_lps(77, 150)
+    for game, winning, mp in solvable_random_games(40, 6, 6, 3):
+        problems.append(build_relaxation(*pruned_context(game, mp)))
+    for n, k in ((20, 4), (40, 6)):
+        game, _ = gap_game(n, k)
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        problems.append(build_relaxation(*pruned_context(game, mp)))
+    rng = sg.SplitMix64(5)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    for trial, prob in enumerate(problems):
+        root_tableau = lp_mod.Tableau.surplus(prob)
+        parent = sg.lp_solve(prob, root_tableau)
+        if parent.status == "infeasible":
+            continue
+        for _ in range(3):
+            node, bounds = parent, (prob.lo, prob.hi)
+            for _depth in range(2):
+                bounds = _child_bounds(rng, node, *bounds)
+                child = prob.with_bounds(*bounds)
+                start = root_tableau.rebuilt(node.basis, node.upper)
+                warm = sg.lp_solve(child, start)
+                cold = sg.lp_solve(child)
+                assert warm.status == cold.status, trial
+                outcomes[warm.status] += 1
+                if warm.status == "infeasible":
+                    break
+                assert warm.objective_value == pytest.approx(
+                    cold.objective_value, abs=1e-9
+                ), trial
+                x = warm.values
+                assert np.all(child.rows @ x >= child.rhs - 1e-7), trial
+                assert np.all((x >= child.lo) & (x <= child.hi)), trial
+                node = warm
+    assert outcomes["optimal"] >= 300 and outcomes["infeasible"] >= 30, outcomes
+
+
+def test_rebuild_leaves_its_tableau_unchanged():
+    game, _ = gap_game(20, 4)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    prob = build_relaxation(*pruned_context(game, mp))
+    tableau = lp_mod.Tableau.surplus(prob)
+    before = tableau.copy()
+    sol = sg.lp_solve(prob)
+    rebuilt = tableau.rebuilt(sol.basis, sol.upper)
+    for name in ("T", "d", "basis", "upper"):
+        assert np.array_equal(getattr(tableau, name), getattr(before, name))
+    assert sorted(rebuilt.basis) == sorted(sol.basis)
+    # A start at the optimal basis is already primal feasible: no pivots.
+    again = sg.lp_solve(prob, rebuilt)
+    assert again.pivots == 0
+    assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
