@@ -84,14 +84,12 @@ class LpProblem:
     def __post_init__(self):
         n = len(self.var_names)
         self.objective = np.asarray(self.objective, dtype=float)
-        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, n)
         self.rhs = np.asarray(self.rhs, dtype=float)
+        self.rows = np.asarray(self.rows, dtype=float).reshape(len(self.rhs), n)
         self.lo = np.asarray(self.lo, dtype=float)
         self.hi = np.asarray(self.hi, dtype=float)
         if self.objective.shape != (n,):
             raise ValueError("objective length does not match variables")
-        if self.rhs.shape[0] != self.rows.shape[0]:
-            raise ValueError("rhs length does not match rows")
         if self.lo.shape != (n,) or self.hi.shape != (n,):
             raise ValueError("bound vectors do not match variables")
         if not self.row_labels:
@@ -145,6 +143,23 @@ def support_rows(
     return rows
 
 
+def pair_rows(
+    pairs: list[tuple[int | None, tuple[int, ...]]], column, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and right-hand sides of support pairs over ``n`` columns,
+    where ``column[v]`` is position ``v``'s column.  A pair ``(v, targets)``
+    is the row ``-v + sum(targets) >= 0`` and a pair ``(None, targets)``,
+    whose source is already in the support, the row ``sum(targets) >= 1``;
+    duplicate targets accumulate coefficients."""
+    rows = np.zeros((len(pairs), n))
+    for row, (v, targets) in zip(rows, pairs):
+        if v is not None:
+            row[column[v]] = -1.0
+        for d in targets:
+            row[column[d]] += 1.0
+    return rows, np.array([float(v is None) for v, _ in pairs])
+
+
 def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
     """Real relaxation of minimum-density extraction over a pruned game.
 
@@ -162,15 +177,9 @@ def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
         [1.0 if o == 0 else 0.0 for o in game.pos_owner], dtype=float
     )
     pairs = support_rows(game, mp)
-    rows = np.zeros((len(pairs) + 1, n))
-    rows[0, game.init_index] = 1.0
-    rhs = np.zeros(len(pairs) + 1)
-    rhs[0] = 1.0
+    rows, rhs = pair_rows([(None, (game.init_index,)), *pairs], range(n), n)
     labels = ["init"]
-    for row, (v, targets) in zip(rows[1:], pairs):
-        row[v] = -1.0
-        for d in targets:
-            row[d] += 1.0
+    for v, targets in pairs:
         if game.pos_owner[v] == 0:
             labels.append(f"flow_{names[v]}")
         else:

@@ -4,12 +4,18 @@ start at the LP bound.
 
 The clauses are the pairs of :func:`sparsegames.lp.support_rows`, which
 also give the LP relaxation its rows: a pair ``(v, (t1, t2))`` is the row
-``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here.
-Minimization bounds the number of true player-0 variables with a
-sequential-counter at-most-k encoding.  It starts from the shared exact
-frame: an integral LP root is already certified there and needs no SAT
-call.  Otherwise the probes ask for k = the LP optimum rounded up, then
-one more after each refutation, so the first model is optimal.
+``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here, and
+:func:`support_clauses` is the one encoder of both :func:`build_cnf` and
+the engine.  Minimization starts from the shared exact frame
+(:class:`sparsegames.ilp._Frame`) and encodes its reduced problem: only
+the free positions are variables, a pair whose source is forced is the
+clause ``t1 | t2``, and pairs with a forced target are gone.  A
+sequential-counter at-most-k encoding bounds the free player-0
+variables by k minus the forced player-0 count, so on a set cover game
+the counter covers the sets alone.  An integral LP root is already
+certified by the frame and needs no SAT call.  Otherwise the probes ask
+for k = the LP bound rounded up, then one more after each refutation, so
+the first model is optimal.
 
 The solver is a conventional CDCL: two watched literals per clause,
 first-UIP conflict learning, decaying variable activities with
@@ -401,6 +407,30 @@ def encode_at_most_k(
     return clauses, (n - 1) * k
 
 
+def support_clauses(
+    pairs: list[tuple[int | None, tuple[int, ...]]], var
+) -> list[list[int]]:
+    """The clauses of support pairs, where ``var[v]`` is position ``v``'s
+    variable: ``!v | targets`` for a pair ``(v, targets)`` and ``targets``
+    for a pair ``(None, targets)``, whose source is already in the
+    support.  Targets are deduplicated and sorted by variable; a target
+    with variable 0 (a losing position) is an error."""
+    clauses: list[list[int]] = []
+    for v, targets in pairs:
+        # Sorted and deduplicated, a losing target shows as a leading 0.
+        if len(targets) == 1:  # every player-1 pair
+            lits = [var[targets[0]]]
+        else:
+            lits = sorted({var[d] for d in targets})
+        if lits and not lits[0]:
+            raise ValueError(
+                "a support target of a winning position is losing; "
+                "the most-permissive strategy is inconsistent"
+            )
+        clauses.append(lits if v is None else [-var[v], *lits])
+    return clauses
+
+
 def build_cnf(
     game: SafetyGame, mp: MostPermissiveStrategy
 ) -> tuple[Cnf, dict[str, int]]:
@@ -417,20 +447,8 @@ def build_cnf(
     var_map: dict[str, int] = {}
     for v in mp.moves:
         var[v] = var_map[game.pos_names[v]] = len(var_map) + 1
-    clauses: list[list[int]] = [[var[game.init_index]]]
-    for v, targets in support_rows(game, mp):
-        # Sorted and deduplicated, a losing target shows as a leading 0.
-        if len(targets) == 1:  # every player-1 pair
-            lits = [var[targets[0]]]
-        else:
-            lits = sorted({var[d] for d in targets})
-        if lits and not lits[0]:
-            raise ValueError(
-                "a support target of a winning position is losing; "
-                "the most-permissive strategy is inconsistent"
-            )
-        clauses.append([-var[v], *lits])
-    return Cnf(len(var_map), clauses), var_map
+    pairs = [(None, (game.init_index,)), *support_rows(game, mp)]
+    return Cnf(len(var_map), support_clauses(pairs, var)), var_map
 
 
 def sat_exact_extract(
@@ -448,32 +466,36 @@ def sat_exact_extract(
     rounded up, and end below its incumbent's density.  When the root is
     integral the frame has already closed the gap, so no probe runs and
     the result is certified with ``work == 0``.  Otherwise each probe
-    solves the base constraints plus at-most-k over the player-0
-    variables for k = ``lb``, ``lb + 1``, ...; a refutation raises k by
-    one, and the first model, offered to the frame as the flags of its
-    position variables, is optimal.  ``work`` counts SAT calls.  When
-    the conflict budget or the ``deadline`` runs out first, the best
-    strategy so far is returned uncertified.  When a ``stats`` dict is
-    supplied, every probe is recorded under ``"probes"`` as
-    (k, status, conflicts).
+    solves the clauses of the frame's reduced pairs plus at-most-(k minus
+    the forced player-0 count) over the free player-0 variables, for
+    k = ``lb``, ``lb + 1``, ...; a refutation raises k by one, and the
+    first model, offered to the frame as the flags of its free position
+    variables, is optimal.  ``work`` counts SAT calls.  When the conflict
+    budget or the ``deadline`` runs out first, the best strategy so far
+    is returned uncertified.  When a ``stats`` dict is supplied, every
+    probe is recorded under ``"probes"`` as (k, status, conflicts), the
+    forced player-0 count under ``"forced"`` and the frame's reduced LP's
+    (rows, variables) under ``"lp_shape"``.
     """
     frame = _Frame(game, mp, warm_seed, deadline)
-    base, _ = build_cnf(frame.pruned, frame.mp)
-    # Every pruned position is winning, so variable v + 1 is position v.
-    p0_vars = [v + 1 for v, o in enumerate(frame.pruned.pos_owner) if o == 0]
+    n = len(frame.free)
+    base = Cnf(n, support_clauses(frame.pairs, [c + 1 for c in frame.column]))
+    owner = frame.pruned.pos_owner
+    p0_vars = [i + 1 for i, v in enumerate(frame.free.tolist()) if owner[v] == 0]
 
     k = frame.lb
     probes = []
     while k < frame.ub and (deadline is None or time.monotonic() <= deadline):
-        card, n_aux = encode_at_most_k(p0_vars, k, base.num_vars + 1)
-        cnf = Cnf(base.num_vars + n_aux, base.clauses + card)
+        card, n_aux = encode_at_most_k(p0_vars, k - frame.offset, n + 1)
+        cnf = Cnf(n + n_aux, base.clauses + card)
         outcome = sat_solve(cnf, max_conflicts, deadline)
         probes.append((k, outcome.status, outcome.conflicts))
         if outcome.status == "unknown":
             break
         if outcome.status == "sat":
-            frame.offer(outcome.model)
+            frame.offer(outcome.model[:n])
         k += 1
     if stats is not None:
         stats["probes"] = probes
+        frame.record(stats)
     return frame.result(k >= frame.ub, len(probes))

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import sparsegames as sg
+from sparsegames.game import reach, strategy_moves
+from sparsegames.ilp import _Frame
 from sparsegames.lp import build_relaxation, pruned_context
 
 from conftest import gap_game, solvable_random_games
@@ -99,7 +101,9 @@ def test_deadline_after_warm_start_returns_uncertified_incumbent(monkeypatch):
 # ilp_exact_extract with warm seeds 0 and 1, recorded before the shared
 # frame offered an integral root itself.  random63's work went from 7 to 9
 # LP solves, with the same strategies, when each child started from its
-# parent's optimal basis instead of the surplus basis.
+# parent's optimal basis instead of the surplus basis.  random264's went
+# from 3 to 1, with the same strategy, when the frame left the forced
+# positions out: its reduced root is integral.
 _ILP_PINS = {
     "chain8": [("dea93beba4e18286", 8, True, 1)] * 2,
     "adv1": [("eb3c679319f168fb", 2, True, 1)] * 2,
@@ -111,7 +115,7 @@ _ILP_PINS = {
     "adv7": [("9e09b19c7103f194", 14, True, 1)] * 2,
     "adv8": [("7ffacef5ac1b7a3a", 16, True, 1)] * 2,
     "random63": [("3f1ebf72356c170a", 4, True, 9), ("292cdc46d4830ef5", 4, True, 9)],
-    "random264": [("f7f6be676b907b61", 3, True, 3)] * 2,
+    "random264": [("f7f6be676b907b61", 3, True, 1)] * 2,
     "random348": [("ac974495176b1159", 3, True, 3)] * 2,
     "random13": [("db6c85e085d8c1e3", 3, True, 5)] * 2,
 }
@@ -244,3 +248,60 @@ def test_results_do_not_depend_on_blas_threads():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert json.loads(proc.stdout) == _search_fingerprints()
+
+
+def _highs_density(n, sets):
+    """n plus the minimum cover of ``sets``, by HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    cover = np.zeros((n, len(sets)))
+    for s, members in enumerate(sets):
+        cover[members, s] = 1.0
+    ref = optimize.milp(
+        np.ones(len(sets)),
+        constraints=optimize.LinearConstraint(cover, lb=1.0),
+        integrality=np.ones(len(sets)),
+        bounds=optimize.Bounds(0.0, 1.0),
+    )
+    assert ref.status == 0
+    return n + round(ref.fun)
+
+
+def test_forced_closure_presolve_is_exact():
+    # Both engines solve the frame's reduced problem; every forced
+    # position must lie in the returned support, and the reduced root
+    # plus the forced player-0 count must still bound the optimum.
+    cases = []
+    for seed in range(200):
+        game = sg.gen_random(seed, 6, 6, 3)
+        winning = sg.compute_winning_region(game)
+        if game.init in winning:
+            mp = sg.most_permissive(game, winning)
+            cases.append((game, mp, sg.brute_force_min_density(game, mp)[0]))
+    game, sets = gap_game(40, 6)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    cases.append((game, mp, _highs_density(40, sets)))
+    assert len(cases) == 144
+    for game, mp, best in cases:
+        frame = _Frame(game, mp, 0, None)
+        full_root = sg.lp_solve(build_relaxation(frame.pruned, frame.mp))
+        reduced = frame.offset + frame.root.objective_value
+        assert full_root.objective_value - 1e-9 <= reduced <= best + 1e-9
+        forced = {frame.pruned.pos_names[v] for v in np.flatnonzero(frame.forced)}
+        for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
+            stats = {}
+            res = engine(game, mp, stats=stats)
+            assert (res.density, res.certified) == (best, True)
+            assert sg.validate_strategy(game, mp, res.strategy).winning
+            assert stats["forced"] == frame.offset
+            assert stats["lp_shape"] == frame.problem.rows.shape
+            order, _ = reach(game, strategy_moves(game, res.strategy).get)
+            assert forced <= {game.pos_names[v] for v in order}
+
+
+def test_reduced_lp_shapes_are_pinned():
+    # Rows x variables of the reduced LP of gap games, whose unreduced
+    # relaxations are 121 x 81 and 181 x 121.
+    for n, k, shape in ((40, 6, (34, 39)), (60, 8, (60, 60))):
+        game, _ = gap_game(n, k)
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        assert _Frame(game, mp, 0, None).problem.rows.shape == shape

@@ -63,6 +63,18 @@ def test_infeasible_by_constraints():
     assert sol.status == "infeasible"
 
 
+def test_zero_variable_problems():
+    # The frame's reduced problem has no variable when every position is
+    # forced, as on gen_chain.
+    empty = np.zeros(0)
+    sol = sg.lp_solve(sg.LpProblem((), empty, np.zeros((0, 0)), empty, empty, empty))
+    assert (sol.status, sol.objective_value, sol.pivots) == ("optimal", 0.0, 0)
+    assert sol.values.shape == (0,)
+    # The row 0 >= 1.
+    sol = sg.lp_solve(sg.LpProblem((), empty, [], [1.0], empty, empty))
+    assert sol.status == "infeasible"
+
+
 def test_bad_bounds_rejected_at_build():
     # A NaN bound fails every comparison, so it must be rejected too.
     for lo, hi in (([1.0], [0.0]), ([np.nan], [1.0]), ([0.0], [np.nan])):
@@ -314,17 +326,18 @@ _PINNED_ROOTS = (
 # Every LP of ``ilp_exact_extract`` on ``gen_random(63, 6, 6, 3)``, the root
 # first, in solve order.  An infeasible child counts the pivots up to the
 # row that proves it infeasible; each child starts from its parent's
-# optimal basis.
+# optimal basis.  The LPs are the frame's reduced problem, so each
+# objective leaves out the one forced player-0 position.
 _PINNED_ILP_NODES = (
-    ("optimal", "93f59cf55b3af1ed", 2.1666666666666665, 10),
-    ("optimal", "65100c6f6eea98f5", 2.5, 4),
-    ("optimal", "7d8d28508221b2bc", 3.0, 3),
+    ("optimal", "800bfac71512ec34", 1.1666666666666665, 10),
+    ("optimal", "4811d55801c1fb50", 1.4999999999999996, 4),
+    ("optimal", "d38107e7bd8b07b5", 2.0, 3),
     ("infeasible", None, 0.0, 0),
-    ("optimal", "1c243ab5ebb02a90", 3.0, 2),
+    ("optimal", "b84bcb54b80d2887", 2.0, 2),
     ("infeasible", None, 0.0, 1),
-    ("optimal", "d72f37b53198c19f", 4.0, 2),
+    ("optimal", "b11c934cd9a7326d", 3.0, 2),
     ("infeasible", None, 0.0, 3),
-    ("optimal", "1af8a285ecf0c681", 3.5, 1),
+    ("optimal", "50ea5f190fa06b48", 2.5, 1),
 )
 
 

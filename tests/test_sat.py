@@ -333,9 +333,10 @@ def test_sat_exact_certifies_integral_root_without_probes(monkeypatch):
 
 
 def test_fractional_root_with_integral_objective_is_searched():
-    # Both roots have objective 2 (up to rounding) but fractional values,
-    # so the frame must not take them as certificates: the optimum is 3.
-    for seed in (264, 348):
+    # Both roots have objective 2 (up to rounding) with the forced
+    # positions, but fractional values, so the frame must not take them as
+    # certificates: the optimum is 3.
+    for seed in (348, 412):
         game, mp = _solved(sg.gen_random(seed, 6, 6, 3))
         frame = _Frame(game, mp, 0, None)
         v = frame.root.values
