@@ -45,9 +45,9 @@ def random_extract(
     # Index order is sorted-name order, and each entry lists its actions
     # in name order, so a seed draws the same actions whatever the parse
     # order.
-    moves: Moves = {
-        v: (e[rng.below(len(e))],) for v, e in mp.moves.items() if not owner[v]
-    }
+    choices = [(v, e) for v, e in mp.moves.items() if not owner[v]]
+    picks = rng.below_each([len(e) for _, e in choices])
+    moves: Moves = {v: (e[k],) for (v, e), k in zip(choices, picks)}
     _, parent = reach(game, moves.get)
     names, acts = game.pos_names, game.act_names
     return PositionalStrategy(

@@ -24,17 +24,21 @@ roots integral: with smallest-index ties the loop ends on fractional
 optimal vertices of ``gen_adversarial`` roots, where ``ilp`` can no
 longer certify at the root.
 
-A pivot does not touch all of the tableau: picking the leaving row and
+A pivot does not touch all of the tableau.  Picking the leaving row and
 the entering column are a few vector operations over the rows and
-columns, and the rank-1 update rewrites only the rows where the entering
-column is nonzero: under 1% of them on the roots of ``gen_chain`` and
-``gen_adversarial``, about half on unplanted random set covers.  One
-pivot therefore costs about that column's nonzeros times the tableau
-width.  The root LP of ``gen_adversarial(64)`` (833 rows, 769 pruned
-positions) takes 320 pivots in 0.06-0.07 s on a 2-core host with CPython
-3.11 and numpy 2.4.  Every pivot and every product on a tableau is
-elementwise numpy, with no BLAS or LAPACK call, so the pivots and the
-results do not depend on how many threads such a library runs.
+columns: the loop keeps each row's tolerance-shifted bounds and each
+column's direction off its bound, and updates one entry of each per
+pivot instead of gathering them again.  The rank-1 update rewrites only
+the rows where the entering column is nonzero: under 1% of them on the
+roots of ``gen_chain`` and ``gen_adversarial``, about half on unplanted
+random set covers.  One pivot therefore costs about that column's
+nonzeros times the tableau width, plus a few dozen numpy calls whose
+fixed cost dominates on small tableaux.  The root LP of
+``gen_adversarial(64)`` (833 rows, 769 pruned positions) takes 320
+pivots in 0.013-0.014 s on a 2-core host with CPython 3.11 and numpy
+2.4.  Every pivot and every product on a tableau is elementwise numpy,
+with no BLAS or LAPACK call, so the pivots and the results do not
+depend on how many threads such a library runs.
 """
 
 from __future__ import annotations
@@ -255,24 +259,24 @@ class Tableau:
             r = rows[np.abs(T[rows, enter]).argmax()]
             if abs(T[r, enter]) <= _PIVOT_TOL:
                 raise ValueError("basis header is singular")
-            _pivot(T, d, basis_now, r, enter)
+            _pivot(T, d, basis_now, r, enter, T[:, enter].copy())
             open_rows[r] = False
         return Tableau(T, d, basis_now, upper.copy())
 
 
-def _pivot(T, d, basis, r, enter) -> None:
+def _pivot(T, d, basis, r, enter, col) -> None:
     """Make column ``enter`` basic in row ``r``: divide the row by its
     pivot and subtract multiples of it from the rows where the column is
-    nonzero and from the reduced costs.  Every tableau entry that changes
-    goes through the same ``t - c * r`` as in a full-height update, and
-    subtracting ``0 * r`` from a skipped row could flip only the sign of a
-    zero."""
+    nonzero and from the reduced costs.  ``col`` is a copy of the column
+    taken before the pivot; it is changed.  Every tableau entry that
+    changes goes through the same ``t - c * r`` as in a full-height
+    update, and subtracting ``0 * r`` from a skipped row could flip only
+    the sign of a zero."""
     row = T[r] / T[r, enter]
     T[r] = row
-    colv = T[:, enter].copy()
-    colv[r] = 0.0
-    nz = np.flatnonzero(colv)
-    T[nz] -= np.outer(colv[nz], row)
+    col[r] = 0.0
+    nz = col.nonzero()[0]
+    T[nz] -= col[nz, None] * row
     d -= d[enter] * row
     basis[r] = enter
 
@@ -291,38 +295,51 @@ def _dual_loop(T, beta, d, basis, upper, lo_ext, hi_ext, max_pivots) -> tuple[in
     Basic columns are exact unit vectors, so in the leaving row only the
     leaving variable's own column is nonzero among them.
 
-    Each pivot costs a few vector operations over the row and column
-    widths plus the rank-1 update of :func:`_pivot`.
+    The bounds of each row's basic variable, shifted by the feasibility
+    tolerance, and the direction each column can move off its bound (+1
+    down from its upper bound, -1 up from its lower one, 0 when its box
+    is a point) are kept per row and per column and changed only where a
+    pivot changes them.  Each pivot then costs a few vector operations
+    over the row and column widths plus the rank-1 update of
+    :func:`_pivot`.
     """
+    lo_tol = lo_ext[basis] - _FEAS_TOL
+    hi_tol = hi_ext[basis] + _FEAS_TOL
     movable = hi_ext > lo_ext
+    sign = np.where(upper, 1.0, -1.0) * movable
     for pivots in range(max_pivots):
-        lo_b = lo_ext[basis]
-        hi_b = hi_ext[basis]
-        low = beta < lo_b - _FEAS_TOL
-        bad = np.flatnonzero(low | (beta > hi_b + _FEAS_TOL))
+        low = beta < lo_tol
+        bad = (low | (beta > hi_tol)).nonzero()[0]
         if not bad.size:
             return pivots, True
         r = bad[basis[bad].argmax()]
         leaving = basis[r]
-        target = lo_b[r] if low[r] else hi_b[r]
+        low_r = low[r]
+        target = lo_ext[leaving] if low_r else hi_ext[leaving]
         alpha = T[r]
         # How fast the leaving variable moves toward its target as each
         # nonbasic variable moves off its bound into its box; it moves by
-        # -alpha_j per unit that x_j rises.
-        gain = np.where(upper == low[r], alpha, -alpha)
-        eligible = movable & (gain > _PIVOT_TOL)
+        # -alpha_j per unit that x_j rises.  The gain is sign * alpha
+        # when the target is the lower bound and its negation otherwise.
+        gain = sign * alpha
+        eligible = gain > _PIVOT_TOL if low_r else gain < -_PIVOT_TOL
         eligible[leaving] = False
-        cols = np.flatnonzero(eligible)
+        cols = eligible.nonzero()[0]
         if not cols.size:
             return pivots, False
         ratios = np.abs(d[cols] / alpha[cols])
         t = ratios.min()
-        enter = cols[np.flatnonzero(ratios <= t + 1e-12 * (1.0 + t))[-1]]
+        enter = cols[(ratios <= t + 1e-12 * (1.0 + t)).nonzero()[0][-1]]
         step = (beta[r] - target) / alpha[enter]
         enter_val = (hi_ext[enter] if upper[enter] else lo_ext[enter]) + step
-        beta -= T[:, enter] * step
-        upper[leaving] = not low[r]
-        _pivot(T, d, basis, r, enter)
+        col = T[:, enter].copy()
+        beta -= col * step
+        upper[leaving] = not low_r
+        if movable[leaving]:
+            sign[leaving] = -1.0 if low_r else 1.0
+        lo_tol[r] = lo_ext[enter] - _FEAS_TOL
+        hi_tol[r] = hi_ext[enter] + _FEAS_TOL
+        _pivot(T, d, basis, r, enter, col)
         beta[r] = enter_val
     raise RuntimeError("simplex pivot budget exhausted")
 

@@ -6,12 +6,35 @@ transition is the splitmix64 step: the state advances by the odd constant
 0x9E3779B97F4A7C15 and the output is the state scrambled by two
 xor-shift-multiply rounds with constants 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB.
+
+The generator is counter-based: the state after k steps from ``s`` is
+``s + k * gamma`` modulo 2**64, and each output depends only on the state
+it is computed from.  So the next N outputs are the scramble of
+``s + gamma * (1, ..., N)``, which a few elementwise uint64 operations
+compute at once; uint64 arithmetic wraps modulo 2**64 exactly as the
+masked integer steps do.  :meth:`SplitMix64.below_each` draws a whole
+list of bounded integers that way and returns what the same number of
+:meth:`SplitMix64.below` calls would, leaving the same state behind.
 """
 
-_MASK = (1 << 64) - 1
+import numpy as np
+
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Every operand of the batch is a uint64: under numpy 1.x value-based
+# casting a Python int operand can promote the result to float64.
+_U_GAMMA = np.uint64(_GAMMA)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U30 = np.uint64(30)
+_U27 = np.uint64(27)
+_U31 = np.uint64(31)
+
+_BOUNDS_ERROR = "below() requires 1 <= n <= 2**64"
 
 
 class SplitMix64:
@@ -30,17 +53,69 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError("below() requires n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
+        """Uniform integer in [0, n), by rejection to avoid modulo bias;
+        ``n`` must lie in [1, 2**64]."""
+        if not 0 < n <= _SPAN:
+            raise ValueError(_BOUNDS_ERROR)
+        limit = _SPAN - _SPAN % n
         while True:
             r = self.next_u64()
             if r < limit:
                 return r % n
 
+    def below_each(self, bounds) -> list[int]:
+        """``[self.below(n) for n in bounds]``, leaving the same state,
+        drawn in uint64 batches.  ``bounds`` is a sequence of ints in
+        [1, 2**64], all checked before anything is drawn."""
+        if not len(bounds):
+            return []
+        top = max(bounds)
+        if not (0 < min(bounds) and top <= _SPAN):
+            raise ValueError(_BOUNDS_ERROR)
+        if top == _SPAN:  # fits no uint64
+            return [self.below(n) for n in bounds]
+        return self._draw(np.array(bounds, dtype=np.uint64))
+
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle.  Its swap indices are the draws
+        of ``below_each(range(len(items), 1, -1))``, bounds that need no
+        check."""
+        js = self._draw(np.arange(len(items), 1, -1, dtype=np.uint64))
+        for i, j in zip(range(len(items) - 1, 0, -1), js):
             items[i], items[j] = items[j], items[i]
+
+    def _draw(self, bounds: np.ndarray) -> list[int]:
+        """:meth:`below_each` over uint64 ``bounds``, all at least 1.
+
+        A draw ``r`` for bound ``n`` is rejected when ``r >= 2**64 -
+        (2**64 mod n)``, which needs ``r > 2**64 - 1 - n``; only draws
+        past that line are checked exactly.  At the first rejected one
+        the batch keeps the draws before it, lets :meth:`below` redraw
+        that element, and starts a new batch after it.
+        """
+        count = len(bounds)
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        out: list[int] = []
+        done = 0
+        while done < count:
+            n = bounds[done:]
+            r = _mix(steps[: count - done] * _U_GAMMA + np.uint64(self._state))
+            keep = count - done
+            for i in (r > ~n).nonzero()[0].tolist():
+                if int(r[i]) >= _SPAN - _SPAN % int(n[i]):
+                    keep = i
+                    break
+            out += (r[:keep] % n[:keep]).tolist()
+            self._state = (self._state + keep * _GAMMA) & _MASK
+            done += keep
+            if done < count:
+                out.append(self.below(int(bounds[done])))
+                done += 1
+        return out
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 output scramble of each state in ``z`` (uint64)."""
+    z = (z ^ (z >> _U30)) * _U_MIX1
+    z = (z ^ (z >> _U27)) * _U_MIX2
+    return z ^ (z >> _U31)

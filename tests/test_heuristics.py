@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import pytest
 
 import sparsegames as sg
@@ -17,8 +20,73 @@ def test_splitmix_reference_vectors():
 
 
 def test_below_rejects_bad_n():
-    with pytest.raises(ValueError):
-        SplitMix64(1).below(0)
+    for n in (0, -1, 2**64 + 1, 2**65):
+        with pytest.raises(ValueError):
+            SplitMix64(1).below(n)
+
+
+def test_below_each_rejects_bad_bounds_before_drawing():
+    for bounds in ([0], [5, -1], [2**64 + 1], [3, 2**65, 2]):
+        rng = SplitMix64(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                rng.below_each(bounds)
+        assert rng.next_u64() == SplitMix64(1).next_u64()
+
+
+def _random_bounds():
+    draw = SplitMix64(2024)
+    return [draw.next_u64() or 1 for _ in range(2000)]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        [],
+        [1],
+        range(5000, 1, -1),
+        # rejection-heavy: about half, a quarter and almost none of the
+        # draws are rejected, but every draw of the last needs the exact test
+        [2**63 + 1] * 300,
+        [3 * 2**62] * 300,
+        [2**64 - 1] * 300,
+        [7, 2**63 + 1, 2, 2**64 - 1, 3 * 2**62, 1] * 50,
+        # 2**64 fits no uint64, so these take the scalar path
+        [2**64, 3, 2**64],
+        _random_bounds(),
+    ],
+    ids=["empty", "one", "shuffle5000", "half", "quarter", "top", "mixed",
+         "span", "random64"],
+)
+def test_below_each_matches_scalar_draws(bounds):
+    for seed in (0, 1, 0xDEADBEEF, 2**64 - 1):
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drawn = batch.below_each(bounds)
+        assert drawn == [scalar.below(n) for n in bounds]
+        assert all(type(k) is int for k in drawn)
+        # the outputs are a bijection of the state: equal next draws mean
+        # equal states
+        assert batch.next_u64() == scalar.next_u64()
+
+
+def _literal_shuffle(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 31, 5000])
+def test_shuffle_matches_literal_fisher_yates(size):
+    for seed in (0, 7, 2**63):
+        fast, literal = SplitMix64(seed), SplitMix64(seed)
+        a, b = list(range(size)), list(range(size))
+        fast.shuffle(a)
+        _literal_shuffle(literal, b)
+        assert a == b
+        assert fast.next_u64() == literal.next_u64()
 
 
 def _binary_choice_game():
@@ -74,6 +142,34 @@ def test_random_extract_strategies_are_pinned():
         b"choice wt2_1 c\nchoice wt3_2 c\n",
         b"choice e1 A\nchoice e2 A\nchoice wt1_1 c\nchoice wt1_2 c\n",
     ]
+
+
+#: (seed, random_extract digest, smart_random_extract digest) on
+#: gen_random(30, 2000, 2000, 3), 2,304 winning positions of which 1,209
+#: are player 0's; recorded before the draws were batched.
+_PINNED_LARGE = (
+    (0, "e6831091feb3107c", "eb99ff84ecd3a911"),
+    (1, "2e036a6af1fe7ec5", "cc501d2bca0497d3"),
+    (2, "276adbf981964e4d", "baced965b8e78537"),
+    (3, "2e036a6af1fe7ec5", "2e036a6af1fe7ec5"),
+    (4, "f29963e07fad6331", "d3ed7a1c5f862c61"),
+)
+
+
+def test_heuristics_on_a_large_game_are_pinned():
+    game = sg.gen_random(30, 2000, 2000, 3)
+    winning = sg.compute_winning_region(game)
+    mp = sg.most_permissive(game, winning)
+
+    def digest(strat):
+        return hashlib.sha256(sg.serialize_strategy(strat)).hexdigest()[:16]
+
+    got = tuple(
+        (seed, digest(sg.random_extract(game, mp, seed)),
+         digest(sg.smart_random_extract(game, winning, seed)))
+        for seed, *_ in _PINNED_LARGE
+    )
+    assert got == _PINNED_LARGE
 
 
 def test_random_extract_raises_on_losing_game():

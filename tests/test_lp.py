@@ -509,6 +509,48 @@ def _child_bounds(rng, sol, lo, hi):
     return lo, hi
 
 
+def test_pivot_loop_matches_full_height_reference_from_warm_starts(monkeypatch):
+    # The loop builds its per-row bounds and per-column directions from
+    # whatever basis it is handed, so children started, as in ilp, from
+    # the root's optimal tableau rebuilt at their parent's basis header
+    # must pivot exactly as the reference does too.
+    problems = _random_lps(91, 60)
+    for game, winning, mp in solvable_random_games(20, 6, 6, 3):
+        problems.append(build_relaxation(*pruned_context(game, mp)))
+    for n, k in ((20, 4), (40, 6)):
+        game, _ = gap_game(n, k)
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        problems.append(build_relaxation(*pruned_context(game, mp)))
+    rng = sg.SplitMix64(8)
+    cases = []
+    for prob in problems:
+        root_tableau = lp_mod.Tableau.surplus(prob)
+        parent = sg.lp_solve(prob, root_tableau)
+        if parent.status == "infeasible":
+            continue
+        for _ in range(2):
+            node, bounds = parent, (prob.lo, prob.hi)
+            for _depth in range(2):
+                bounds = _child_bounds(rng, node, *bounds)
+                child = prob.with_bounds(*bounds)
+                start = root_tableau.rebuilt(node.basis, node.upper)
+                again = start.copy()
+                node = sg.lp_solve(child, start)
+                cases.append((child, again, node))
+                if node.status == "infeasible":
+                    break
+    monkeypatch.setattr(lp_mod, "_dual_loop", _full_height_dual_loop)
+    statuses = set()
+    for child, start, mine in cases:
+        ref = sg.lp_solve(child, start)
+        assert _pin(mine) == _pin(ref)
+        for name in ("basis", "upper"):
+            a, b = getattr(mine, name), getattr(ref, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        statuses.add(mine.status)
+    assert statuses == {"optimal", "infeasible"} and len(cases) >= 100
+
+
 def test_warm_start_matches_cold_solve():
     # Each child starts, as in ilp, from the root's optimal tableau rebuilt
     # at its parent's basis header: the root itself for a child, the
