@@ -66,11 +66,14 @@ class SafetyGame:
         edges: dict[tuple[str, str], str],
         init: str,
     ) -> "SafetyGame":
-        """Build a game from owner and edge maps, validating invariants."""
+        """Build a game from owner and edge maps, validating invariants.
+        An owner must read ``0`` or ``1`` as text, as ``parse_game`` needs
+        (``True`` and ``1.0`` do not), and is stored as an int."""
         for p, o in positions.items():
             _check_name(p)
-            if o not in (0, 1):
+            if str(o) not in ("0", "1"):
                 raise GameFormatError(f"position {p!r} has owner {o!r}, expected 0 or 1")
+        positions = {p: int(o) for p, o in positions.items()}
         if init not in positions:
             raise GameFormatError(f"initial position {init!r} is not declared")
         act_owner: dict[str, int] = {}

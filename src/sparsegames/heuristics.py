@@ -102,18 +102,20 @@ def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
     every player-0 position outside the strategy's reachable domain (the
     positions the strategy already leaves undefined).  A strategy with an
     empty reachable domain is vacuously locally optimal.  Raises
-    ``ValueError`` for a strategy that is not winning.
+    ``ValueError`` for a strategy that is not winning, which is one whose
+    walk reaches an undefined player-0 position: every play that avoids
+    those is infinite or ends at player 1.  Deleting the undefined
+    positions of a winning strategy keeps init winning.
     """
     moves = strategy_moves(game, strat)
     order, _ = reach(game, moves.get)
-    domain = {v for v in order if v in moves}
-    undefined = [
-        v
-        for v in range(len(game.pos_names))
-        if game.pos_owner[v] == 0 and v not in domain
-    ]
+    owner = game.pos_owner
+    domain = sorted(v for v in order if owner[v] == 0)
+    if any(v not in moves for v in domain):
+        raise ValueError("strategy is not winning: its walk reaches an undefined position")
     arena = Arena(game)
-    for u in undefined:
-        if not arena.try_delete(u):
-            raise ValueError("strategy is not winning: its undefined positions lose init")
-    return not any(arena.peek_delete(v) for v in sorted(domain))
+    reached = set(domain)
+    for u in range(len(owner)):
+        if owner[u] == 0 and u not in reached:
+            arena.try_delete(u)
+    return not any(arena.peek_delete(v) for v in domain)

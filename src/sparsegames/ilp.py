@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame
+from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame, reach
 from .heuristics import smart_random_extract
 from .lp import (
     INTEGRALITY_EPS,
@@ -60,28 +60,6 @@ class ExactResult:
     work: int
 
 
-def _forced_closure(
-    pairs: list[tuple[int, tuple[int, ...]]], n: int, init: int
-) -> list[bool]:
-    """Flags of the positions every support contains: init, and closed
-    under the pairs with one distinct target (every successor of a
-    player-1 member, the only allowed target of a player-0 member).  Each
-    flag follows from the support rows by unit propagation."""
-    units: list[list[int]] = [[] for _ in range(n)]
-    for v, targets in pairs:
-        if min(targets) == max(targets):
-            units[v].append(targets[0])
-    forced = [False] * n
-    forced[init] = True
-    stack = [init]
-    while stack:
-        for d in units[stack.pop()]:
-            if not forced[d]:
-                forced[d] = True
-                stack.append(d)
-    return forced
-
-
 class _Frame:
     """The pruned game, its reduced problem, the root LP of that problem
     solved cold and the root's optimal ``tableau``, the lower bound ``lb``,
@@ -92,11 +70,13 @@ class _Frame:
     is its number of choices.
 
     The reduced problem leaves out the ``forced`` positions, which every
-    support contains (:func:`_forced_closure`); ``offset`` counts the
-    forced player-0 ones.  Its variables are the ``free`` positions in
-    index order (``column`` maps a pruned position to its variable, -1 when
-    forced), and its ``pairs`` are the :func:`support_rows` pairs without a
-    forced target, in their order, with ``None`` for a forced source.
+    support contains by unit propagation of the support rows: the
+    :func:`reach` walk that moves a player-0 position only when its allowed
+    targets are one distinct position.  ``offset`` counts the forced
+    player-0 ones.  Its variables are the ``free`` positions in index order
+    (``column`` maps a pruned position to its variable, -1 when forced),
+    and its ``pairs`` are the :func:`support_rows` pairs without a forced
+    target, in their order, with ``None`` for a forced source.
     ``problem`` is their LP (:func:`pair_rows`), and ``sat`` encodes the
     same pairs.  The root optimum plus ``offset``, rounded up, is ``lb``.
 
@@ -115,18 +95,24 @@ class _Frame:
     ):
         self.pruned, self.mp = pruned_context(game, mp)
         owner = self.pruned.pos_owner
-        pairs = support_rows(self.pruned, self.mp)
-        forced = _forced_closure(pairs, len(owner), self.pruned.init_index)
-        self.forced = np.array(forced, dtype=bool)
+        moves = self.mp.moves
+
+        def unit(v, _):
+            return moves[v] if len({d for _, d in moves[v]}) == 1 else ()
+
+        order, _ = reach(self.pruned, unit)
+        self.forced = np.zeros(len(owner), dtype=bool)
+        self.forced[order] = True
+        forced = self.forced.tolist()
         self.free = np.flatnonzero(~self.forced)
         free = self.free.tolist()
-        self.offset = sum(1 for v, f in enumerate(forced) if f and owner[v] == 0)
+        self.offset = sum(1 for v in order if owner[v] == 0)
         self.column = [-1] * len(owner)
         for i, v in enumerate(free):
             self.column[v] = i
         self.pairs = [
             (None if forced[v] else v, targets)
-            for v, targets in pairs
+            for v, targets in support_rows(self.pruned, self.mp)
             if not any([forced[d] for d in targets])
         ]
         n = len(free)

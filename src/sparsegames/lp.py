@@ -101,6 +101,8 @@ class LpProblem:
         # Written so that every comparison must hold: NaN fails them all.
         if not ((0.0 <= self.lo) & (self.lo <= self.hi) & (self.hi <= 1.0)).all():
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
+        if not all(np.isfinite(a).all() for a in (self.objective, self.rows, self.rhs)):
+            raise ValueError("objective, rows and rhs must be finite")
 
     def with_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "LpProblem":
         return LpProblem(

@@ -88,30 +88,17 @@ class SplitMix64:
         """:meth:`below_each` over uint64 ``bounds``, all at least 1.
 
         A draw ``r`` for bound ``n`` is rejected when ``r >= 2**64 -
-        (2**64 mod n)``, which needs ``r > 2**64 - 1 - n``; only draws
-        past that line are checked exactly.  At the first rejected one
-        the batch keeps the draws before it, lets :meth:`below` redraw
-        that element, and starts a new batch after it.
+        (2**64 mod n)``, which needs ``r > 2**64 - 1 - n``.  A batch with
+        no draw past that line is exact as ``r % n``; any other batch, of
+        probability about ``sum(bounds) / 2**64``, is drawn again by
+        :meth:`below` from the unmoved state.
         """
-        count = len(bounds)
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        out: list[int] = []
-        done = 0
-        while done < count:
-            n = bounds[done:]
-            r = _mix(steps[: count - done] * _U_GAMMA + np.uint64(self._state))
-            keep = count - done
-            for i in (r > ~n).nonzero()[0].tolist():
-                if int(r[i]) >= _SPAN - _SPAN % int(n[i]):
-                    keep = i
-                    break
-            out += (r[:keep] % n[:keep]).tolist()
-            self._state = (self._state + keep * _GAMMA) & _MASK
-            done += keep
-            if done < count:
-                out.append(self.below(int(bounds[done])))
-                done += 1
-        return out
+        r = _mix(np.arange(1, len(bounds) + 1, dtype=np.uint64) * _U_GAMMA
+                 + np.uint64(self._state))
+        if (r > ~bounds).any():
+            return [self.below(int(n)) for n in bounds]
+        self._state = (self._state + len(bounds) * _GAMMA) & _MASK
+        return (r % bounds).tolist()
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -109,6 +109,8 @@ class _Solver:
 
     def add_clause(self, lits: list[int]) -> None:
         unique = sorted(set(lits), key=abs)
+        if unique and not 0 < abs(unique[0]) <= abs(unique[-1]) <= self.nvars:
+            raise ValueError(f"clause {lits} has a literal outside 1..{self.nvars}")
         for q in unique:
             if -q in unique:
                 return  # tautology
@@ -480,8 +482,7 @@ def sat_exact_extract(
     frame = _Frame(game, mp, warm_seed, deadline)
     n = len(frame.free)
     base = Cnf(n, support_clauses(frame.pairs, [c + 1 for c in frame.column]))
-    owner = frame.pruned.pos_owner
-    p0_vars = [i + 1 for i, v in enumerate(frame.free.tolist()) if owner[v] == 0]
+    p0_vars = (frame.problem.objective.nonzero()[0] + 1).tolist()
 
     k = frame.lb
     probes = []

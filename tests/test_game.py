@@ -71,11 +71,21 @@ def test_parse_errors(text, pattern):
         ({"a": 1}, {("a", "t\tu"): "a"}, "a", "whitespace"),
         ({"a": 1}, {("a", ""): "a"}, "a", "empty"),
         ({"a": 1}, {("a", "#t"): "a"}, "a", "'#'"),
+        # Owners whose text form serialize_game would write as neither 0 nor 1.
+        ({"a": True}, {}, "a", "owner"),
+        ({"a": False}, {}, "a", "owner"),
+        ({"a": 1.0}, {}, "a", "owner"),
     ],
 )
 def test_build_errors(positions, edges, init, pattern):
     with pytest.raises(GameFormatError, match=pattern):
         sg.SafetyGame.build(positions, edges, init)
+
+
+def test_build_stores_owners_as_ints():
+    game = sg.SafetyGame.build({"a": np.int64(1), "b": np.int64(0)}, {}, "a")
+    assert [type(o) for o in game.pos_owner] == [int, int]
+    assert sg.parse_game(sg.serialize_game(game)) == game
 
 
 def _malformed_records(game):

@@ -344,6 +344,28 @@ def test_local_optimality_rejects_non_winning_strategy():
         sg.is_locally_optimal(game, sg.PositionalStrategy({}))
 
 
+@pytest.mark.parametrize(
+    "positions,edges,init,choice",
+    [
+        # a's choice x leads to the dead end d; its other action y wins.
+        ({"m": 1, "a": 0, "d": 0}, {("m", "go"): "a", ("a", "x"): "d", ("a", "y"): "m"},
+         "m", {"a": "x"}),
+        # init itself is a losing dead end.
+        ({"a": 0}, {}, "a", {}),
+    ],
+    ids=["dead-end-choice", "init-losing"],
+)
+def test_local_optimality_rejects_losing_strategy(positions, edges, init, choice):
+    game = sg.SafetyGame.build(positions, edges, init)
+    strat = sg.PositionalStrategy(choice)
+    winning = sg.compute_winning_region(game)
+    if game.init in winning:
+        mp = sg.most_permissive(game, winning)
+        assert not sg.validate_strategy(game, mp, strat).winning
+    with pytest.raises(ValueError, match="not winning"):
+        sg.is_locally_optimal(game, strat)
+
+
 def test_local_optimality_judges_only_the_reachable_domain():
     # wm1_1 is unreachable once e1 takes A, so its choice is not part of
     # the domain; the strategy is the same as its restriction.

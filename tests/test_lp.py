@@ -80,6 +80,17 @@ def test_bad_bounds_rejected_at_build():
     for lo, hi in (([1.0], [0.0]), ([np.nan], [1.0]), ([0.0], [np.nan])):
         with pytest.raises(ValueError):
             _bounded(["x"], [1.0], [[1.0]], [0.5], lo=lo, hi=hi)
+    # min a + b s.t. a + b >= 1: a NaN row entry or rhs used to solve to
+    # x = 0, and a NaN objective to raise IndexError.
+    objective, rows, rhs = [1.0, 1.0], [[1.0, 1.0]], [1.0]
+    for bad in (np.nan, np.inf, -np.inf):
+        for data in (
+            ([bad, 1.0], rows, rhs),
+            (objective, [[1.0, bad]], rhs),
+            (objective, rows, [bad]),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                _bounded(["a", "b"], *data)
 
 
 def test_lp_solve_deterministic():

@@ -48,6 +48,16 @@ def test_empty_clause_is_unsat():
     assert sg.sat_solve(sg.Cnf(0, [[]])).status == "unsat"
 
 
+@pytest.mark.parametrize(
+    "clauses", [[[0]], [[0, 1], [-1]], [[3]], [[1, -2]]], ids=["zero", "zero-taut", "over", "neg-over"]
+)
+def test_out_of_range_literal_is_rejected(clauses):
+    # Literal 0 used to read as its own negation, a tautology, and a
+    # literal past num_vars to raise IndexError.
+    with pytest.raises(ValueError, match="outside"):
+        sg.sat_solve(sg.Cnf(1, clauses))
+
+
 def test_random_cnfs_match_truth_tables():
     rng = sg.SplitMix64(2024)
     for _ in range(300):
