@@ -12,9 +12,9 @@ Subcommands:
   optimum densities (guarded exhaustive search).
 
 Exit codes: 0 ok, 1 usage or I/O error, 2 initial position losing,
-3 a trial timed out before it had a strategy (``t/o``), or an exact
-engine's budget or deadline ran out and it returned its incumbent
-uncertified.
+3 a ``smart`` or ``replp`` trial timed out before it had a strategy
+(``t/o``), or an exact engine's budget or deadline ran out and it
+returned its incumbent uncertified.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ def _run_trial(
         elif method == "replp":
             strat = replp_extract(game, mp, deadline=deadline)
         elif method == "ilp":
-            result = ilp_exact_extract(game, mp, warm_seed=seed, deadline=deadline)
+            result = ilp_exact_extract(game, mp, deadline=deadline)
             strat, certified = result.strategy, result.certified
         elif method == "sat":
-            result = sat_exact_extract(game, mp, warm_seed=seed, deadline=deadline)
+            result = sat_exact_extract(game, mp, deadline=deadline)
             strat, certified = result.strategy, result.certified
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -277,10 +277,15 @@ _BENCH_METRICS = ("density_mean", "time_mean_secs", "density_stddev")
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            print(f"unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(METHODS):
+        print(
+            f"--methods takes distinct names from {','.join(METHODS)}, not {args.methods!r}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    if not Path(args.corpus).is_dir():
+        print(f"corpus {args.corpus!r} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     corpus = sorted(Path(args.corpus).glob("*.txt"))
     table: list[dict] = []
     for path in corpus:

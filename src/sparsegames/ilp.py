@@ -8,11 +8,11 @@ unplanted 40-element cover's LP shrinks from 121 x 81 to 34 x 39.
 
 Best-first search on nodes carrying variable fixings.  Each node's bound
 is its LP optimum plus the forced player-0 count; a node is pruned once
-the bound rounded up reaches the incumbent density.  Branching picks the most fractional variable
-(fractional part closest to one half, smallest index on ties) and
-explores the fix-to-0 child first.  The incumbent starts from the greedy
-local-search heuristic and is always a valid winning strategy.  When the
-node budget or the deadline runs out it is returned uncertified.
+the bound rounded up reaches the incumbent density.  Branching picks the
+most fractional variable (fractional part closest to one half, smallest
+index on ties) and explores the fix-to-0 child first.  The incumbent
+starts from the all-ones support and is always a valid winning strategy;
+when the node budget or the deadline runs out it is returned uncertified.
 
 A child differs from its parent only in one bound, so the parent's
 optimal basis stays dual feasible for it and the dual simplex needs only
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame, reach
-from .heuristics import smart_random_extract
 from .lp import (
     INTEGRALITY_EPS,
     LpProblem,
@@ -63,7 +62,8 @@ class ExactResult:
 class _Frame:
     """The pruned game, its reduced problem, the root LP of that problem
     solved cold and the root's optimal ``tableau``, the lower bound ``lb``,
-    and the incumbent of both exact engines: the warm start, replaced by
+    and the incumbent of both exact engines: the decoded all-ones support,
+    which flags every pruned position and so is always valid, replaced by
     every strictly sparser decoded support.  A decoded strategy names the
     player-0 positions its walk reaches in the pruned game, which keeps
     every edge of a reached player-1 position, so its density in ``game``
@@ -83,16 +83,10 @@ class _Frame:
     An integral root is offered at once: its support has at most ``lb``
     player-0 positions, so it certifies ``ub == lb`` before any search.
     Integrality is judged on the values, since a fractional root can have
-    an integral objective.  ``deadline`` bounds the warm start.
+    an integral objective.
     """
 
-    def __init__(
-        self,
-        game: SafetyGame,
-        mp: MostPermissiveStrategy,
-        warm_seed: int,
-        deadline: float | None,
-    ):
+    def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
         self.pruned, self.mp = pruned_context(game, mp)
         owner = self.pruned.pos_owner
         moves = self.mp.moves
@@ -122,9 +116,7 @@ class _Frame:
             [1.0 if owner[v] == 0 else 0.0 for v in free],
             rows, rhs, np.zeros(n), np.ones(n),
         )
-        self.best = smart_random_extract(
-            game, mp.winning, warm_seed, deadline=deadline
-        )
+        self.best = decode_support(self.pruned, [True] * len(owner))
         self.ub = len(self.best.choice)
         self.tableau = Tableau.surplus(self.problem)
         self.root = lp_solve(self.problem, self.tableau)
@@ -169,22 +161,22 @@ def ilp_exact_extract(
 ) -> ExactResult:
     """Minimum-density positional strategy via branch-and-bound.
 
-    The root LP and the warm-start incumbent come from :class:`_Frame`;
+    The root LP and the all-ones incumbent come from :class:`_Frame`;
     every integral node's support is offered to it, the root's by the
     frame itself, so an integral root ends the search before any node is
     expanded.  Each child LP starts from a copy of its parent's optimal
     tableau.  ``work`` counts LP solves, the root included.  When the
     node budget or the ``deadline`` runs out before a child LP, the
-    incumbent is returned with ``certified=False``; only the warm start
-    raises :class:`TimeoutExceededError`, before there is an incumbent.
-    When a ``stats`` dict is supplied, every expanded node is recorded
-    under ``"nodes"`` as (bound, positions of the pruned game fixed to 0,
-    positions fixed to 1, the forced ones included), with the forced
-    player-0 count in the bound.  The simplex pivots of every LP solve go
-    under ``"pivots"``, the forced player-0 count under ``"forced"`` and
-    the reduced LP's (rows, variables) under ``"lp_shape"``.
+    incumbent is returned with ``certified=False``.  ``warm_seed`` is
+    ignored.  When a ``stats`` dict is supplied, every expanded node is
+    recorded under ``"nodes"`` as (bound, positions of the pruned game
+    fixed to 0, positions fixed to 1, the forced ones included), with the
+    forced player-0 count in the bound.  The simplex pivots of every LP
+    solve go under ``"pivots"``, the forced player-0 count under
+    ``"forced"`` and the reduced LP's (rows, variables) under
+    ``"lp_shape"``.
     """
-    frame = _Frame(game, mp, warm_seed, deadline)
+    frame = _Frame(game, mp)
     problem = frame.problem
     n = len(problem.var_names)
     free = frame.free

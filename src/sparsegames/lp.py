@@ -98,6 +98,8 @@ class LpProblem:
             raise ValueError("bound vectors do not match variables")
         if not self.row_labels:
             self.row_labels = tuple(f"c{i}" for i in range(self.rows.shape[0]))
+        elif len(self.row_labels) != len(self.rhs):
+            raise ValueError("row_labels length does not match rows")
         # Written so that every comparison must hold: NaN fails them all.
         if not ((0.0 <= self.lo) & (self.lo <= self.hi) & (self.hi <= 1.0)).all():
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")

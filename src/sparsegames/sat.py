@@ -474,12 +474,12 @@ def sat_exact_extract(
     first model, offered to the frame as the flags of its free position
     variables, is optimal.  ``work`` counts SAT calls.  When the conflict
     budget or the ``deadline`` runs out first, the best strategy so far
-    is returned uncertified.  When a ``stats`` dict is supplied, every
-    probe is recorded under ``"probes"`` as (k, status, conflicts), the
-    forced player-0 count under ``"forced"`` and the frame's reduced LP's
-    (rows, variables) under ``"lp_shape"``.
+    is returned uncertified.  ``warm_seed`` is ignored.  When a ``stats``
+    dict is supplied, every probe is recorded under ``"probes"`` as (k,
+    status, conflicts), the forced player-0 count under ``"forced"`` and
+    the frame's reduced LP's (rows, variables) under ``"lp_shape"``.
     """
-    frame = _Frame(game, mp, warm_seed, deadline)
+    frame = _Frame(game, mp)
     n = len(frame.free)
     base = Cnf(n, support_clauses(frame.pairs, [c + 1 for c in frame.column]))
     p0_vars = (frame.problem.objective.nonzero()[0] + 1).tolist()

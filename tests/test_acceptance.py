@@ -31,8 +31,8 @@ def _extract(method, game, winning, mp, seed):
     if method == "replp":
         return sg.replp_extract(game, mp)
     if method == "ilp":
-        return sg.ilp_exact_extract(game, mp, warm_seed=seed).strategy
-    return sg.sat_exact_extract(game, mp, warm_seed=seed).strategy
+        return sg.ilp_exact_extract(game, mp).strategy
+    return sg.sat_exact_extract(game, mp).strategy
 
 
 def _criterion_corpus():

@@ -178,9 +178,11 @@ def test_dump_cnf_and_lp(tmp_path):
 
 
 def test_timeout_reports_to(tmp_path, capsys):
+    # The exact engines always have an incumbent; smart has none before
+    # its local search ends, so its expired deadline is a t/o.
     path = _write_game(tmp_path, sg.gen_adversarial(3))
     code = main(
-        ["extract", path, "--method", "ilp", "--runs", "1",
+        ["extract", path, "--method", "smart", "--runs", "1",
          "--timeout-secs", "0.000001"]
     )
     assert code == 3
@@ -190,8 +192,8 @@ def test_timeout_reports_to(tmp_path, capsys):
 def test_deadline_after_warm_start_prints_uncertified_density(
     tmp_path, capsys, monkeypatch
 ):
-    # The engine's clock reads past the deadline once the warm start is
-    # done; the trial keeps the warm start's density 4, uncertified.
+    # The engine's clock reads past the deadline before the first child
+    # LP; the trial keeps the all-ones incumbent's density 4, uncertified.
     monkeypatch.setattr(sg.ilp, "time", types.SimpleNamespace(monotonic=lambda: math.inf))
     path = _write_game(tmp_path, sg.gen_random(63, 6, 6, 3))
     code = main(["extract", path, "--method", "ilp", "--timeout-secs", "3600"])
@@ -224,7 +226,7 @@ def test_all_timed_out_reports_have_no_nan(tmp_path, capsys):
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
     code = main(
-        ["extract", path, "--method", "ilp", "--runs", "2",
+        ["extract", path, "--method", "smart", "--runs", "2",
          "--timeout-secs", "0.000001",
          "--json", str(json_path), "--csv", str(csv_path)]
     )
@@ -306,6 +308,30 @@ def test_bench_rejects_unknown_method(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     assert main(["bench", str(corpus), "--methods", "magic"]) == 1
+
+
+@pytest.mark.parametrize(
+    "corpus, methods",
+    [
+        ("missing", "smart"),  # no such path
+        ("game.txt", "smart"),  # a game file, not a directory
+        ("corpus", "smart,smart"),  # would write duplicate columns
+        ("corpus", ","),  # no method at all
+    ],
+)
+def test_bench_rejects_bad_corpus_or_methods(corpus, methods, tmp_path, capsys):
+    (tmp_path / "corpus").mkdir()
+    _write_game(tmp_path / "corpus", sg.gen_chain(3))
+    _write_game(tmp_path, sg.gen_chain(3))
+    json_path = tmp_path / "bench.json"
+    code = main(
+        ["bench", str(tmp_path / corpus), "--methods", methods, "--runs", "1",
+         "--json", str(json_path)]
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err != ""
+    assert not json_path.exists()
 
 
 def test_gen_writes_parseable_games(tmp_path):

@@ -91,6 +91,12 @@ def test_bad_bounds_rejected_at_build():
         ):
             with pytest.raises(ValueError, match="finite"):
                 _bounded(["a", "b"], *data)
+    # Three rows with one label: format_lp used to drop the other two.
+    with pytest.raises(ValueError, match="row_labels"):
+        sg.LpProblem(
+            ("a", "b"), objective, [[1.0, 1.0]] * 3, [1.0] * 3,
+            np.zeros(2), np.ones(2), ("only",),
+        )
 
 
 def test_lp_solve_deterministic():

@@ -348,7 +348,7 @@ def test_fractional_root_with_integral_objective_is_searched():
     # certificates: the optimum is 3.
     for seed in (348, 412):
         game, mp = _solved(sg.gen_random(seed, 6, 6, 3))
-        frame = _Frame(game, mp, 0, None)
+        frame = _Frame(game, mp)
         v = frame.root.values
         assert frame.lb == 2
         assert ((v > INTEGRALITY_EPS) & (v < 1.0 - INTEGRALITY_EPS)).any()
@@ -362,7 +362,7 @@ def test_fractional_root_with_integral_objective_is_searched():
 
 def test_sat_exact_probes_the_lp_bound_first():
     # Root 2.17 rounds up to 3; the optimum is 4, so the one probe at
-    # k = 3 is refuted and the warm start's density 4 is certified.
+    # k = 3 is refuted and the incumbent's density 4 is certified.
     game, mp = _solved(sg.gen_random(63, 6, 6, 3))
     runs = []
     for _ in range(2):
@@ -373,13 +373,13 @@ def test_sat_exact_probes_the_lp_bound_first():
     [(k, status, conflicts)] = runs[0]
     assert (k, status) == (3, "unsat") and conflicts >= 0
     assert runs[0] == runs[1]
-    # Root objective 2 with fractional values, warm start 4, optimum 2:
-    # bisection would probe k = 3 first, the LP bound certifies at once.
+    # Root objective 2 with fractional values and optimum 2: the all-ones
+    # incumbent already has density 2 = lb, so no probe runs.
     game, mp = _solved(sg.gen_random(1666, 6, 6, 3))
     stats = {}
     res = sg.sat_exact_extract(game, mp, stats=stats)
-    assert res.certified and res.density == 2 and res.work == 1
-    assert [p[:2] for p in stats["probes"]] == [(2, "sat")]
+    assert res.certified and res.density == 2 and res.work == 0
+    assert stats["probes"] == []
 
 
 def test_density_zero_game_across_engines():
@@ -402,7 +402,7 @@ def test_sat_exact_unique_strategy_collapses_search():
     for warm in (0, 7, 99):
         res = sg.sat_exact_extract(game, mp, warm_seed=warm)
         assert res.density == 4 and res.certified
-        # warm start already matches the LP bound, no SAT call is needed
+        # the incumbent already matches the LP bound, no SAT call is needed
         assert res.work == 0
 
 
