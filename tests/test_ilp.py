@@ -64,24 +64,29 @@ def test_budget_exhaustion_returns_uncertified_incumbent():
     assert res.density >= full.density
 
 
-def test_expired_deadline_returns_incumbent_from_both_engines():
-    # The incumbent starts as the all-ones support, so an expired deadline
-    # never leaves an engine without a strategy.  gen_adversarial(3) has an
-    # integral root, which the frame certifies before any deadline check.
-    game = sg.gen_adversarial(3)
-    mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
-        res = engine(game, mp, deadline=0.0)
-        assert (res.density, res.certified) == (6, True), engine.__name__
-        assert sg.validate_strategy(game, mp, res.strategy).winning
-    # The fractional root of gen_random(63, 6, 6, 3) leaves the gap open:
-    # the all-ones support's density 4 comes back uncertified.
+def test_deadline_raises():
+    # Named for when an expired deadline raised TimeoutExceededError.  The
+    # incumbent now starts as the all-ones support, so neither engine
+    # raises: the fractional root of gen_random(63, 6, 6, 3) leaves the gap
+    # open, and the all-ones support's density 4 comes back uncertified.
     game, mp = _branching_game()
     for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
         res = engine(game, mp, deadline=0.0)
         assert (res.density, res.certified) == (4, False), engine.__name__
         assert sg.validate_strategy(game, mp, res.strategy).winning
         assert sg.density(game, res.strategy) == 4
+
+
+def test_expired_deadline_stops_both_engines_in_warm_start():
+    # Named for the warm start that once ran first and raised on an expired
+    # deadline.  No warm start runs now; gen_adversarial(3) has an integral
+    # root, which the frame certifies before any deadline check.
+    game = sg.gen_adversarial(3)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
+        res = engine(game, mp, deadline=0.0)
+        assert (res.density, res.certified) == (6, True), engine.__name__
+        assert sg.validate_strategy(game, mp, res.strategy).winning
 
 
 def test_deadline_after_warm_start_returns_uncertified_incumbent(monkeypatch):
