@@ -306,17 +306,22 @@ class Arena:
     equivalent to recomputing the fixpoint from scratch on the mutated
     game.
 
-    ``doomed`` flags positions whose death is known to lose init: init
-    itself, and every ``v`` whose tentative deletion (by ``try_delete``
-    or ``peek_delete``) has failed.  The flag stays valid because an
-    arena only loses player-0 edges and regains exactly what it rolls
-    back, so every later state has a subset of the edges of the state
-    that set the flag, and edge deletions only shrink the winning region.
-    If ``v`` dies in a later state, dropping its edges there changes
-    nothing, and the result is a subgame of the one that already lost
-    init.  A tentative cascade therefore stops as soon as it kills a
-    doomed position, after recording that kill and every decrement, so
-    the rollback restores ``alive`` and ``cnt`` exactly.
+    ``doomed`` flags positions whose death is known to lose init.  The
+    constructor flags the forced closure of a winning init, the positions
+    every winning support contains: init, every successor of a player-1
+    member, and the one distinct live target of a player-0 member whose
+    live targets are one position.  A region of a later state that holds
+    init is closed the same way and lies inside the initial region, so it
+    holds the whole closure.  Each ``v`` whose tentative deletion (by
+    ``try_delete`` or ``peek_delete``) fails is flagged too.  The flags
+    stay valid because an arena only loses player-0 edges and regains
+    exactly what it rolls back, so every later state has a subset of the
+    edges of the state that set the flag, and edge deletions only shrink
+    the winning region.  If ``v`` dies in a later state, dropping its
+    edges there changes nothing, and the result is a subgame of the one
+    that already lost init.  A tentative cascade therefore stops as soon
+    as it kills a doomed position, after recording that kill and every
+    decrement, so the rollback restores ``alive`` and ``cnt`` exactly.
 
     ``copy`` duplicates ``alive``, ``cnt`` and ``doomed``.  The flags stay
     valid in the copy by the same argument: it starts from the edges of
@@ -324,9 +329,11 @@ class Arena:
 
     ``tests/test_game.py`` checks the verdicts against deleting the edges
     and re-solving with a naive rescan
-    (``test_arena_deletions_match_naive_rescan``) and checks the rollback
+    (``test_arena_deletions_match_naive_rescan``), checks the rollback
     after an early stop at a doomed position
-    (``test_arena_rollback_after_doomed_stop_restores_state``).
+    (``test_arena_rollback_after_doomed_stop_restores_state``), and checks
+    that the constructor flags exactly the forced closure, each flag sound
+    (``test_arena_flags_exactly_the_forced_closure``).
     """
 
     def __init__(self, game: SafetyGame):
@@ -343,6 +350,28 @@ class Arena:
                 self.alive[v] = False
                 queue.append(v)
         self._cascade(queue, None, None)
+        # Flag the forced closure: init, every successor of a player-1
+        # member and the one distinct live target of a player-0 member.
+        alive, doomed, out = self.alive, self.doomed, game.out_edges
+        stack = [game.init_index] if alive[game.init_index] else []
+        while stack:
+            v = stack.pop()
+            if owner[v]:
+                for _, d in out[v]:
+                    if not doomed[d]:
+                        doomed[d] = True
+                        stack.append(d)
+                continue
+            target = -1
+            for _, d in out[v]:
+                if alive[d] and d != target:
+                    if target >= 0:
+                        break
+                    target = d
+            else:
+                if not doomed[target]:
+                    doomed[target] = True
+                    stack.append(target)
 
     def _cascade(
         self,

@@ -8,7 +8,9 @@ Two methods with very different cost/quality trade-offs:
 * :func:`smart_random_extract` walks the winning player-0 positions in a
   seeded random permutation and greedily leaves positions undefined
   (deletes their outgoing edges) whenever the game stays won, producing
-  a locally optimal strategy in polynomial time.
+  a locally optimal strategy in polynomial time.  The positions that
+  every winning support contains (the forced closure the exact engines
+  fix too) are rejected without a cascade.
 
 Both are fully determined by the seed: permutations and draws use the
 package RNG over positions sorted by id, so parse order never leaks into
@@ -31,6 +33,9 @@ from .game import (
     strategy_moves,
 )
 from .rng import SplitMix64
+
+#: Candidates tried between two reads of the local search's deadline.
+DEADLINE_BLOCK = 256
 
 
 def random_extract(
@@ -69,10 +74,13 @@ def smart_random_extract(
     keeps the deletion exactly when the initial position stays winning.
     Removing edges never enlarges the winning region, so each tentative
     check cascades from the current region instead of re-solving from
-    scratch; a rejected deletion is rolled back.  A failed deletion is
-    remembered, so a later cascade that kills that position stops at
-    once.  The result is the smallest-action specialization of what
-    remains, restricted to its reachable domain, and is locally optimal.
+    scratch; a rejected deletion is rolled back.  The arena starts with
+    the forced closure, which every winning support contains, flagged as
+    undeletable, and remembers each failed deletion, so a cascade that
+    kills a flagged position stops at once.  The result is the
+    smallest-action specialization of what remains, restricted to its
+    reachable domain, and is locally optimal.  The ``deadline`` is read
+    before each block of ``DEADLINE_BLOCK`` candidates.
 
     ``winning`` should be the winning region of ``game``.  Init counts as
     losing when it is outside ``winning`` or outside the arena's own
@@ -86,10 +94,11 @@ def smart_random_extract(
     owner = game.pos_owner
     order = [v for v in arena.winning_indices() if owner[v] == 0]
     rng.shuffle(order)
-    for step, v in enumerate(order):
-        if deadline is not None and step % 256 == 0 and time.monotonic() > deadline:
+    for start in range(0, len(order), DEADLINE_BLOCK):
+        if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceededError("local search deadline expired")
-        arena.try_delete(v)
+        for v in order[start:start + DEADLINE_BLOCK]:
+            arena.try_delete(v)
 
     return decode_support(game, arena.alive)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame, reach
+from .game import Arena, MostPermissiveStrategy, PositionalStrategy, SafetyGame
 from .lp import (
     INTEGRALITY_EPS,
     LpProblem,
@@ -70,13 +70,14 @@ class _Frame:
     is its number of choices.
 
     The reduced problem leaves out the ``forced`` positions, which every
-    support contains by unit propagation of the support rows: the
-    :func:`reach` walk that moves a player-0 position only when its allowed
-    targets are one distinct position.  ``offset`` counts the forced
-    player-0 ones.  Its variables are the ``free`` positions in index order
-    (``column`` maps a pruned position to its variable, -1 when forced),
-    and its ``pairs`` are the :func:`support_rows` pairs without a forced
-    target, in their order, with ``None`` for a forced source.
+    support contains by unit propagation of the support rows: the forced
+    closure that :class:`Arena` flags ``doomed`` at construction, here of
+    the pruned game, where every allowed target is live.  ``offset``
+    counts the forced player-0 ones.  Its variables are the ``free``
+    positions in index order (``column`` maps a pruned position to its
+    variable, -1 when forced), and its ``pairs`` are the
+    :func:`support_rows` pairs without a forced target, in their order,
+    with ``None`` for a forced source.
     ``problem`` is their LP (:func:`pair_rows`), and ``sat`` encodes the
     same pairs.  The root optimum plus ``offset``, rounded up, is ``lb``.
 
@@ -89,18 +90,11 @@ class _Frame:
     def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
         self.pruned, self.mp = pruned_context(game, mp)
         owner = self.pruned.pos_owner
-        moves = self.mp.moves
-
-        def unit(v, _):
-            return moves[v] if len({d for _, d in moves[v]}) == 1 else ()
-
-        order, _ = reach(self.pruned, unit)
-        self.forced = np.zeros(len(owner), dtype=bool)
-        self.forced[order] = True
-        forced = self.forced.tolist()
+        forced = Arena(self.pruned).doomed
+        self.forced = np.array(forced, dtype=bool)
         self.free = np.flatnonzero(~self.forced)
         free = self.free.tolist()
-        self.offset = sum(1 for v in order if owner[v] == 0)
+        self.offset = sum(1 for f, o in zip(forced, owner) if f and o == 0)
         self.column = [-1] * len(owner)
         for i, v in enumerate(free):
             self.column[v] = i

@@ -328,16 +328,20 @@ def test_arena_deletions_match_naive_rescan(seed, n0, n1, k, ops):
 def test_arena_rollback_after_doomed_stop_restores_state():
     # Deleting u decrements a, then kills b (a player-1 position) and c.
     # c was doomed by a failed peek, so the cascade stops at c before it
-    # reaches init z.
+    # reaches init z.  w offers two targets, so the forced closure flagged
+    # at construction ends there and c is doomed only by the peek.
     game = sg.SafetyGame.build(
-        {"a": 0, "b": 1, "c": 0, "s": 1, "u": 0, "z": 1},
+        {"a": 0, "b": 1, "c": 0, "p": 1, "q": 1, "s": 1, "u": 0, "w": 0, "z": 1},
         {
             ("a", "x"): "u", ("a", "y"): "s",
             ("b", "r"): "u",
             ("c", "x"): "u",
+            ("p", "r"): "c", ("p", "t"): "s",
+            ("q", "r"): "c", ("q", "t"): "s",
             ("s", "r"): "s",
             ("u", "x"): "s",
-            ("z", "r"): "c",
+            ("w", "x"): "p", ("w", "y"): "q",
+            ("z", "r"): "w",
         },
         "z",
     )
@@ -358,6 +362,64 @@ def test_arena_rollback_after_doomed_stop_restores_state():
     assert arena.alive == alive
     assert arena.cnt == cnt
     assert game.init_index not in naive_region_without(game, {idx["u"]})
+
+
+def _unit_closure(game: sg.SafetyGame) -> set[str]:
+    """Reference forced closure, by name: the reach walk over the pruned
+    game that moves a player-0 position only when its allowed targets
+    are one distinct position."""
+    winning = sg.compute_winning_region(game)
+    pruned, mp = pruned_context(game, sg.most_permissive(game, winning))
+
+    def unit(v, _):
+        return mp.moves[v] if len({d for _, d in mp.moves[v]}) == 1 else ()
+
+    order, _ = sg.game.reach(pruned, unit)
+    return {pruned.pos_names[v] for v in order}
+
+
+def _loses_init_when_killed(game: sg.SafetyGame, v: int) -> bool:
+    """Naive check that init is lost once ``v`` is dead: a player-0 ``v``
+    loses its edges, and a player-1 ``v`` becomes a player-0 dead end."""
+    if game.pos_owner[v] == 0:
+        return game.init_index not in naive_region_without(game, {v})
+    name = game.pos_names[v]
+    owners = {p: game.pos_owner[game.pos_index[p]] for p in game.pos_names}
+    owners[name] = 0
+    edges = {e: d for e, d in game.edges.items() if e[0] != name}
+    return game.init not in naive_winning_region(sg.SafetyGame.build(owners, edges, game.init))
+
+
+def _check_seeded_closure(game: sg.SafetyGame) -> None:
+    arena = sg.game.Arena(game)
+    flagged = [v for v, f in enumerate(arena.doomed) if f]
+    if not arena.alive[game.init_index]:
+        assert flagged == [game.init_index]
+        return
+    assert all(arena.alive[v] for v in flagged)
+    for v in flagged:
+        assert _loses_init_when_killed(game, v)
+    assert {game.pos_names[v] for v in flagged} == _unit_closure(game)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(1, 8), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_arena_flags_exactly_the_forced_closure(seed, n0, n1, k):
+    # A fresh arena flags init and the forced closure, and nothing else:
+    # every flag is sound (killing the position loses init) and the set
+    # is the closure the exact engines fix.
+    _check_seeded_closure(sg.gen_random(seed, n0, n1, k))
+
+
+def test_arena_closure_follows_a_duplicate_target():
+    # Init p2 takes two actions to p0; one distinct target forces p0.
+    game = sg.gen_random(264, 6, 6, 3)
+    idx = game.pos_index
+    p2, p0 = idx["p2"], idx["p0"]
+    assert game.init_index == p2
+    assert [d for _, d in game.out_edges[p2]] == [p0, p0]
+    assert sg.game.Arena(game).doomed[p0]
+    _check_seeded_closure(game)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 import sparsegames as sg
+from sparsegames.game import Arena
 from sparsegames.rng import SplitMix64
 
 from conftest import solvable_random_games
@@ -280,8 +281,6 @@ def test_local_optimality_is_relative_to_the_undefined_set():
             through_v = strat
     assert through_v is not None
     # single-position deletion in the full game would judge v droppable
-    from sparsegames.game import Arena
-
     arena = Arena(game)
     assert arena.peek_delete(game.pos_index["v"])
 
@@ -327,6 +326,27 @@ def test_smart_matches_literal_resolve_implementation():
         fast = sg.smart_random_extract(game, winning, seed)
         literal = _literal_smart(game, winning, seed)
         assert fast == literal
+
+
+def test_smart_on_a_chain_rejects_every_deletion_without_a_cascade(monkeypatch):
+    # Every chain position is in the forced closure, so each tentative
+    # deletion stops at its own flag: one rollback of ([v], []) per
+    # candidate, and no position beyond v is killed or decremented.
+    game = sg.gen_chain(64)
+    rolled_back = []
+    rollback = Arena._rollback
+
+    def spy(self, killed, decremented):
+        rolled_back.append((list(killed), list(decremented)))
+        rollback(self, killed, decremented)
+
+    monkeypatch.setattr(Arena, "_rollback", spy)
+    strat = sg.smart_random_extract(game, sg.compute_winning_region(game), 0)
+    assert sg.density(game, strat) == 64
+    candidates = [v for v, o in enumerate(game.pos_owner) if o == 0]
+    assert len(rolled_back) == 64
+    assert sorted(killed[0] for killed, _ in rolled_back) == candidates
+    assert all(len(killed) == 1 and not decremented for killed, decremented in rolled_back)
 
 
 def test_smart_respects_deadline():
