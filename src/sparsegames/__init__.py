@@ -15,7 +15,6 @@ Quick start::
 from .errors import (
     DfaDeadEndError,
     GameFormatError,
-    InfeasibleAfterFixError,
     InitLosingError,
     InitNotPlayer1Error,
     NonAlternatingDfaError,
@@ -78,7 +77,6 @@ __all__ = [
     "Dfa",
     "ExactResult",
     "GameFormatError",
-    "InfeasibleAfterFixError",
     "InitLosingError",
     "InitNotPlayer1Error",
     "LpProblem",

@@ -43,10 +43,5 @@ class SearchSpaceTooLargeError(SparseGamesError):
     """The brute-force oracle refuses instances beyond its guard."""
 
 
-class InfeasibleAfterFixError(SparseGamesError):
-    """Defensive error: an LP fixing round became infeasible even after
-    dropping the round's zero-fixings."""
-
-
 class TimeoutExceededError(SparseGamesError):
     """A wall-clock deadline expired inside a long-running engine."""

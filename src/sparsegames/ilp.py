@@ -1,10 +1,11 @@
 """Exact minimum-density extraction by branch-and-bound over the LP
 relaxation.
 
-Both exact engines solve one reduced problem, built by :class:`_Frame`:
-the positions that every support contains are fixed in, and only the
-free ones stay variables.  On a set cover game that leaves the sets; an
-unplanted 40-element cover's LP shrinks from 121 x 81 to 34 x 39.
+Like ``replp`` and ``sat``, this engine solves the one reduced problem
+built by :class:`sparsegames.lp._Frame`: the positions that every
+support contains are fixed in, and only the free ones stay variables.
+On a set cover game that leaves the sets; an unplanted 40-element
+cover's LP shrinks from 121 x 81 to 34 x 39.
 
 Best-first search on nodes carrying variable fixings.  Each node's bound
 is its LP optimum plus the forced player-0 count; a node is pruned once
@@ -26,23 +27,13 @@ columns where the two bases differ, and each child solve gets a copy.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Arena, MostPermissiveStrategy, PositionalStrategy, SafetyGame
-from .lp import (
-    INTEGRALITY_EPS,
-    LpProblem,
-    Tableau,
-    decode_support,
-    lp_solve,
-    pair_rows,
-    pruned_context,
-    support_rows,
-)
+from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame
+from .lp import INTEGRALITY_EPS, _Frame, lp_solve
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -57,91 +48,6 @@ class ExactResult:
     density: int
     certified: bool
     work: int
-
-
-class _Frame:
-    """The pruned game, its reduced problem, the root LP of that problem
-    solved cold and the root's optimal ``tableau``, the lower bound ``lb``,
-    and the incumbent of both exact engines: the decoded all-ones support,
-    which flags every pruned position and so is always valid, replaced by
-    every strictly sparser decoded support.  A decoded strategy names the
-    player-0 positions its walk reaches in the pruned game, which keeps
-    every edge of a reached player-1 position, so its density in ``game``
-    is its number of choices.
-
-    The reduced problem leaves out the ``forced`` positions, which every
-    support contains by unit propagation of the support rows: the forced
-    closure that :class:`Arena` flags ``doomed`` at construction, here of
-    the pruned game, where every allowed target is live.  ``offset``
-    counts the forced player-0 ones.  Its variables are the ``free``
-    positions in index order (``column`` maps a pruned position to its
-    variable, -1 when forced), and its ``pairs`` are the
-    :func:`support_rows` pairs without a forced target, in their order,
-    with ``None`` for a forced source.
-    ``problem`` is their LP (:func:`pair_rows`), and ``sat`` encodes the
-    same pairs.  The root optimum plus ``offset``, rounded up, is ``lb``.
-
-    An integral root is offered at once: its support has at most ``lb``
-    player-0 positions, so it certifies ``ub == lb`` before any search.
-    Integrality is judged on the values, since a fractional root can have
-    an integral objective.
-    """
-
-    def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
-        self.pruned, self.mp = pruned_context(game, mp)
-        owner = self.pruned.pos_owner
-        forced = Arena(self.pruned).doomed
-        self.forced = np.array(forced, dtype=bool)
-        self.free = np.flatnonzero(~self.forced)
-        free = self.free.tolist()
-        self.offset = sum(1 for f, o in zip(forced, owner) if f and o == 0)
-        self.column = [-1] * len(owner)
-        for i, v in enumerate(free):
-            self.column[v] = i
-        self.pairs = [
-            (None if forced[v] else v, targets)
-            for v, targets in support_rows(self.pruned, self.mp)
-            if not any([forced[d] for d in targets])
-        ]
-        n = len(free)
-        rows, rhs = pair_rows(self.pairs, self.column, n)
-        self.problem = LpProblem(
-            tuple([self.pruned.pos_names[v] for v in free]),
-            [1.0 if owner[v] == 0 else 0.0 for v in free],
-            rows, rhs, np.zeros(n), np.ones(n),
-        )
-        self.best = decode_support(self.pruned, [True] * len(owner))
-        self.ub = len(self.best.choice)
-        self.tableau = Tableau.surplus(self.problem)
-        self.root = lp_solve(self.problem, self.tableau)
-        if self.root.status == "infeasible":
-            raise AssertionError("relaxation of a winnable game cannot be infeasible")
-        self.lb = self.bound(self.root.objective_value)
-        v = self.root.values
-        if ((v <= INTEGRALITY_EPS) | (v >= 1.0 - INTEGRALITY_EPS)).all():
-            self.offer(v >= 1.0 - INTEGRALITY_EPS)
-
-    def bound(self, objective: float) -> int:
-        """The density bound of a reduced objective: plus ``offset``,
-        rounded up."""
-        return math.ceil(self.offset + objective - INTEGRALITY_EPS)
-
-    def offer(self, flags) -> None:
-        """Decode a support given as flags of the free positions, lifted to
-        the forced ones, and keep it when it is strictly sparser."""
-        support = self.forced.copy()
-        support[self.free] = flags
-        candidate = decode_support(self.pruned, support)
-        if len(candidate.choice) < self.ub:
-            self.best, self.ub = candidate, len(candidate.choice)
-
-    def record(self, stats: dict) -> None:
-        """Record the forced player-0 count and the reduced LP's shape."""
-        stats["forced"] = self.offset
-        stats["lp_shape"] = self.problem.rows.shape
-
-    def result(self, certified: bool, work: int) -> ExactResult:
-        return ExactResult(self.best, self.ub, certified, work)
 
 
 def ilp_exact_extract(
@@ -234,4 +140,4 @@ def ilp_exact_extract(
         stats["nodes"] = node_log
         stats["pivots"] = pivots
         frame.record(stats)
-    return frame.result(certified, lp_solves)
+    return ExactResult(frame.best, frame.ub, certified, lp_solves)

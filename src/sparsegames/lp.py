@@ -1,5 +1,6 @@
 """Linear-programming engine: relaxation builder, bounded dual simplex,
-and the repetitive rounding heuristic.
+the LP front end shared by every LP engine, and the repetitive rounding
+heuristic.
 
 The relaxation has one [0,1] variable per position of the pruned winning
 game.  A feasible 0/1 point is exactly the indicator of a position set
@@ -7,22 +8,25 @@ containing init that is closed under player-1 moves and offers every
 player-0 member an allowed successor inside the set, so minimizing the
 player-0 mass lower-bounds the minimum strategy density.  The
 constraints are the :func:`support_rows`, shared with ``sat.py``.
+:func:`build_relaxation` writes this LP over every pruned position, for
+``--dump-lp``; the engines solve :class:`_Frame`'s reduced problem
+instead, which leaves out the positions every support contains.
 
 The solver is a dense bounded dual simplex.  Its columns are the n
 structural variables and one surplus per row (``rows @ x - s = rhs``,
 ``s >= 0``).  A cold solve starts from the surplus basis, whose m x (n + m)
-tableau is ``[-rows | I]``, so there is no phase 1; the root and every
-rounding round start there.  A branch-and-bound child starts from its
-parent's optimal basis instead (:class:`Tableau`), since the two differ
-only in bounds.  Every structural variable is boxed, so putting each
-nonbasic one at the bound its reduced cost prefers makes any start dual
-feasible for any bounds, and one loop solves from every start.  The
-pivot rule is Bland's over the reversed column order: the largest-index
-bound-violating basic variable leaves, and the smallest dual ratio
-enters, the largest index on ties.  The tie rule is what keeps the trap
-roots integral: with smallest-index ties the loop ends on fractional
-optimal vertices of ``gen_adversarial`` roots, where ``ilp`` can no
-longer certify at the root.
+tableau is ``[-rows | I]``, so there is no phase 1; the frame's root and
+every later ``replp`` round start there.  A branch-and-bound child
+starts from its parent's optimal basis instead (:class:`Tableau`), since
+the two differ only in bounds.  Every structural variable is boxed, so
+putting each nonbasic one at the bound its reduced cost prefers makes
+any start dual feasible for any bounds, and one loop solves from every
+start.  The pivot rule is Bland's over the reversed column order: the
+largest-index bound-violating basic variable leaves, and the smallest
+dual ratio enters, the largest index on ties.  The tie rule is what
+keeps the trap roots integral: with smallest-index ties the loop ends
+on fractional optimal vertices of ``gen_adversarial`` roots, where
+``ilp`` can no longer certify at the root.
 
 A pivot does not touch all of the tableau.  Picking the leaving row and
 the entering column are a few vector operations over the rows and
@@ -33,32 +37,31 @@ the rows where the entering column is nonzero: under 1% of them on the
 roots of ``gen_chain`` and ``gen_adversarial``, about half on unplanted
 random set covers.  One pivot therefore costs about that column's
 nonzeros times the tableau width, plus a few dozen numpy calls whose
-fixed cost dominates on small tableaux.  The root LP of
-``gen_adversarial(64)`` (833 rows, 769 pruned positions) takes 320
-pivots in 0.013-0.014 s on a 2-core host with CPython 3.11 and numpy
-2.4.  Every pivot and every product on a tableau is elementwise numpy,
-with no BLAS or LAPACK call, so the pivots and the results do not
-depend on how many threads such a library runs.
+fixed cost dominates on small tableaux.  The frame's root LP of
+``gen_adversarial(64)`` (576 rows, 704 free positions) takes 256 pivots
+in 0.013-0.015 s on a 2-core host with CPython 3.11 and numpy 2.4.
+Every pivot and every product on a tableau is elementwise numpy, with no
+BLAS or LAPACK call, so the pivots and the results do not depend on how
+many threads such a library runs.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleAfterFixError, TimeoutExceededError
+from .errors import TimeoutExceededError
 from .game import (
+    Arena,
     MostPermissiveStrategy,
     PositionalStrategy,
     SafetyGame,
     decode_support,
     pruned_context,
 )
-
-logger = logging.getLogger(__name__)
 
 #: treat |v| <= EPS as 0 and |v - 1| <= EPS as 1 when rounding LP values
 INTEGRALITY_EPS = 1e-9
@@ -426,6 +429,94 @@ def _linear_expr(coefs: np.ndarray, names: tuple[str, ...]) -> str:
     return " ".join(parts) if parts else "0"
 
 
+class _Frame:
+    """The LP front end of ``replp``, ``ilp`` and ``sat``: the pruned game,
+    its reduced problem, the root LP of that problem solved cold and the
+    root's optimal ``tableau``, the lower bound ``lb``, and the incumbent
+    of the exact engines: the decoded all-ones support, which flags every
+    pruned position and so is always valid, replaced by every strictly
+    sparser decoded support.  A decoded strategy names the player-0
+    positions its walk reaches in the pruned game, which keeps every edge
+    of a reached player-1 position, so its density in ``game`` is its
+    number of choices.
+
+    The reduced problem leaves out the ``forced`` positions, which every
+    support contains by unit propagation of the support rows: the forced
+    closure that :class:`Arena` flags ``doomed`` at construction, here of
+    the pruned game, where every allowed target is live.  ``offset``
+    counts the forced player-0 ones.  Its variables are the ``free``
+    positions in index order (``column`` maps a pruned position to its
+    variable, -1 when forced), and its ``pairs`` are the
+    :func:`support_rows` pairs without a forced target, in their order,
+    with ``None`` for a forced source.
+    ``problem`` is their LP (:func:`pair_rows`), and ``sat`` encodes the
+    same pairs.  The root optimum plus ``offset``, rounded up, is ``lb``.
+
+    An integral root is offered at once: its support has at most ``lb``
+    player-0 positions, so it certifies ``ub == lb`` before any search.
+    Integrality is judged on the values, since a fractional root can have
+    an integral objective.
+    """
+
+    def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
+        self.pruned, self.mp = pruned_context(game, mp)
+        owner = self.pruned.pos_owner
+        forced = Arena(self.pruned).doomed
+        self.forced = np.array(forced, dtype=bool)
+        self.free = np.flatnonzero(~self.forced)
+        free = self.free.tolist()
+        self.offset = sum(1 for f, o in zip(forced, owner) if f and o == 0)
+        self.column = [-1] * len(owner)
+        for i, v in enumerate(free):
+            self.column[v] = i
+        self.pairs = [
+            (None if forced[v] else v, targets)
+            for v, targets in support_rows(self.pruned, self.mp)
+            if not any([forced[d] for d in targets])
+        ]
+        n = len(free)
+        rows, rhs = pair_rows(self.pairs, self.column, n)
+        self.problem = LpProblem(
+            tuple([self.pruned.pos_names[v] for v in free]),
+            [1.0 if owner[v] == 0 else 0.0 for v in free],
+            rows, rhs, np.zeros(n), np.ones(n),
+        )
+        self.best = decode_support(self.pruned, [True] * len(owner))
+        self.ub = len(self.best.choice)
+        self.tableau = Tableau.surplus(self.problem)
+        self.root = lp_solve(self.problem, self.tableau)
+        if self.root.status == "infeasible":
+            raise AssertionError("relaxation of a winnable game cannot be infeasible")
+        self.lb = self.bound(self.root.objective_value)
+        v = self.root.values
+        if ((v <= INTEGRALITY_EPS) | (v >= 1.0 - INTEGRALITY_EPS)).all():
+            self.offer(v >= 1.0 - INTEGRALITY_EPS)
+
+    def bound(self, objective: float) -> int:
+        """The density bound of a reduced objective: plus ``offset``,
+        rounded up."""
+        return math.ceil(self.offset + objective - INTEGRALITY_EPS)
+
+    def decode(self, flags) -> PositionalStrategy:
+        """Decode a support given as flags of the free positions, lifted to
+        the forced ones."""
+        support = self.forced.copy()
+        support[self.free] = flags
+        return decode_support(self.pruned, support)
+
+    def offer(self, flags) -> None:
+        """Decode a support given as flags of the free positions and keep
+        it when it is strictly sparser."""
+        candidate = self.decode(flags)
+        if len(candidate.choice) < self.ub:
+            self.best, self.ub = candidate, len(candidate.choice)
+
+    def record(self, stats: dict) -> None:
+        """Record the forced player-0 count and the reduced LP's shape."""
+        stats["forced"] = self.offset
+        stats["lp_shape"] = self.problem.rows.shape
+
+
 def replp_extract(
     game: SafetyGame,
     mp: MostPermissiveStrategy,
@@ -433,71 +524,73 @@ def replp_extract(
     deadline: float | None = None,
     stats: dict | None = None,
 ) -> PositionalStrategy:
-    """Iterated LP rounding.
+    """Iterated LP rounding on the reduced problem of :class:`_Frame`.
 
-    Solve the relaxation; fix every 0-valued variable to 0 and every
-    1-valued variable to 1; additionally fix one variable attaining the
-    largest non-1 value to 1 (smallest index on ties); repeat until the
-    solution is integral, then decode.  Each round turns at least one
-    fractional variable into a fixed 1, so the loop runs at most once per
-    position.  If a round's zero-fixings make the LP infeasible the round
-    is retried without them (this is recorded); feasibility with the
-    upward fixings alone always holds because the all-ones point over the
-    winning region satisfies every constraint.  A ``stats`` dict receives
-    ``rounds``, ``zero_fix_retries``, ``fixed_sizes`` (zero-fixed and
-    one-fixed counts per round) and ``pivots``, the simplex pivots of
-    every LP solve, retried rounds included.
+    The first round's LP is the frame's root; every later round solves
+    the reduced problem cold under the fixings so far.  Each round fixes
+    every 0-valued variable to 0 and every 1-valued variable to 1, and
+    additionally one variable attaining the largest non-1 value to 1
+    (smallest index on ties); once a solution is integral, its support
+    with the forced positions added is decoded.  Each round turns at
+    least one fractional variable into a fixed 1, so the loop runs at
+    most once per free position.  If a round's zero-fixings make the LP
+    infeasible the round is retried without them (this is recorded);
+    feasibility with the upward fixings alone always holds because the
+    all-ones point satisfies every constraint, so an infeasible LP
+    without zero-fixings is an ``AssertionError``.  The ``deadline`` is
+    read before every LP solve, the root's included, and raises
+    :class:`TimeoutExceededError`.  A ``stats`` dict receives ``rounds``,
+    ``zero_fix_retries``, ``fixed_sizes`` (zero-fixed and one-fixed free
+    variables per round), ``pivots``, the simplex pivots of every LP
+    solve, retried rounds included, and the frame's ``forced`` and
+    ``lp_shape``.
     """
-    pruned, mp2 = pruned_context(game, mp)
-    problem = build_relaxation(pruned, mp2)
-    n = len(problem.var_names)
+    _check_deadline(deadline)
+    frame = _Frame(game, mp)
+    problem = frame.problem
     lo = problem.lo.copy()
     hi = problem.hi.copy()
     eps = INTEGRALITY_EPS
-    pending_zero: list[int] | None = None
+    sol = frame.root
+    pivots = sol.pivots
+    pending_zero = np.empty(0, dtype=int)
     rounds = 0
     retries = 0
-    pivots = 0
     fixed_sizes: list[tuple[int, int]] = []
-    for _ in range(n + 2):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceededError("replp deadline expired")
+    for _ in range(len(problem.var_names) + 2):
+        if sol.status == "infeasible":
+            if not pending_zero.size:
+                raise AssertionError(
+                    "LP infeasible after a fixing round without zero-fixings"
+                )
+            hi[pending_zero] = 1.0
+            retries += 1
+            pending_zero = pending_zero[:0]
+        else:
+            rounds += 1
+            v = sol.values
+            ones = v >= 1.0 - eps
+            fractional = (v > eps) & ~ones
+            if not fractional.any():
+                if stats is not None:
+                    stats["rounds"] = rounds
+                    stats["zero_fix_retries"] = retries
+                    stats["fixed_sizes"] = fixed_sizes
+                    stats["pivots"] = pivots
+                    frame.record(stats)
+                return frame.decode(ones)
+            pending_zero = np.flatnonzero((v <= eps) & (hi > 0.0))
+            hi[pending_zero] = 0.0
+            lo[ones] = 1.0
+            max_frac = v[fractional].max()
+            lo[np.flatnonzero(fractional & (v >= max_frac - eps))[0]] = 1.0
+            fixed_sizes.append((int(np.sum(hi <= 0.0)), int(np.sum(lo >= 1.0))))
+        _check_deadline(deadline)
         sol = lp_solve(problem.with_bounds(lo, hi))
         pivots += sol.pivots
-        if sol.status == "infeasible":
-            if pending_zero:
-                for i in pending_zero:
-                    hi[i] = 1.0
-                retries += 1
-                logger.warning(
-                    "replp round became infeasible; retrying without %d zero-fixings",
-                    len(pending_zero),
-                )
-                pending_zero = None
-                continue
-            raise InfeasibleAfterFixError(
-                "LP infeasible after a fixing round without zero-fixings"
-            )
-        rounds += 1
-        v = sol.values
-        fractional = [i for i in range(n) if eps < v[i] < 1.0 - eps]
-        if not fractional:
-            if stats is not None:
-                stats["rounds"] = rounds
-                stats["zero_fix_retries"] = retries
-                stats["fixed_sizes"] = fixed_sizes
-                stats["pivots"] = pivots
-            return decode_support(pruned, v >= 1.0 - eps)
-        pending_zero = [i for i in range(n) if v[i] <= eps and hi[i] > 0.0]
-        for i in pending_zero:
-            hi[i] = 0.0
-        for i in range(n):
-            if v[i] >= 1.0 - eps:
-                lo[i] = 1.0
-        max_frac = max(v[i] for i in fractional)
-        target = min(i for i in fractional if v[i] >= max_frac - eps)
-        lo[target] = 1.0
-        fixed_sizes.append(
-            (int(np.sum(hi <= 0.0)), int(np.sum(lo >= 1.0)))
-        )
     raise AssertionError("replp failed to converge within the round bound")
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutExceededError("replp deadline expired")

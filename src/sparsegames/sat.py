@@ -6,8 +6,8 @@ The clauses are the pairs of :func:`sparsegames.lp.support_rows`, which
 also give the LP relaxation its rows: a pair ``(v, (t1, t2))`` is the row
 ``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here, and
 :func:`support_clauses` is the one encoder of both :func:`build_cnf` and
-the engine.  Minimization starts from the shared exact frame
-(:class:`sparsegames.ilp._Frame`) and encodes its reduced problem: only
+the engine.  Minimization starts from the frame shared by the LP engines
+(:class:`sparsegames.lp._Frame`) and encodes its reduced problem: only
 the free positions are variables, a pair whose source is forced is the
 clause ``t1 | t2``, and pairs with a forced target are gone.  A
 sequential-counter at-most-k encoding bounds the free player-0
@@ -31,8 +31,8 @@ import time
 from dataclasses import dataclass, field
 
 from .game import MostPermissiveStrategy, SafetyGame
-from .ilp import ExactResult, _Frame
-from .lp import support_rows
+from .ilp import ExactResult
+from .lp import _Frame, support_rows
 
 DEFAULT_CONFLICT_BUDGET = 10**7
 
@@ -499,4 +499,4 @@ def sat_exact_extract(
     if stats is not None:
         stats["probes"] = probes
         frame.record(stats)
-    return frame.result(k >= frame.ub, len(probes))
+    return ExactResult(frame.best, frame.ub, k >= frame.ub, len(probes))

@@ -14,7 +14,7 @@ import pytest
 
 import sparsegames as sg
 from sparsegames.game import reach, strategy_moves
-from sparsegames.ilp import _Frame
+from sparsegames.lp import _Frame
 from sparsegames.lp import build_relaxation, pruned_context
 
 from conftest import gap_game, solvable_random_games

@@ -200,6 +200,36 @@ def test_replp_integral_relaxation_single_round():
     strat = sg.replp_extract(game, mp, stats=stats)
     assert stats["rounds"] == 1
     assert sg.density(game, strat) == 4
+    # A chain's whole support is forced, so its reduced LP is empty.
+    assert stats["forced"] == 4
+    assert stats["lp_shape"] == (0, 0)
+
+
+def test_replp_rounds_on_the_frame(monkeypatch):
+    # replp prunes once, through its frame, never builds the unreduced
+    # relaxation, and takes its first round from the frame's root.
+    calls = {"pruned_context": 0, "build_relaxation": 0}
+    for name in calls:
+        real = getattr(lp_mod, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(lp_mod, name, spy)
+    game, winning, mp = solvable_random_games(1, 6, 6, 3, start_seed=63)[0]
+    stats = {}
+    strat = lp_mod.replp_extract(game, mp, stats=stats)
+    assert sg.validate_strategy(game, mp, strat).winning
+    assert stats["rounds"] > 1
+    assert calls == {"pruned_context": 1, "build_relaxation": 0}
+
+    game = sg.gen_adversarial(3)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    stats = {}
+    lp_mod.replp_extract(game, mp, stats=stats)
+    assert stats["rounds"] == 1
+    assert stats["pivots"] == lp_mod._Frame(game, mp).root.pivots > 0
 
 
 def test_replp_chain_density_matches_oracle():
@@ -284,16 +314,17 @@ def test_simplex_matches_scipy_on_general_random_lps():
 
 def test_replp_retries_round_without_zero_fixings(monkeypatch):
     # Force one fixing round infeasible to exercise the documented retry:
-    # the round is replayed without its zero-fixings and recorded.
+    # the round is replayed without its zero-fixings and recorded.  Call 1
+    # is the frame's root, call 2 the second round.
     game, winning, mp = solvable_random_games(1, 6, 6, 3, start_seed=63)[0]
     real_solve = lp_mod.lp_solve
     calls = {"n": 0}
 
-    def flaky(problem):
+    def flaky(problem, start=None):
         calls["n"] += 1
         if calls["n"] == 2:
             return lp_mod.LpSolution("infeasible")
-        return real_solve(problem)
+        return real_solve(problem, start)
 
     monkeypatch.setattr(lp_mod, "lp_solve", flaky)
     stats = {}
@@ -305,9 +336,9 @@ def test_replp_retries_round_without_zero_fixings(monkeypatch):
 def test_replp_raises_when_infeasible_without_zero_fixings(monkeypatch):
     game, winning, mp = solvable_random_games(1, 5, 5, 2)[0]
     monkeypatch.setattr(
-        lp_mod, "lp_solve", lambda problem: lp_mod.LpSolution("infeasible")
+        lp_mod, "lp_solve", lambda problem, start=None: lp_mod.LpSolution("infeasible")
     )
-    with pytest.raises(sg.InfeasibleAfterFixError):
+    with pytest.raises(AssertionError):
         lp_mod.replp_extract(game, mp)
 
 
@@ -383,6 +414,8 @@ def test_lp_solutions_are_pinned(monkeypatch):
         solved.append(sg.lp_solve(problem, start))
         return solved[-1]
 
+    # The root is solved by the frame in ``lp``, the children in ``ilp``.
+    monkeypatch.setattr(lp_mod, "lp_solve", recording)
     monkeypatch.setattr(ilp_mod, "lp_solve", recording)
     game = sg.gen_random(63, 6, 6, 3)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))

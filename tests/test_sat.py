@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import sparsegames as sg
-from sparsegames.ilp import _Frame
+from sparsegames.lp import _Frame
 from sparsegames.lp import INTEGRALITY_EPS, pruned_context
 from sparsegames.sat import _luby
 
