@@ -14,10 +14,11 @@ on flat arrays; names are kept only for input and output.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GameFormatError, InitLosingError
 
@@ -36,8 +37,9 @@ class SafetyGame:
 
     Construct via :func:`parse_game` or :meth:`SafetyGame.build`, the
     validating entry points; the constructor trusts its arrays and
-    derives only the name lookups, ``init`` and ``in_sources``.  Games
-    with equal arrays are equal.
+    derives only the name lookups, ``init`` and ``in_sources``, and
+    ``fixpoint`` is derived on first use.  Games with equal arrays are
+    equal.
     """
 
     pos_names: tuple[str, ...]
@@ -58,6 +60,12 @@ class SafetyGame:
         # One entry per incoming edge (multiplicity matters for the
         # successor counters used by the fixpoint).
         self.in_sources = tuple(map(tuple, incoming))
+
+    @functools.cached_property
+    def fixpoint(self) -> "Fixpoint":
+        """The initial fixpoint that every :class:`Arena` of this game
+        starts from, solved on first use and kept."""
+        return _solve(self)
 
     @classmethod
     def build(
@@ -290,6 +298,61 @@ def serialize_strategy(strat: PositionalStrategy) -> bytes:
 # Solving
 
 
+class Fixpoint(NamedTuple):
+    """The initial state of every :class:`Arena` of a game, as tuples:
+    the winning region as ``alive`` flags, the live-successor counters
+    ``cnt`` and the forced closure as ``doomed`` flags."""
+
+    alive: tuple[bool, ...]
+    cnt: tuple[int, ...]
+    doomed: tuple[bool, ...]
+
+
+def _solve(game: SafetyGame) -> Fixpoint:
+    """Drain the player-0 dead ends, then flag the forced closure of a
+    winning init: init, every successor of a player-1 member and the one
+    distinct live target of a player-0 member."""
+    owner, out, in_sources = game.pos_owner, game.out_edges, game.in_sources
+    n = len(owner)
+    alive = [True] * n
+    cnt = [len(edges) for edges in out]
+    queue = [v for v in range(n) if owner[v] == 0 and cnt[v] == 0]
+    for v in queue:
+        alive[v] = False
+    for t in queue:
+        for s in in_sources[t]:
+            if not alive[s]:
+                continue
+            if owner[s] == 0:
+                cnt[s] -= 1
+                if cnt[s]:
+                    continue
+            alive[s] = False
+            queue.append(s)
+    doomed = [False] * n
+    doomed[game.init_index] = True
+    stack = [game.init_index] if alive[game.init_index] else []
+    while stack:
+        v = stack.pop()
+        if owner[v]:
+            for _, d in out[v]:
+                if not doomed[d]:
+                    doomed[d] = True
+                    stack.append(d)
+            continue
+        target = -1
+        for _, d in out[v]:
+            if alive[d] and d != target:
+                if target >= 0:
+                    break
+                target = d
+        else:
+            if not doomed[target]:
+                doomed[target] = True
+                stack.append(target)
+    return Fixpoint(tuple(alive), tuple(cnt), tuple(doomed))
+
+
 class Arena:
     """Mutable fixpoint state over a game, with tentative edge deletion.
 
@@ -299,6 +362,11 @@ class Arena:
     position dies as soon as any successor dies.  Player-1 dead ends are
     winning for player 0 and are never removed.
 
+    A game solves its initial fixpoint once, on first use, and keeps it as
+    the tuples of :attr:`SafetyGame.fixpoint`; each arena starts from its
+    own list copies of them.  The memo refers neither to an arena nor back
+    to the game, so a game is freed by reference counting alone.
+
     ``try_delete`` removes all outgoing edges of a player-0 position and
     propagates removals.  If the initial position survives, the deletion
     is kept; otherwise every change is rolled back.  Deleting edges never
@@ -307,21 +375,22 @@ class Arena:
     game.
 
     ``doomed`` flags positions whose death is known to lose init.  The
-    constructor flags the forced closure of a winning init, the positions
-    every winning support contains: init, every successor of a player-1
-    member, and the one distinct live target of a player-0 member whose
-    live targets are one position.  A region of a later state that holds
-    init is closed the same way and lies inside the initial region, so it
-    holds the whole closure.  Each ``v`` whose tentative deletion (by
-    ``try_delete`` or ``peek_delete``) fails is flagged too.  The flags
-    stay valid because an arena only loses player-0 edges and regains
-    exactly what it rolls back, so every later state has a subset of the
-    edges of the state that set the flag, and edge deletions only shrink
-    the winning region.  If ``v`` dies in a later state, dropping its
-    edges there changes nothing, and the result is a subgame of the one
-    that already lost init.  A tentative cascade therefore stops as soon
-    as it kills a doomed position, after recording that kill and every
-    decrement, so the rollback restores ``alive`` and ``cnt`` exactly.
+    initial fixpoint flags the forced closure of a winning init, the
+    positions every winning support contains: init, every successor of a
+    player-1 member, and the one distinct live target of a player-0 member
+    whose live targets are one position.  A region of a later state that
+    holds init is closed the same way and lies inside the initial region,
+    so it holds the whole closure.  Each ``v`` whose tentative deletion
+    (by ``try_delete`` or ``peek_delete``) fails is flagged too, in this
+    arena only.  The flags stay valid because an arena only loses player-0
+    edges and regains exactly what it rolls back, so every later state has
+    a subset of the edges of the state that set the flag, and edge
+    deletions only shrink the winning region.  If ``v`` dies in a later
+    state, dropping its edges there changes nothing, and the result is a
+    subgame of the one that already lost init.  A tentative cascade
+    therefore stops as soon as it kills a doomed position, after recording
+    that kill and every decrement, so the rollback restores ``alive`` and
+    ``cnt`` exactly.
 
     ``copy`` duplicates ``alive``, ``cnt`` and ``doomed``.  The flags stay
     valid in the copy by the same argument: it starts from the edges of
@@ -332,88 +401,40 @@ class Arena:
     (``test_arena_deletions_match_naive_rescan``), checks the rollback
     after an early stop at a doomed position
     (``test_arena_rollback_after_doomed_stop_restores_state``), and checks
-    that the constructor flags exactly the forced closure, each flag sound
+    that a fresh arena flags exactly the forced closure, each flag sound
     (``test_arena_flags_exactly_the_forced_closure``).
     """
 
     def __init__(self, game: SafetyGame):
         self.game = game
-        n = len(game.pos_names)
-        self.alive = [True] * n
-        self.cnt = [len(game.out_edges[v]) for v in range(n)]
-        self.doomed = [False] * n
-        self.doomed[game.init_index] = True
-        owner = game.pos_owner
-        queue = deque()
-        for v in range(n):
-            if owner[v] == 0 and self.cnt[v] == 0:
-                self.alive[v] = False
-                queue.append(v)
-        self._cascade(queue, None, None)
-        # Flag the forced closure: init, every successor of a player-1
-        # member and the one distinct live target of a player-0 member.
-        alive, doomed, out = self.alive, self.doomed, game.out_edges
-        stack = [game.init_index] if alive[game.init_index] else []
-        while stack:
-            v = stack.pop()
-            if owner[v]:
-                for _, d in out[v]:
-                    if not doomed[d]:
-                        doomed[d] = True
-                        stack.append(d)
-                continue
-            target = -1
-            for _, d in out[v]:
-                if alive[d] and d != target:
-                    if target >= 0:
-                        break
-                    target = d
-            else:
-                if not doomed[target]:
-                    doomed[target] = True
-                    stack.append(target)
+        alive, cnt, doomed = game.fixpoint
+        self.alive, self.cnt, self.doomed = list(alive), list(cnt), list(doomed)
 
-    def _cascade(
-        self,
-        queue: deque,
-        killed: list[int] | None,
-        decremented: list[int] | None,
-    ) -> bool:
-        """Propagate deaths.  A tentative cascade (``killed`` given)
-        returns False as soon as it kills a doomed position; the initial
-        one drains the queue and returns True."""
-        alive = self.alive
-        cnt = self.cnt
-        owner = self.game.pos_owner
-        in_sources = self.game.in_sources
-        doomed = self.doomed
-        while queue:
-            t = queue.popleft()
+    def _delete(self, v: int) -> tuple[bool, list[int], list[int]]:
+        """Kill live ``v`` and cascade; ``killed`` is the FIFO queue.  Returns
+        False as soon as a doomed position dies, and flags ``v`` doomed."""
+        alive, cnt, doomed = self.alive, self.cnt, self.doomed
+        owner, in_sources = self.game.pos_owner, self.game.in_sources
+        alive[v] = False
+        killed = [v]
+        decremented: list[int] = []
+        if doomed[v]:
+            return False, killed, decremented
+        for t in killed:
             for s in in_sources[t]:
                 if not alive[s]:
                     continue
                 if owner[s] == 0:
                     cnt[s] -= 1
-                    if decremented is not None:
-                        decremented.append(s)
+                    decremented.append(s)
                     if cnt[s]:
                         continue
                 alive[s] = False
-                if killed is not None:
-                    killed.append(s)
-                    if doomed[s]:
-                        return False
-                queue.append(s)
-        return True
-
-    def _delete(self, v: int) -> tuple[bool, list[int], list[int]]:
-        killed = [v]
-        decremented: list[int] = []
-        self.alive[v] = False
-        ok = not self.doomed[v] and self._cascade(deque([v]), killed, decremented)
-        if not ok:
-            self.doomed[v] = True
-        return ok, killed, decremented
+                killed.append(s)
+                if doomed[s]:
+                    doomed[v] = True
+                    return False, killed, decremented
+        return True, killed, decremented
 
     def _rollback(self, killed: list[int], decremented: list[int]) -> None:
         for s in decremented:
@@ -459,11 +480,11 @@ class Arena:
 def compute_winning_region(game: SafetyGame) -> frozenset[str]:
     """Greatest set of positions from which player 0 keeps the play safe.
 
-    Uses a worklist with per-position counters of live successors, O(|E|)
-    total work.  The empty set is a valid result.
+    Reads the game's initial fixpoint, solved once by a worklist with
+    per-position counters of live successors, O(|E|) total work.  The
+    empty set is a valid result.
     """
-    arena = Arena(game)
-    return frozenset(game.pos_names[v] for v in arena.winning_indices())
+    return frozenset([p for p, a in zip(game.pos_names, game.fixpoint.alive) if a])
 
 
 def most_permissive(game: SafetyGame, winning: frozenset[str]) -> MostPermissiveStrategy:
@@ -486,24 +507,25 @@ def most_permissive(game: SafetyGame, winning: frozenset[str]) -> MostPermissive
     return MostPermissiveStrategy(winning=frozenset(winning), moves=moves)
 
 
-def reach(game: SafetyGame, moves: Callable) -> tuple[list[int], dict[int, int | None]]:
+def reach(game: SafetyGame, moves: Callable) -> tuple[list[int], list[int]]:
     """Breadth-first exploration from init.
 
     A player-1 position takes every edge in ``out_edges``; a player-0
     position ``v`` takes the (action, target) index pairs that
     ``moves(v, ())`` returns, called once per visit, so a ``Moves`` dict
-    is passed as its ``.get``.  Returns the visit order and ``parent``,
-    which maps each visited position to the position that discovered it
-    (``None`` for init).
+    is passed as its ``.get``.  Returns the visit order and ``parent``, a
+    list over all positions that holds the position that discovered each
+    visited one, init for init itself, and -1 for an unvisited one.
     """
     owner = game.pos_owner
     out = game.out_edges
     init = game.init_index
-    parent: dict[int, int | None] = {init: None}
+    parent = [-1] * len(owner)
+    parent[init] = init
     order = [init]
     for v in order:
         for _, d in out[v] if owner[v] else moves(v, ()):
-            if d not in parent:
+            if parent[d] < 0:
                 parent[d] = v
                 order.append(d)
     return order, parent
@@ -571,7 +593,7 @@ def validate_strategy(
         # child, which is the edge that discovered it.
         trace = [v]
         decisions: list[int] = []
-        while parent[trace[-1]] is not None:
+        while trace[-1] != game.init_index:
             u = parent[trace[-1]]
             edges = out[u] if owner[u] else moves[u]
             decisions.append(next(a for a, d in edges if d == trace[-1]))
@@ -643,5 +665,5 @@ def restrict_to_reachable(
     _, parent = reach(game, strategy_moves(game, strat).get)
     pos_index = game.pos_index
     return PositionalStrategy(
-        {p: a for p, a in strat.choice.items() if pos_index.get(p) in parent}
+        {p: a for p, a in strat.choice.items() if p in pos_index and parent[pos_index[p]] >= 0}
     )

@@ -56,7 +56,7 @@ def random_extract(
     _, parent = reach(game, moves.get)
     names, acts = game.pos_names, game.act_names
     return PositionalStrategy(
-        {names[v]: acts[e[0][0]] for v, e in moves.items() if v in parent}
+        {names[v]: acts[e[0][0]] for v, e in moves.items() if parent[v] >= 0}
     )
 
 
@@ -74,26 +74,27 @@ def smart_random_extract(
     keeps the deletion exactly when the initial position stays winning.
     Removing edges never enlarges the winning region, so each tentative
     check cascades from the current region instead of re-solving from
-    scratch; a rejected deletion is rolled back.  The arena starts with
-    the forced closure, which every winning support contains, flagged as
+    scratch; a rejected deletion is rolled back.  The arena copies the
+    game's initial fixpoint, solved once per game, with the forced
+    closure, which every winning support contains, flagged as
     undeletable, and remembers each failed deletion, so a cascade that
-    kills a flagged position stops at once.  The result is the
-    smallest-action specialization of what remains, restricted to its
-    reachable domain, and is locally optimal.  The ``deadline`` is read
-    before each block of ``DEADLINE_BLOCK`` candidates.
+    kills a flagged position stops at once.  Each candidate costs exactly
+    one ``Arena.try_delete`` call.  The result is the smallest-action
+    specialization of what remains, restricted to its reachable domain,
+    and is locally optimal.  The ``deadline`` is read before each block of
+    ``DEADLINE_BLOCK`` candidates.
 
     ``winning`` should be the winning region of ``game``.  Init counts as
-    losing when it is outside ``winning`` or outside the arena's own
-    initial fixpoint.  The candidates come from that fixpoint, listed in
-    index order, which is sorted-name order.
+    losing when it is outside ``winning`` or outside the game's initial
+    fixpoint.  The candidates are the player-0 positions of that fixpoint,
+    listed in index order, which is sorted-name order.
     """
     arena = Arena(game)
-    if game.init not in winning or not arena.alive[game.init_index]:
+    alive, owner = arena.alive, game.pos_owner
+    if game.init not in winning or not alive[game.init_index]:
         raise InitLosingError("cannot extract a strategy for a losing game")
-    rng = SplitMix64(seed)
-    owner = game.pos_owner
-    order = [v for v in arena.winning_indices() if owner[v] == 0]
-    rng.shuffle(order)
+    order = [v for v in range(len(owner)) if alive[v] and not owner[v]]
+    SplitMix64(seed).shuffle(order)
     for start in range(0, len(order), DEADLINE_BLOCK):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutExceededError("local search deadline expired")

@@ -7,9 +7,14 @@ support contains are fixed in, and only the free ones stay variables.
 On a set cover game that leaves the sets; an unplanted 40-element
 cover's LP shrinks from 121 x 81 to 34 x 39.
 
-Best-first search on nodes carrying variable fixings.  Each node's bound
+Plunging search on nodes carrying variable fixings.  Each node's bound
 is its LP optimum plus the forced player-0 count; a node is pruned once
-the bound rounded up reaches the incumbent density.  Branching picks the
+the bound rounded up reaches the incumbent density.  The open node with
+the smallest rounded bound is expanded next, the deepest among equals
+and then the one with the smallest unrounded bound: best-first across
+rounded bounds, depth-first within one.  Nodes are still expanded in
+nondecreasing rounded bound, so the first popped node whose rounded
+bound reaches the incumbent density certifies it.  Branching picks the
 most fractional variable (fractional part closest to one half, smallest
 index on ties) and explores the fix-to-0 child first.  The incumbent
 starts from the all-ones support and is always a valid winning strategy;
@@ -86,15 +91,16 @@ def ilp_exact_extract(
     pivots = frame.root.pivots
     certified = True
 
-    # Heap entries: (bound, -depth, tiebreak counter, lo, hi, solution).
+    # Heap entries: (rounded bound, -depth, bound, tiebreak counter, lo,
+    # hi, solution).
     counter = 0
     root = frame.root
-    heap = [(root.objective_value, 0, counter, problem.lo, problem.hi, root)]
+    heap = [(frame.lb, 0, root.objective_value, counter, problem.lo, problem.hi, root)]
     node_log = [] if stats is not None else None
     while heap:
-        bound, neg_depth, _, lo, hi, sol = heapq.heappop(heap)
-        if frame.bound(bound) >= frame.ub:
-            break  # best-first: every remaining node is at least as bad
+        rounded, neg_depth, bound, _, lo, hi, sol = heapq.heappop(heap)
+        if rounded >= frame.ub:
+            break  # pops come in nondecreasing rounded bound
         if node_log is not None:
             node_log.append(
                 (
@@ -127,12 +133,13 @@ def ilp_exact_extract(
             pivots += child.pivots
             if child.status == "infeasible":
                 continue
-            if frame.bound(child.objective_value) >= frame.ub:
+            rounded = frame.bound(child.objective_value)
+            if rounded >= frame.ub:
                 continue
             counter += 1
             heapq.heappush(
                 heap,
-                (child.objective_value, neg_depth - 1, counter, c_lo, c_hi, child),
+                (rounded, neg_depth - 1, child.objective_value, counter, c_lo, c_hi, child),
             )
         if not certified:
             break

@@ -55,7 +55,6 @@ import numpy as np
 
 from .errors import TimeoutExceededError
 from .game import (
-    Arena,
     MostPermissiveStrategy,
     PositionalStrategy,
     SafetyGame,
@@ -442,7 +441,7 @@ class _Frame:
 
     The reduced problem leaves out the ``forced`` positions, which every
     support contains by unit propagation of the support rows: the forced
-    closure that :class:`Arena` flags ``doomed`` at construction, here of
+    closure that the game's ``fixpoint`` flags ``doomed``, here of
     the pruned game, where every allowed target is live.  ``offset``
     counts the forced player-0 ones.  Its variables are the ``free``
     positions in index order (``column`` maps a pruned position to its
@@ -461,7 +460,7 @@ class _Frame:
     def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
         self.pruned, self.mp = pruned_context(game, mp)
         owner = self.pruned.pos_owner
-        forced = Arena(self.pruned).doomed
+        forced = self.pruned.fixpoint.doomed
         self.forced = np.array(forced, dtype=bool)
         self.free = np.flatnonzero(~self.forced)
         free = self.free.tolist()

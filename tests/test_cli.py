@@ -304,6 +304,26 @@ def test_bench_exact_cells_match_oracle(tmp_path):
         assert rows[name]["sat_density_stddev"] == 0.0
 
 
+def test_bench_shows_an_uncertified_density(tmp_path):
+    # An expired deadline leaves ilp and sat with their valid all-ones
+    # incumbent: bench prints its density and flags it uncertified.  smart
+    # has no strategy before its search ends, so its trials raise: t/o.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "r63.txt").write_bytes(sg.serialize_game(sg.gen_random(63, 6, 6, 3)))
+    json_path = tmp_path / "bench.json"
+    assert main(
+        ["bench", str(corpus), "--methods", "smart,ilp,sat", "--runs", "2",
+         "--timeout-secs", "0.000001", "--json", str(json_path)]
+    ) == 0
+    table = json.loads(json_path.read_text())
+    row = table["rows"][0]
+    assert row["smart_density_mean"] == "t/o"
+    for m in ("ilp", "sat"):
+        assert f"{m}_certified" in table["columns"]
+        assert (row[f"{m}_density_mean"], row[f"{m}_certified"]) == (4, False)
+
+
 def test_bench_rejects_unknown_method(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +364,78 @@ def test_arena_rollback_after_doomed_stop_restores_state():
     assert arena.alive == alive
     assert arena.cnt == cnt
     assert game.init_index not in naive_region_without(game, {idx["u"]})
+
+
+def test_arena_cascade_visits_breadth_first():
+    # Deleting u kills a and b, then c (through a) and d (through b), and
+    # decrements init z, which keeps s.  A peek rolls back even a kept
+    # deletion, so its rollback shows the kill order: first in, first out.
+    game = sg.SafetyGame.build(
+        {"a": 1, "b": 1, "c": 1, "d": 1, "s": 1, "u": 0, "z": 0},
+        {
+            ("a", "r"): "u", ("b", "r"): "u",
+            ("c", "r"): "a", ("d", "r"): "b",
+            ("s", "r"): "s",
+            ("u", "x"): "s",
+            ("z", "x"): "s", ("z", "y"): "c", ("z", "w"): "d",
+        },
+        "z",
+    )
+    idx = game.pos_index
+    arena = sg.game.Arena(game)
+    rolled_back = []
+    rollback = arena._rollback
+
+    def spy(killed, decremented):
+        rolled_back.append((list(killed), list(decremented)))
+        rollback(killed, decremented)
+
+    arena._rollback = spy
+    assert arena.peek_delete(idx["u"])
+    order = [idx[p] for p in "uabcd"]
+    assert rolled_back == [(order, [idx["z"], idx["z"]])]
+
+
+def _arena_state(game: sg.SafetyGame):
+    arena = sg.game.Arena(game)
+    return arena.alive, arena.cnt, arena.doomed
+
+
+@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(1, 8), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_arena_starts_from_an_unchanged_fixpoint(seed, n0, n1, k):
+    # Each arena copies the game's solved fixpoint: a fresh arena equals
+    # one of an equal game never solved, after kept and failed deletions
+    # (which flag doomed positions) in another arena and after a smart
+    # call on the same game.
+    game = sg.gen_random(seed, n0, n1, k)
+    region = sg.compute_winning_region(game)
+    arena = sg.game.Arena(game)
+    for v in range(len(game.pos_names)):
+        if game.pos_owner[v] == 0:
+            arena.try_delete(v)
+    if game.init in region:
+        sg.smart_random_extract(game, region, seed)
+    assert _arena_state(game) == _arena_state(sg.gen_random(seed, n0, n1, k))
+    assert sg.compute_winning_region(game) == region
+
+
+def test_solved_game_is_freed_by_reference_counting():
+    # The solved fixpoint holds no arena, so nothing refers back to the
+    # game and it dies on del with the cyclic collector off.
+    game = sg.gen_random(63, 6, 6, 3)
+    arena = sg.game.Arena(game)
+    arena.try_delete(next(v for v, o in enumerate(game.pos_owner) if o == 0))
+    sg.compute_winning_region(game)
+    ref = weakref.ref(game)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del game, arena
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _unit_closure(game: sg.SafetyGame) -> set[str]:

@@ -349,6 +349,24 @@ def test_smart_on_a_chain_rejects_every_deletion_without_a_cascade(monkeypatch):
     assert all(len(killed) == 1 and not decremented for killed, decremented in rolled_back)
 
 
+def test_smart_tries_each_winning_position_once(monkeypatch):
+    # One try_delete per winning player-0 position: the benchmark's traced
+    # try_delete count and kept ratio count exactly these calls.
+    game = sg.gen_adversarial(4)
+    tried = []
+    try_delete = Arena.try_delete
+
+    def spy(self, v):
+        tried.append(v)
+        return try_delete(self, v)
+
+    monkeypatch.setattr(Arena, "try_delete", spy)
+    winning = sg.compute_winning_region(game)
+    sg.smart_random_extract(game, winning, 3)
+    candidates = [game.pos_index[p] for p in winning if p in game.positions0]
+    assert sorted(tried) == sorted(candidates)
+
+
 def test_smart_respects_deadline():
     game = sg.gen_adversarial(50)
     winning = sg.compute_winning_region(game)

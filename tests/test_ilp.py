@@ -114,7 +114,9 @@ def test_deadline_after_warm_start_returns_uncertified_incumbent(monkeypatch):
 # positions out: its reduced root is integral.  When the incumbent started
 # from the all-ones support instead of the seeded local search, the warm
 # seed stopped mattering: random63's two strategies became one, with the
-# same density and work, and random13 went from 5 to 7 LP solves.
+# same density and work, and random13 went from 5 to 7 LP solves.  When
+# the search started plunging (depth-first within one rounded bound),
+# random13 went back from 7 to 5, with the same strategy.
 _ILP_PINS = {
     "chain8": [("dea93beba4e18286", 8, True, 1)] * 2,
     "adv1": [("eb3c679319f168fb", 2, True, 1)] * 2,
@@ -128,7 +130,7 @@ _ILP_PINS = {
     "random63": [("f06b464c3b523d52", 4, True, 9)] * 2,
     "random264": [("f7f6be676b907b61", 3, True, 1)] * 2,
     "random348": [("ac974495176b1159", 3, True, 3)] * 2,
-    "random13": [("0fb71683601b501d", 3, True, 7)] * 2,
+    "random13": [("0fb71683601b501d", 3, True, 5)] * 2,
 }
 
 
@@ -307,6 +309,18 @@ def test_forced_closure_presolve_is_exact():
             assert stats["lp_shape"] == frame.problem.rows.shape
             order, _ = reach(game, strategy_moves(game, res.strategy).get)
             assert forced <= {game.pos_names[v] for v in order}
+
+
+def test_plunging_certifies_gap_60_in_few_lp_solves():
+    # Best-first search alone took 2,803 LP solves on this game: it
+    # expanded nodes breadth-wise within each rounded bound.  Plunging
+    # finds the optimal cover deep in the tree and certifies it soon after.
+    game, sets = gap_game(60, 8)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    res = sg.ilp_exact_extract(game, mp)
+    assert (res.density, res.certified) == (_highs_density(60, sets), True)
+    assert res.work <= 400
+    assert sg.validate_strategy(game, mp, res.strategy).winning
 
 
 def test_reduced_lp_shapes_are_pinned():
