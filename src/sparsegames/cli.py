@@ -104,7 +104,9 @@ def _run_trial(
         else:
             raise ValueError(f"unknown method {method!r}")
     except TimeoutExceededError:
-        return TrialRecord(seed, True, time_secs=time.perf_counter() - start)
+        return TrialRecord(
+            seed, True, time_secs=time.perf_counter() - start, certified=False
+        )
     elapsed = time.perf_counter() - start
     verdict = validate_strategy(game, mp, strat)
     return TrialRecord(

@@ -32,8 +32,7 @@ class SafetyGame:
     (action, target) index pairs of position ``v`` sorted, and
     ``init_index`` is the initial position.  ``pos_names`` and
     ``act_names`` are sorted, so index order is name order.  Names,
-    ``edges`` and ``positions0/1``, ``actions0/1`` are views for the I/O
-    edges.
+    ``edges`` and ``positions0/1`` are views for the I/O edges.
 
     Construct via :func:`parse_game` or :meth:`SafetyGame.build`, the
     validating entry points; the constructor trusts its arrays and
@@ -108,18 +107,6 @@ class SafetyGame:
     @property
     def positions1(self) -> frozenset[str]:
         return frozenset(p for p, o in zip(self.pos_names, self.pos_owner) if o == 1)
-
-    @property
-    def actions0(self) -> frozenset[str]:
-        return frozenset(a for a, o in zip(self.act_names, self.act_owner) if o == 0)
-
-    @property
-    def actions1(self) -> frozenset[str]:
-        return frozenset(a for a, o in zip(self.act_names, self.act_owner) if o == 1)
-
-    def successors(self, pos: str) -> tuple[str, ...]:
-        i = self.pos_index[pos]
-        return tuple(sorted({self.pos_names[d] for _, d in self.out_edges[i]}))
 
     def __hash__(self) -> int:
         return hash((self.pos_names, self.pos_owner, self.init_index))
@@ -309,48 +296,34 @@ class Fixpoint(NamedTuple):
 
 
 def _solve(game: SafetyGame) -> Fixpoint:
-    """Drain the player-0 dead ends, then flag the forced closure of a
-    winning init: init, every successor of a player-1 member and the one
+    """Drain the player-0 dead ends through the one cascade,
+    :meth:`Arena._delete`, from an arena in the unsolved state, then flag
+    the forced closure of a winning init through the one walk,
+    :func:`reach`: init, every successor of a player-1 member and the one
     distinct live target of a player-0 member."""
-    owner, out, in_sources = game.pos_owner, game.out_edges, game.in_sources
+    owner, out = game.pos_owner, game.out_edges
     n = len(owner)
-    alive = [True] * n
-    cnt = [len(edges) for edges in out]
-    queue = [v for v in range(n) if owner[v] == 0 and cnt[v] == 0]
-    for v in queue:
-        alive[v] = False
-    for t in queue:
-        for s in in_sources[t]:
-            if not alive[s]:
-                continue
-            if owner[s] == 0:
-                cnt[s] -= 1
-                if cnt[s]:
-                    continue
-            alive[s] = False
-            queue.append(s)
-    doomed = [False] * n
-    doomed[game.init_index] = True
-    stack = [game.init_index] if alive[game.init_index] else []
-    while stack:
-        v = stack.pop()
-        if owner[v]:
-            for _, d in out[v]:
-                if not doomed[d]:
-                    doomed[d] = True
-                    stack.append(d)
-            continue
-        target = -1
-        for _, d in out[v]:
-            if alive[d] and d != target:
-                if target >= 0:
-                    break
-                target = d
-        else:
-            if not doomed[target]:
-                doomed[target] = True
-                stack.append(target)
-    return Fixpoint(tuple(alive), tuple(cnt), tuple(doomed))
+    arena = Arena._of(game, [True] * n, [len(edges) for edges in out], [False] * n)
+    # Nothing is doomed yet, so no deletion stops early, and a dead end
+    # has no edges, so no cascade kills it before its own turn.
+    for v in [v for v in range(n) if not owner[v] and not out[v]]:
+        arena._delete(v)
+    alive, doomed = arena.alive, arena.doomed
+
+    def unit(v: int, _) -> tuple[tuple[int, int], ...]:
+        first = None
+        for edge in out[v]:
+            if alive[edge[1]]:
+                if first is None:
+                    first = edge
+                elif edge[1] != first[1]:
+                    return ()
+        return (first,)
+
+    init = game.init_index
+    for v in reach(game, unit)[0] if alive[init] else [init]:
+        doomed[v] = True
+    return Fixpoint(tuple(alive), tuple(arena.cnt), tuple(doomed))
 
 
 class Arena:
@@ -364,8 +337,12 @@ class Arena:
 
     A game solves its initial fixpoint once, on first use, and keeps it as
     the tuples of :attr:`SafetyGame.fixpoint`; each arena starts from its
-    own list copies of them.  The memo refers neither to an arena nor back
-    to the game, so a game is freed by reference counting alone.
+    own list copies of them.  The solve itself runs on an arena in the
+    unsolved state (every position alive, each counter at the position's
+    edge count, nothing doomed): its dead ends drain through ``_delete``
+    and its closure is a :func:`reach` walk.  The memo refers neither to an
+    arena nor back to the game, so a game is freed by reference counting
+    alone.
 
     ``try_delete`` removes all outgoing edges of a player-0 position and
     propagates removals.  If the initial position survives, the deletion
@@ -409,6 +386,13 @@ class Arena:
         self.game = game
         alive, cnt, doomed = game.fixpoint
         self.alive, self.cnt, self.doomed = list(alive), list(cnt), list(doomed)
+
+    @classmethod
+    def _of(cls, game: SafetyGame, alive: list, cnt: list, doomed: list) -> "Arena":
+        """An arena over ``game`` in the given state, which it takes as is."""
+        arena = cls.__new__(cls)
+        arena.game, arena.alive, arena.cnt, arena.doomed = game, alive, cnt, doomed
+        return arena
 
     def _delete(self, v: int) -> tuple[bool, list[int], list[int]]:
         """Kill live ``v`` and cascade; ``killed`` is the FIFO queue.  Returns
@@ -466,12 +450,7 @@ class Arena:
         return ok
 
     def copy(self) -> "Arena":
-        other = Arena.__new__(Arena)
-        other.game = self.game
-        other.alive = self.alive[:]
-        other.cnt = self.cnt[:]
-        other.doomed = self.doomed[:]
-        return other
+        return Arena._of(self.game, self.alive[:], self.cnt[:], self.doomed[:])
 
     def winning_indices(self) -> list[int]:
         return [v for v, a in enumerate(self.alive) if a]

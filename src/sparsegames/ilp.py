@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame
-from .lp import INTEGRALITY_EPS, _Frame, lp_solve
+from .lp import INTEGRALITY_EPS, _Frame, _fractional, lp_solve
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -83,10 +83,8 @@ def ilp_exact_extract(
     """
     frame = _Frame(game, mp)
     problem = frame.problem
-    n = len(problem.var_names)
     free = frame.free
     forced = frozenset(np.flatnonzero(frame.forced).tolist())
-    eps = INTEGRALITY_EPS
     lp_solves = 1
     pivots = frame.root.pivots
     certified = True
@@ -110,11 +108,11 @@ def ilp_exact_extract(
                 )
             )
         v = sol.values
-        fractional = [i for i in range(n) if eps < v[i] < 1.0 - eps]
-        if not fractional:
-            frame.offer(v >= 1.0 - eps)
+        idx = np.flatnonzero(_fractional(v))
+        if not idx.size:
+            frame.offer(v >= 1.0 - INTEGRALITY_EPS)
             continue
-        branch = min(fractional, key=lambda i: (abs(v[i] - 0.5), i))
+        branch = idx[np.abs(v[idx] - 0.5).argmin()]
         start = frame.tableau.rebuilt(sol.basis, sol.upper)
         for fix_value in (0.0, 1.0):
             if lp_solves >= node_budget or (

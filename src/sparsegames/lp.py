@@ -74,6 +74,11 @@ _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-12
 
 
+def _fractional(values: np.ndarray) -> np.ndarray:
+    """Mask of the LP values that round to neither 0 nor 1."""
+    return (values > INTEGRALITY_EPS) & (values < 1.0 - INTEGRALITY_EPS)
+
+
 @dataclass(eq=False)
 class LpProblem:
     """Minimize ``objective @ x`` subject to ``rows @ x >= rhs`` and
@@ -488,7 +493,7 @@ class _Frame:
             raise AssertionError("relaxation of a winnable game cannot be infeasible")
         self.lb = self.bound(self.root.objective_value)
         v = self.root.values
-        if ((v <= INTEGRALITY_EPS) | (v >= 1.0 - INTEGRALITY_EPS)).all():
+        if not _fractional(v).any():
             self.offer(v >= 1.0 - INTEGRALITY_EPS)
 
     def bound(self, objective: float) -> int:
@@ -569,7 +574,7 @@ def replp_extract(
             rounds += 1
             v = sol.values
             ones = v >= 1.0 - eps
-            fractional = (v > eps) & ~ones
+            fractional = _fractional(v)
             if not fractional.any():
                 if stats is not None:
                     stats["rounds"] = rounds

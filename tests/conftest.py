@@ -26,6 +26,52 @@ def naive_winning_region(game: sg.SafetyGame) -> frozenset[str]:
     return frozenset(game.pos_names[v] for v in alive)
 
 
+def reference_fixpoint(game: sg.SafetyGame) -> sg.game.Fixpoint:
+    """Reference initial fixpoint, solved with its own drain and walk:
+    drain the player-0 dead ends, then flag the forced closure of a
+    winning init: init, every successor of a player-1 member and the one
+    distinct live target of a player-0 member."""
+    owner, out, in_sources = game.pos_owner, game.out_edges, game.in_sources
+    n = len(owner)
+    alive = [True] * n
+    cnt = [len(edges) for edges in out]
+    queue = [v for v in range(n) if owner[v] == 0 and cnt[v] == 0]
+    for v in queue:
+        alive[v] = False
+    for t in queue:
+        for s in in_sources[t]:
+            if not alive[s]:
+                continue
+            if owner[s] == 0:
+                cnt[s] -= 1
+                if cnt[s]:
+                    continue
+            alive[s] = False
+            queue.append(s)
+    doomed = [False] * n
+    doomed[game.init_index] = True
+    stack = [game.init_index] if alive[game.init_index] else []
+    while stack:
+        v = stack.pop()
+        if owner[v]:
+            for _, d in out[v]:
+                if not doomed[d]:
+                    doomed[d] = True
+                    stack.append(d)
+            continue
+        target = -1
+        for _, d in out[v]:
+            if alive[d] and d != target:
+                if target >= 0:
+                    break
+                target = d
+        else:
+            if not doomed[target]:
+                doomed[target] = True
+                stack.append(target)
+    return sg.game.Fixpoint(tuple(alive), tuple(cnt), tuple(doomed))
+
+
 def naive_region_without(game: sg.SafetyGame, deleted) -> set[int]:
     """Naive winning indices once the player-0 positions in ``deleted``
     have lost their outgoing edges."""

@@ -241,6 +241,7 @@ def test_all_timed_out_reports_have_no_nan(tmp_path, capsys):
     report = json.loads(json_path.read_text(), parse_constant=reject)
     for key in ("density_mean", "density_stddev", "time_mean_secs", "time_stddev_secs"):
         assert report[key] is None
+    assert [t["certified"] for t in report["trials"]] == [False, False]
     with open(csv_path) as fh:
         summary = list(csv.DictReader(fh))[-1]
     assert summary["row"] == "summary"
@@ -307,7 +308,8 @@ def test_bench_exact_cells_match_oracle(tmp_path):
 def test_bench_shows_an_uncertified_density(tmp_path):
     # An expired deadline leaves ilp and sat with their valid all-ones
     # incumbent: bench prints its density and flags it uncertified.  smart
-    # has no strategy before its search ends, so its trials raise: t/o.
+    # has no strategy before its search ends, so its trials raise: t/o,
+    # and a timed-out trial is not certified either.
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "r63.txt").write_bytes(sg.serialize_game(sg.gen_random(63, 6, 6, 3)))
@@ -318,7 +320,7 @@ def test_bench_shows_an_uncertified_density(tmp_path):
     ) == 0
     table = json.loads(json_path.read_text())
     row = table["rows"][0]
-    assert row["smart_density_mean"] == "t/o"
+    assert (row["smart_density_mean"], row["smart_certified"]) == ("t/o", False)
     for m in ("ilp", "sat"):
         assert f"{m}_certified" in table["columns"]
         assert (row[f"{m}_density_mean"], row[f"{m}_certified"]) == (4, False)

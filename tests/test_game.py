@@ -15,8 +15,10 @@ from sparsegames.lp import pruned_context
 from conftest import (
     FIG_GAME,
     allowed_names,
+    gap_game,
     naive_region_without,
     naive_winning_region,
+    reference_fixpoint,
     solvable_random_games,
     unchecked_most_permissive,
 )
@@ -95,14 +97,15 @@ def _malformed_records(game):
     source, an undeclared target, and a player-0 action taken from a
     player-1 position."""
     p, q = min(game.positions0), min(game.positions1)
-    return [("ghost", "a0", p), (p, "a0", "ghost"), (q, min(game.actions0), p)]
+    a = min(a for a, o in zip(game.act_names, game.act_owner) if o == 0)
+    return [("ghost", "a0", p), (p, "a0", "ghost"), (q, a, p)]
 
 
 def test_parse_and_build_reject_bad_edges_alike():
     checked = 0
     for seed in range(40):
         game = sg.gen_random(seed, 4, 4, 3)
-        if not game.actions0:
+        if 0 not in game.act_owner:
             continue
         positions = dict(zip(game.pos_names, game.pos_owner))
         for src, act, dst in _malformed_records(game):
@@ -394,6 +397,53 @@ def test_arena_cascade_visits_breadth_first():
     assert arena.peek_delete(idx["u"])
     order = [idx[p] for p in "uabcd"]
     assert rolled_back == [(order, [idx["z"], idx["z"]])]
+
+
+def _check_fixpoint(game: sg.SafetyGame) -> None:
+    """The game's fixpoint, and that of its pruned game when init wins,
+    equal the reference solve's."""
+    assert game.fixpoint == reference_fixpoint(game)
+    if game.fixpoint.alive[game.init_index]:
+        winning = sg.compute_winning_region(game)
+        pruned, _ = pruned_context(game, sg.most_permissive(game, winning))
+        assert pruned.fixpoint == reference_fixpoint(pruned)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 10), st.integers(1, 10), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_fixpoint_matches_the_reference_solve(seed, n0, n1, k):
+    # Random draws hold player-0 dead ends, duplicate targets and losing
+    # inits; the drain and the closure must leave the reference's alive
+    # flags, counters and doomed flags, not only its region.
+    _check_fixpoint(sg.gen_random(seed, n0, n1, k))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sg.gen_chain(64), lambda: gap_game(40, 6)[0]]
+    + [lambda i=i: sg.gen_adversarial(i) for i in range(1, 25)],
+    ids=["chain64", "gap40"] + [f"adversarial{i}" for i in range(1, 25)],
+)
+def test_fixpoint_matches_the_reference_solve_on_families(make):
+    _check_fixpoint(make())
+
+
+def test_fixpoint_drains_through_delete_not_try_delete(monkeypatch):
+    # The benchmark counts try_delete calls as the local search's work, so
+    # solving the fixpoint makes none: each player-0 dead end is deleted
+    # once, and the cascades kill more than the dead ends.
+    game = sg.gen_random(6, 6, 6, 3)
+    dead_ends = [v for v, o in enumerate(game.pos_owner) if o == 0 and not game.out_edges[v]]
+    tried, deleted = [], []
+    delete = sg.game.Arena._delete
+    monkeypatch.setattr(sg.game.Arena, "try_delete", lambda arena, v: tried.append(v))
+    monkeypatch.setattr(
+        sg.game.Arena, "_delete", lambda arena, v: deleted.append(v) or delete(arena, v)
+    )
+    alive = game.fixpoint.alive
+    assert (tried, deleted) == ([], dead_ends)
+    assert alive.count(False) > len(dead_ends)
+    assert alive[game.init_index]
 
 
 def _arena_state(game: sg.SafetyGame):
@@ -729,14 +779,20 @@ def test_strategy_serialization_sorted():
     assert sg.serialize_strategy(strat) == b"choice a y\nchoice b x\n"
 
 
+def _successors(game, p):
+    """Distinct successor names of position ``p``, sorted."""
+    names = game.pos_names
+    return tuple(sorted({names[d] for _, d in game.out_edges[game.pos_index[p]]}))
+
+
 def test_successors_helper():
     game = sg.SafetyGame.build(
         {"v": 0, "a": 1, "b": 1},
         {("v", "x"): "a", ("v", "y"): "b", ("v", "z"): "a", ("a", "u"): "a", ("b", "u"): "b"},
         "v",
     )
-    assert game.successors("v") == ("a", "b")
-    assert game.successors("a") == ("a",)
+    assert _successors(game, "v") == ("a", "b")
+    assert _successors(game, "a") == ("a",)
 
 
 def test_witness_shape_invariant():
@@ -762,7 +818,7 @@ def _naive_reach(game, strat):
         changed = False
         for p in sorted(seen):
             if p in game.positions1:
-                succ = game.successors(p)
+                succ = _successors(game, p)
             else:
                 dst = game.edges.get((p, strat.choice.get(p)))
                 succ = () if dst is None else (dst,)
