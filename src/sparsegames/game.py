@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+import weakref
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import GameFormatError, InitLosingError
@@ -65,6 +67,18 @@ class SafetyGame:
         """The initial fixpoint that every :class:`Arena` of this game
         starts from, solved on first use and kept."""
         return _solve(self)
+
+    @functools.cached_property
+    def same_player_edge(self) -> tuple[int, int] | None:
+        """The first edge, as (source, target) indices in ``out_edges``
+        order, whose ends belong to the same player, or None when play
+        strictly alternates; found on first use and kept."""
+        owner = self.pos_owner
+        for v, edges in enumerate(self.out_edges):
+            for _, d in edges:
+                if owner[v] == owner[d]:
+                    return v, d
+        return None
 
     @classmethod
     def build(
@@ -142,9 +156,25 @@ class MostPermissiveStrategy:
 class PositionalStrategy:
     """Partial map from player-0 positions to the single action taken
     there.  Extractors restrict the domain to the positions reachable
-    when the strategy is followed."""
+    when the strategy is followed.
 
-    choice: dict[str, str]
+    ``choice`` is a read-only copy of the mapping given: writing to it
+    raises ``TypeError``, and later changes to the given mapping do not
+    reach it.  Pass ``dict(strat.choice)`` where a dict is needed, as to
+    ``json.dumps``.  For the last game it was read against, the strategy
+    keeps the index edges of ``choice`` and their :func:`reach` visit
+    order, computed from the names on first use (:func:`_strategy_walk`).
+    """
+
+    choice: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
+        object.__setattr__(self, "_walk", None)
+
+    def __reduce__(self):
+        # Pickle and deep-copy the names only; the memo is rebuilt on use.
+        return PositionalStrategy, (dict(self.choice),)
 
 
 @dataclass(frozen=True)
@@ -550,6 +580,22 @@ def strategy_moves(game: SafetyGame, strat: PositionalStrategy) -> Moves:
     return moves
 
 
+def _strategy_walk(game: SafetyGame, strat: PositionalStrategy) -> tuple[Moves, list[int]]:
+    """The index edges of ``strat`` in ``game`` and the :func:`reach`
+    visit order they give, which :func:`validate_strategy`,
+    :func:`density`, :func:`restrict_to_reachable`, ``strategy_to_mealy``
+    and ``is_locally_optimal`` read.  The first of them converts
+    ``strat.choice`` and walks; the result stays on the strategy for this
+    game only, held by a weak reference to it, so another game converts
+    afresh and a strategy does not keep its game alive."""
+    memo = strat._walk
+    if memo is None or memo[0]() is not game:
+        moves = strategy_moves(game, strat)
+        memo = (weakref.ref(game), moves, reach(game, moves.get)[0])
+        object.__setattr__(strat, "_walk", memo)
+    return memo[1], memo[2]
+
+
 def validate_strategy(
     game: SafetyGame,
     mp: MostPermissiveStrategy,
@@ -559,17 +605,20 @@ def validate_strategy(
     init never reaches an undefined player-0 choice, never leaves the
     winning region, and hits no player-0 dead end.  On failure the
     verdict carries a shortest violating play.
+
+    It reads the strategy's kept walk for ``game`` (:func:`_strategy_walk`);
+    only a failing check walks again, for the witness's parents.
     """
     if game.init_index not in mp.moves:
         return ValidationVerdict(False, PlayWitness((game.init,), ()))
-    moves = strategy_moves(game, strat)
-    order, parent = reach(game, moves.get)
+    moves, order = _strategy_walk(game, strat)
     owner, out, names = game.pos_owner, game.out_edges, game.pos_names
     region = mp.moves  # its keys are the winning region
 
     def play_to(v: int, tail: tuple[int, int] | None) -> PlayWitness:
         # Each step replays the first edge of the parent that reaches the
         # child, which is the edge that discovered it.
+        _, parent = reach(game, moves.get)
         trace = [v]
         decisions: list[int] = []
         while trace[-1] != game.init_index:
@@ -619,9 +668,10 @@ def decode_support(game: SafetyGame, flags: Sequence) -> PositionalStrategy:
 def density(game: SafetyGame, strat: PositionalStrategy) -> int:
     """Number of player-0 positions reachable from init under ``strat``.
 
-    Defined choices at unreachable positions do not count.
+    Defined choices at unreachable positions do not count.  Counts the
+    strategy's kept walk for ``game`` (:func:`_strategy_walk`).
     """
-    order, _ = reach(game, strategy_moves(game, strat).get)
+    _, order = _strategy_walk(game, strat)
     owner = game.pos_owner
     return sum(1 for v in order if owner[v] == 0)
 
@@ -640,9 +690,10 @@ def restrict_to_reachable(
     game: SafetyGame, strat: PositionalStrategy
 ) -> PositionalStrategy:
     """Drop choices at positions that no play consistent with the
-    strategy can visit."""
-    _, parent = reach(game, strategy_moves(game, strat).get)
+    strategy can visit, read off its kept walk for ``game``
+    (:func:`_strategy_walk`)."""
+    reached = set(_strategy_walk(game, strat)[1])
     pos_index = game.pos_index
     return PositionalStrategy(
-        {p: a for p, a in strat.choice.items() if p in pos_index and parent[pos_index[p]] >= 0}
+        {p: a for p, a in strat.choice.items() if pos_index.get(p) in reached}
     )

@@ -28,9 +28,9 @@ from .game import (
     Moves,
     PositionalStrategy,
     SafetyGame,
+    _strategy_walk,
     decode_support,
     reach,
-    strategy_moves,
 )
 from .rng import SplitMix64
 
@@ -117,8 +117,7 @@ def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
     those is infinite or ends at player 1.  Deleting the undefined
     positions of a winning strategy keeps init winning.
     """
-    moves = strategy_moves(game, strat)
-    order, _ = reach(game, moves.get)
+    moves, order = _strategy_walk(game, strat)
     owner = game.pos_owner
     domain = sorted(v for v in order if owner[v] == 0)
     if any(v not in moves for v in domain):

@@ -47,6 +47,7 @@ many threads such a library runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -456,10 +457,12 @@ class _Frame:
     ``problem`` is their LP (:func:`pair_rows`), and ``sat`` encodes the
     same pairs.  The root optimum plus ``offset``, rounded up, is ``lb``.
 
-    An integral root is offered at once: its support has at most ``lb``
-    player-0 positions, so it certifies ``ub == lb`` before any search.
-    Integrality is judged on the values, since a fractional root can have
-    an integral objective.
+    An integral root is offered with the first incumbent: its support has
+    at most ``lb`` player-0 positions, so it certifies ``ub == lb`` before
+    any search.  Integrality is judged on the values, since a fractional
+    root can have an integral objective.  The incumbent is decoded on
+    first use, so ``replp``, which reads neither it nor ``ub``, decodes
+    only the support it returns.
     """
 
     def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
@@ -485,16 +488,29 @@ class _Frame:
             [1.0 if owner[v] == 0 else 0.0 for v in free],
             rows, rhs, np.zeros(n), np.ones(n),
         )
-        self.best = decode_support(self.pruned, [True] * len(owner))
-        self.ub = len(self.best.choice)
         self.tableau = Tableau.surplus(self.problem)
         self.root = lp_solve(self.problem, self.tableau)
         if self.root.status == "infeasible":
             raise AssertionError("relaxation of a winnable game cannot be infeasible")
         self.lb = self.bound(self.root.objective_value)
+
+    @functools.cached_property
+    def best(self) -> PositionalStrategy:
+        """The incumbent, first the decoded all-ones support, or the
+        integral root's decoded support where strictly sparser; each
+        :meth:`offer` that is strictly sparser replaces it."""
+        best = decode_support(self.pruned, [True] * len(self.pruned.pos_owner))
         v = self.root.values
         if not _fractional(v).any():
-            self.offer(v >= 1.0 - INTEGRALITY_EPS)
+            root = self.decode(v >= 1.0 - INTEGRALITY_EPS)
+            if len(root.choice) < len(best.choice):
+                best = root
+        return best
+
+    @property
+    def ub(self) -> int:
+        """The incumbent's density, its number of choices."""
+        return len(self.best.choice)
 
     def bound(self, objective: float) -> int:
         """The density bound of a reduced objective: plus ``offset``,
@@ -513,7 +529,7 @@ class _Frame:
         it when it is strictly sparser."""
         candidate = self.decode(flags)
         if len(candidate.choice) < self.ub:
-            self.best, self.ub = candidate, len(candidate.choice)
+            self.best = candidate
 
     def record(self, stats: dict) -> None:
         """Record the forced player-0 count and the reduced LP's shape."""

@@ -25,7 +25,7 @@ from .errors import (
     NonAlternatingDfaError,
     NotAlternatingError,
 )
-from .game import PositionalStrategy, SafetyGame, parse_game, strategy_moves
+from .game import PositionalStrategy, SafetyGame, _strategy_walk, parse_game
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,12 @@ def parse_dfa(text: bytes | str) -> Dfa:
 
 
 def _check_alternating(game: SafetyGame) -> None:
-    owner, names = game.pos_owner, game.pos_names
-    for v, edges in enumerate(game.out_edges):
-        for _, d in edges:
-            if owner[v] == owner[d]:
-                raise NotAlternatingError(
-                    f"edge {names[v]!r} -> {names[d]!r} stays with the same player"
-                )
+    edge = game.same_player_edge
+    if edge is not None:
+        names = game.pos_names
+        raise NotAlternatingError(
+            f"edge {names[edge[0]]!r} -> {names[edge[1]]!r} stays with the same player"
+        )
 
 
 def strategy_to_mealy(game: SafetyGame, strat: PositionalStrategy) -> MealyMachine:
@@ -98,17 +97,19 @@ def strategy_to_mealy(game: SafetyGame, strat: PositionalStrategy) -> MealyMachi
     the strategy's reply, merging player-0 positions with coinciding
     continuations in a single forward pass; no minimization beyond that.
     A choice that names no edge of ``game`` counts as undefined.
+
+    The states are the player-1 positions of the strategy's kept walk for
+    ``game`` (``game._strategy_walk``), folded in its breadth-first order.
+    Alternation is read from the game's kept ``same_player_edge``.
     """
     _check_alternating(game)
     if game.pos_owner[game.init_index] != 1:
         raise InitNotPlayer1Error("the initial position must belong to player 1")
-    names, acts, out = game.pos_names, game.act_names, game.out_edges
-    moves = strategy_moves(game, strat)
+    names, acts, out, owner = game.pos_names, game.act_names, game.out_edges, game.pos_owner
+    moves, order = _strategy_walk(game, strat)
+    states = [q for q in order if owner[q]]
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
-    seen = {game.init_index}
-    queue = deque([game.init_index])
-    while queue:
-        q = queue.popleft()
+    for q in states:
         for a, mid in out[q]:
             reply = moves.get(mid)
             if reply is None:
@@ -117,10 +118,7 @@ def strategy_to_mealy(game: SafetyGame, strat: PositionalStrategy) -> MealyMachi
                 )
             r, nxt = reply[0]
             transitions[(names[q], acts[a])] = (names[nxt], acts[r])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return MealyMachine(tuple(names[q] for q in sorted(seen)), game.init, transitions)
+    return MealyMachine(tuple(names[q] for q in sorted(states)), game.init, transitions)
 
 
 def dfa_to_mealy(dfa: Dfa) -> MealyMachine:

@@ -1,5 +1,8 @@
+import copy
 import gc
 import importlib.util
+import json
+import pickle
 import sys
 import weakref
 from pathlib import Path
@@ -473,16 +476,22 @@ def test_arena_starts_from_an_unchanged_fixpoint(seed, n0, n1, k):
 def test_solved_game_is_freed_by_reference_counting():
     # The solved fixpoint holds no arena, so nothing refers back to the
     # game and it dies on del with the cyclic collector off.
+    # A validated strategy keeps its walk, which holds the game only by a
+    # weak reference, so it dies with the game.
     game = sg.gen_random(63, 6, 6, 3)
     arena = sg.game.Arena(game)
     arena.try_delete(next(v for v, o in enumerate(game.pos_owner) if o == 0))
-    sg.compute_winning_region(game)
-    ref = weakref.ref(game)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    strat = sg.random_extract(game, mp, 0)
+    assert sg.validate_strategy(game, mp, strat).winning
+    assert sg.density(game, strat) == len(strat.choice)
+    ref, strat_ref = weakref.ref(game), weakref.ref(strat)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del game, arena
+        del game, arena, mp, strat
         assert ref() is None
+        assert strat_ref() is None
     finally:
         if enabled:
             gc.enable()
@@ -756,6 +765,46 @@ def test_density_bounded_by_domain():
         assert sg.density(game, strat) <= len(strat.choice)
         # extractors restrict to the reachable set, so equality holds
         assert sg.density(game, strat) == len(strat.choice)
+
+
+def test_strategy_choice_is_a_read_only_copy():
+    choice = {"g1": "z", "g3": "x"}
+    strat = sg.PositionalStrategy(choice)
+    with pytest.raises(TypeError):
+        strat.choice["g1"] = "y"
+    with pytest.raises(TypeError):
+        del strat.choice["g3"]
+    choice["g1"] = "y"
+    choice["g2"] = "x"
+    assert strat.choice == {"g1": "z", "g3": "x"}
+    assert strat == sg.PositionalStrategy({"g3": "x", "g1": "z"})
+    # The kept walk is not part of the strategy: a validated strategy
+    # still equals, pickles and copies as its names alone.
+    assert sg.validate_strategy(FIG_GAME, _mp(FIG_GAME), strat).winning
+    assert pickle.loads(pickle.dumps(strat)) == strat
+    assert copy.deepcopy(strat) == strat
+    assert json.loads(json.dumps(dict(strat.choice))) == strat.choice
+
+
+def test_strategy_walk_is_kept_per_game():
+    # A strategy decoded on the pruned game, and a copy missing one choice,
+    # are read against the full game, the pruned game and the full game
+    # again.  Each answer is the one a fresh strategy with the same names
+    # gives, so the walk kept on the strategy follows the game asked.
+    renumbered = 0
+    for game, _, mp in solvable_random_games(30, 6, 6, 3):
+        pruned, pruned_mp = pruned_context(game, mp)
+        renumbered += pruned.pos_names != game.pos_names
+        decoded = sg.ilp_exact_extract(game, mp).strategy
+        first = min(decoded.choice, default=None)
+        cut = sg.PositionalStrategy({p: a for p, a in decoded.choice.items() if p != first})
+        for strat in (decoded, cut):
+            for g, m in ((game, mp), (pruned, pruned_mp), (game, mp)):
+                fresh = sg.PositionalStrategy(strat.choice)
+                assert sg.validate_strategy(g, m, strat) == sg.validate_strategy(g, m, fresh)
+                assert sg.density(g, strat) == sg.density(g, fresh)
+                assert sg.restrict_to_reachable(g, strat) == sg.restrict_to_reachable(g, fresh)
+    assert renumbered > 20
 
 
 def test_search_space_bits():

@@ -207,8 +207,10 @@ def test_replp_integral_relaxation_single_round():
 
 def test_replp_rounds_on_the_frame(monkeypatch):
     # replp prunes once, through its frame, never builds the unreduced
-    # relaxation, and takes its first round from the frame's root.
-    calls = {"pruned_context": 0, "build_relaxation": 0}
+    # relaxation, takes its first round from the frame's root, and decodes
+    # only the support it returns: the frame's incumbent, which only the
+    # exact engines read, is never decoded.
+    calls = {"pruned_context": 0, "build_relaxation": 0, "decode_support": 0}
     for name in calls:
         real = getattr(lp_mod, name)
 
@@ -222,13 +224,14 @@ def test_replp_rounds_on_the_frame(monkeypatch):
     strat = lp_mod.replp_extract(game, mp, stats=stats)
     assert sg.validate_strategy(game, mp, strat).winning
     assert stats["rounds"] > 1
-    assert calls == {"pruned_context": 1, "build_relaxation": 0}
+    assert calls == {"pruned_context": 1, "build_relaxation": 0, "decode_support": 1}
 
     game = sg.gen_adversarial(3)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     stats = {}
     lp_mod.replp_extract(game, mp, stats=stats)
     assert stats["rounds"] == 1
+    assert calls == {"pruned_context": 2, "build_relaxation": 0, "decode_support": 2}
     assert stats["pivots"] == lp_mod._Frame(game, mp).root.pivots > 0
 
 

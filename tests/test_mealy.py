@@ -115,6 +115,57 @@ def test_not_alternating_rejected():
         sg.strategy_to_mealy(game, sg.PositionalStrategy({}))
 
 
+def test_alternation_is_checked_once_per_game():
+    # The error names the first same-player edge in index order; the edge
+    # is found on the first fold and kept on the game.
+    game = sg.SafetyGame.build(
+        {"a": 1, "b": 0, "c": 0, "d": 1},
+        {("a", "u"): "b", ("b", "x"): "c", ("c", "y"): "d", ("d", "v"): "a"},
+        "a",
+    )
+    message = "edge 'b' -> 'c' stays with the same player"
+    with pytest.raises(sg.NotAlternatingError, match=message):
+        sg.strategy_to_mealy(game, sg.PositionalStrategy({}))
+    assert game.__dict__["same_player_edge"] == (1, 2)
+    with pytest.raises(sg.NotAlternatingError, match=message):
+        sg.strategy_to_mealy(game, sg.PositionalStrategy({"b": "x"}))
+    assert sg.gen_adversarial(3).same_player_edge is None
+
+
+def test_strategy_is_converted_once_per_game(monkeypatch):
+    # validate_strategy, density, strategy_to_mealy, restrict_to_reachable
+    # and is_locally_optimal share one conversion of the names in
+    # ``choice``, made by the first of them: no extractor makes it for them.
+    calls = []
+    real = sg.game.strategy_moves
+
+    def spy(game, strat):
+        calls.append(strat)
+        return real(game, strat)
+
+    monkeypatch.setattr(sg.game, "strategy_moves", spy)
+    game = sg.gen_adversarial(4)
+    mp = _mp(game)
+    extracted = [
+        sg.random_extract(game, mp, 3),
+        sg.smart_random_extract(game, mp.winning, 3),
+        sg.ilp_exact_extract(game, mp).strategy,
+    ]
+    for strat in extracted:
+        calls.clear()
+        assert sg.validate_strategy(game, mp, strat).winning
+        assert calls == [strat]
+        sg.density(game, strat)
+        sg.strategy_to_mealy(game, strat)
+        restricted = sg.restrict_to_reachable(game, strat)
+        sg.is_locally_optimal(game, strat)
+        assert calls == [strat]
+        assert restricted == strat
+        # Another game converts afresh.
+        sg.density(sg.gen_adversarial(4), strat)
+        assert len(calls) == 2
+
+
 def test_init_must_be_player1():
     game = sg.SafetyGame.build(
         {"v": 0, "p": 1}, {("v", "x"): "p", ("p", "u"): "v"}, "v"
