@@ -14,7 +14,9 @@ Subcommands:
 Exit codes: 0 ok, 1 usage or I/O error, 2 initial position losing,
 3 a ``smart`` or ``replp`` trial timed out before it had a strategy
 (``t/o``), or an exact engine's budget or deadline ran out and it
-returned its incumbent uncertified.
+returned its incumbent uncertified, 4 a trial's strategy failed
+validation or its engine claimed a density other than the strategy's
+(``invalid``); 4 takes precedence over 3.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INIT_LOSING = 2
 EXIT_TIMEOUT = 3
+EXIT_INVALID = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +90,7 @@ def _run_trial(
         timeout_secs = None
     deadline = time.monotonic() + timeout_secs if timeout_secs else None
     start = time.perf_counter()
-    certified = True
+    certified, claimed = True, None
     try:
         if method == "random":
             strat = random_extract(game, mp, seed)
@@ -97,10 +100,10 @@ def _run_trial(
             strat = replp_extract(game, mp, deadline=deadline)
         elif method == "ilp":
             result = ilp_exact_extract(game, mp, deadline=deadline)
-            strat, certified = result.strategy, result.certified
+            strat, certified, claimed = result.strategy, result.certified, result.density
         elif method == "sat":
             result = sat_exact_extract(game, mp, deadline=deadline)
-            strat, certified = result.strategy, result.certified
+            strat, certified, claimed = result.strategy, result.certified, result.density
         else:
             raise ValueError(f"unknown method {method!r}")
     except TimeoutExceededError:
@@ -108,13 +111,16 @@ def _run_trial(
             seed, True, time_secs=time.perf_counter() - start, certified=False
         )
     elapsed = time.perf_counter() - start
-    verdict = validate_strategy(game, mp, strat)
+    dens = density(game, strat)
+    # A trial is valid when its strategy wins and any density its engine
+    # claims is the strategy's own.
+    valid = validate_strategy(game, mp, strat).winning and claimed in (None, dens)
     return TrialRecord(
         seed,
         False,
-        density=density(game, strat),
+        density=dens,
         time_secs=elapsed,
-        valid=verdict.winning,
+        valid=valid,
         certified=certified,
         strategy=serialize_strategy(strat).decode(),
     )
@@ -128,6 +134,11 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     mean = statistics.fmean(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
     return mean, std
+
+
+def _invalid(trial: dict) -> bool:
+    """A trial that returned a strategy but is not valid (see :func:`_run_trial`)."""
+    return not (trial["timed_out"] or trial["valid"])
 
 
 def _fmt(value: float | None, template: str, missing: str = "n/a") -> str:
@@ -242,6 +253,7 @@ def cmd_extract(args) -> int:
     for t in report["trials"]:
         cell = "t/o" if t["timed_out"] else t["density"]
         flag = "" if t["certified"] else " (uncertified)"
+        flag += " (invalid)" if _invalid(t) else ""
         print(f"trial seed={t['seed']} density={cell} time={t['time_secs']:.4f}s{flag}")
     print(
         f"density mean={_fmt(report['density_mean'], '{:.4f}')}"
@@ -264,6 +276,8 @@ def cmd_extract(args) -> int:
         )
     if args.csv:
         _write_extract_csv(report, args.csv)
+    if any(map(_invalid, report["trials"])):
+        return EXIT_INVALID
     if any(t["timed_out"] or not t["certified"] for t in report["trials"]):
         return EXIT_TIMEOUT
     return EXIT_OK
@@ -292,6 +306,7 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     corpus = sorted(Path(args.corpus).glob("*.txt"))
     table: list[dict] = []
+    invalid = False
     for path in corpus:
         game = parse_game(path.read_bytes())
         stats, mp = _solve_stats(game)
@@ -313,9 +328,12 @@ def cmd_bench(args) -> int:
                 str(path), game, mp, m, args.seed, args.runs,
                 args.timeout_secs,
             )
-            timed_out = any(t["timed_out"] for t in rep["trials"])
+            if any(map(_invalid, rep["trials"])):
+                cell, invalid = "invalid", True
+            else:
+                cell = "t/o" if any(t["timed_out"] for t in rep["trials"]) else None
             for k in _BENCH_METRICS:
-                row[f"{m}_{k}"] = "t/o" if timed_out else round(rep[k], 6)
+                row[f"{m}_{k}"] = cell or round(rep[k], 6)
             row[f"{m}_certified"] = all(t["certified"] for t in rep["trials"])
         table.append(row)
 
@@ -336,7 +354,7 @@ def cmd_bench(args) -> int:
                 allow_nan=False,
             )
         )
-    return EXIT_OK
+    return EXIT_INVALID if invalid else EXIT_OK
 
 
 def cmd_gen(args) -> int:

@@ -601,48 +601,40 @@ def validate_strategy(
     mp: MostPermissiveStrategy,
     strat: PositionalStrategy,
 ) -> ValidationVerdict:
-    """Check by breadth-first exploration that following ``strat`` from
-    init never reaches an undefined player-0 choice, never leaves the
-    winning region, and hits no player-0 dead end.  On failure the
-    verdict carries a shortest violating play.
+    """Check that following ``strat`` from init never leaves the winning
+    region and never reaches an undefined player-0 choice (as at a dead end).
 
-    It reads the strategy's kept walk for ``game`` (:func:`_strategy_walk`);
-    only a failing check walks again, for the witness's parents.
+    One pass over the strategy's kept walk for ``game`` (:func:`_strategy_walk`)
+    gives the verdict: every visited position but init is the target of an
+    edge the play can take, so a violation is a visited position outside the
+    region or a visited player-0 position without a move.  The walk is
+    breadth-first, so the path that discovered the first violation in its
+    order is a shortest violating play; only a failing check walks again,
+    for the parents that trace it into the verdict's witness.
     """
-    if game.init_index not in mp.moves:
-        return ValidationVerdict(False, PlayWitness((game.init,), ()))
     moves, order = _strategy_walk(game, strat)
-    owner, out, names = game.pos_owner, game.out_edges, game.pos_names
-    region = mp.moves  # its keys are the winning region
-
-    def play_to(v: int, tail: tuple[int, int] | None) -> PlayWitness:
-        # Each step replays the first edge of the parent that reaches the
-        # child, which is the edge that discovered it.
-        _, parent = reach(game, moves.get)
-        trace = [v]
-        decisions: list[int] = []
-        while trace[-1] != game.init_index:
-            u = parent[trace[-1]]
-            edges = out[u] if owner[u] else moves[u]
-            decisions.append(next(a for a, d in edges if d == trace[-1]))
-            trace.append(u)
-        trace.reverse()
-        decisions.reverse()
-        if tail is not None:
-            decisions.append(tail[0])
-            trace.append(tail[1])
-        return PlayWitness(
-            tuple(names[t] for t in trace), tuple(game.act_names[a] for a in decisions)
-        )
-
+    owner, region = game.pos_owner, mp.moves  # its keys are the winning region
     for v in order:
-        edges = out[v] if owner[v] else moves.get(v)
-        if edges is None:
-            return ValidationVerdict(False, play_to(v, None))
-        for a, d in edges:
-            if d not in region:
-                return ValidationVerdict(False, play_to(v, (a, d)))
-    return ValidationVerdict(True, None)
+        if v not in region or not owner[v] and v not in moves:
+            break
+    else:
+        return ValidationVerdict(True, None)
+    # Each step replays the first edge of the parent that reaches the
+    # child, which is the edge that discovered it.
+    _, parent = reach(game, moves.get)
+    out, init = game.out_edges, game.init_index
+    trace = [v]
+    decisions: list[int] = []
+    while v != init:
+        u = parent[v]
+        decisions.append(next(a for a, d in (out[u] if owner[u] else moves[u]) if d == v))
+        trace.append(u)
+        v = u
+    witness = PlayWitness(
+        tuple([game.pos_names[t] for t in reversed(trace)]),
+        tuple([game.act_names[a] for a in reversed(decisions)]),
+    )
+    return ValidationVerdict(False, witness)
 
 
 def decode_support(game: SafetyGame, flags: Sequence) -> PositionalStrategy:

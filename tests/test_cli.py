@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import types
 import pytest
 
 import sparsegames as sg
+from sparsegames import cli
 from sparsegames.cli import METHODS as CLI_METHODS, main
 
 
@@ -324,6 +326,52 @@ def test_bench_shows_an_uncertified_density(tmp_path):
     for m in ("ilp", "sat"):
         assert f"{m}_certified" in table["columns"]
         assert (row[f"{m}_density_mean"], row[f"{m}_certified"]) == (4, False)
+
+
+def test_an_invalid_strategy_is_reported_invalid(tmp_path, capsys, monkeypatch):
+    # An extractor that returns the empty strategy leaves init undefined:
+    # extract marks both trials invalid and exits 4, and bench writes
+    # its table with invalid cells, then exits 4.
+    monkeypatch.setattr(cli, "random_extract", lambda game, mp, seed: sg.PositionalStrategy({}))
+    game = sg.gen_adversarial(2)
+    path = _write_game(tmp_path, game)
+    json_path = tmp_path / "report.json"
+    code = main(["extract", path, "--method", "random", "--runs", "2", "--json", str(json_path)])
+    assert code == 4
+    out = capsys.readouterr().out
+    assert len(re.findall(r"^trial seed=\d density=\S+ time=\S+s \(invalid\)$", out, re.M)) == 2
+    assert "density mean=n/a" in out and "choice " not in out
+    assert [t["valid"] for t in json.loads(json_path.read_text())["trials"]] == [False, False]
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "adv2.txt").write_bytes(sg.serialize_game(game))
+    json_path = tmp_path / "bench.json"
+    code = main(
+        ["bench", str(corpus), "--methods", "random,ilp", "--runs", "2", "--json", str(json_path)]
+    )
+    assert code == 4
+    row = json.loads(json_path.read_text())["rows"][0]
+    for k in ("density_mean", "time_mean_secs", "density_stddev"):
+        assert row[f"random_{k}"] == "invalid"
+    assert row["ilp_density_mean"] == 4
+
+
+def test_a_wrongly_claimed_density_is_invalid(tmp_path, capsys, monkeypatch):
+    # The strategy validates, but the engine claims one position fewer
+    # than it reaches: the trial is invalid, and 4 takes precedence over
+    # the 3 of an uncertified result.
+    real = cli.ilp_exact_extract
+
+    def claims_less(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, density=result.density - 1, certified=False)
+
+    monkeypatch.setattr(cli, "ilp_exact_extract", claims_less)
+    path = _write_game(tmp_path, sg.gen_adversarial(2))
+    assert main(["extract", path, "--method", "ilp"]) == 4
+    out = capsys.readouterr().out
+    assert re.search(r"^trial seed=0 density=4 time=\S+s \(uncertified\) \(invalid\)$", out, re.M)
 
 
 def test_bench_rejects_unknown_method(tmp_path, capsys):

@@ -859,6 +859,31 @@ def test_witness_shape_invariant():
     assert len(undefined.witness.decisions) == len(undefined.witness.trace) - 1
 
 
+def test_witness_is_a_shortest_violating_play():
+    # Following {a: x}, init r reaches a and b in one step.  b is undefined,
+    # so the shortest violating play is r -g2-> b, though a, whose choice
+    # leads to the losing dead end d, comes first in the visit order.
+    game = sg.SafetyGame.build(
+        {"r": 1, "a": 0, "b": 0, "c": 1, "d": 0},
+        {
+            ("r", "g1"): "a", ("r", "g2"): "b", ("a", "x"): "d", ("a", "y"): "c",
+            ("b", "y"): "c", ("c", "z"): "c",
+        },
+        "r",
+    )
+    verdict = sg.validate_strategy(game, _mp(game), sg.PositionalStrategy({"a": "x"}))
+    assert not verdict.winning
+    assert verdict.witness == sg.PlayWitness(("r", "b"), ("g2",))
+
+
+def _naive_successors(game, strat, p):
+    """Positions one step from ``p`` in a play under ``strat``."""
+    if p in game.positions1:
+        return _successors(game, p)
+    dst = game.edges.get((p, strat.choice.get(p)))
+    return () if dst is None else (dst,)
+
+
 def _naive_reach(game, strat):
     """Set-closure fixpoint of the positions a play under ``strat`` visits."""
     seen = {game.init}
@@ -866,16 +891,23 @@ def _naive_reach(game, strat):
     while changed:
         changed = False
         for p in sorted(seen):
-            if p in game.positions1:
-                succ = _successors(game, p)
-            else:
-                dst = game.edges.get((p, strat.choice.get(p)))
-                succ = () if dst is None else (dst,)
-            for q in succ:
+            for q in _naive_successors(game, strat, p):
                 if q not in seen:
                     seen.add(q)
                     changed = True
     return seen
+
+
+def _naive_depths(game, strat):
+    """Fewest steps a play under ``strat`` takes to each position it visits,
+    layer by layer."""
+    depth = {game.init: 0}
+    layer, steps = {game.init}, 0
+    while layer:
+        steps += 1
+        layer = {q for p in layer for q in _naive_successors(game, strat, p)} - depth.keys()
+        depth.update(dict.fromkeys(layer, steps))
+    return depth
 
 
 @given(
@@ -923,6 +955,12 @@ def test_reach_kernel_matches_naive_closure(seed, n0, n1, k, strat_seed):
         assert last not in winning or (
             last in game.positions0 and (last, choice.get(last)) not in game.edges
         )
+        # the witness is a shortest violating play
+        violating = [
+            depth for p, depth in _naive_depths(game, strat).items()
+            if p not in winning or p in game.positions0 and (p, choice.get(p)) not in game.edges
+        ]
+        assert len(trace) - 1 == min(violating)
 
 
 def _setcover_corpus():
