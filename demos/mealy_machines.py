@@ -3,8 +3,7 @@
 
 In a strictly alternating game where player 1 moves first, a winning
 positional strategy of density n folds into a transducer with at most
-n+1 states.  A strategy automaton over interleaved input/output letters
-contracts the same way, two letters per transition.
+n+1 states.
 """
 
 import sparsegames as sg
@@ -34,30 +33,6 @@ print(sg.serialize_mealy(machine).decode())
 
 print("running the machine on input u v v u:")
 print("  outputs:", " ".join(machine.run(["u", "v", "v", "u"])))
-
-# The same shape as an automaton over interleaved letters.
-dfa = sg.parse_dfa(b"""
-pos q0 1
-pos q1 0
-pos q2 1
-pos q3 0
-init q0
-accepting q0
-accepting q1
-accepting q2
-accepting q3
-edge q0 u q1
-edge q0 v q1
-edge q1 y q2
-edge q1 z q2
-edge q2 u q3
-edge q2 v q1
-edge q3 x q0
-""")
-contracted = sg.dfa_to_mealy(dfa)
-print("automaton contraction (smallest output letter picked where the")
-print("automaton offers several):")
-print(sg.serialize_mealy(contracted).decode())
 
 print("size bound across generated alternating games:")
 for n in (2, 4, 6):

@@ -13,11 +13,9 @@ Quick start::
 """
 
 from .errors import (
-    DfaDeadEndError,
     GameFormatError,
     InitLosingError,
     InitNotPlayer1Error,
-    NonAlternatingDfaError,
     NotAlternatingError,
     SearchSpaceTooLargeError,
     SparseGamesError,
@@ -51,10 +49,7 @@ from .lp import (
     replp_extract,
 )
 from .mealy import (
-    Dfa,
     MealyMachine,
-    dfa_to_mealy,
-    parse_dfa,
     serialize_mealy,
     strategy_to_mealy,
 )
@@ -74,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cnf",
-    "Dfa",
     "ExactResult",
     "GameFormatError",
     "InitLosingError",
@@ -83,8 +77,6 @@ __all__ = [
     "LpSolution",
     "MealyMachine",
     "MostPermissiveStrategy",
-    "NonAlternatingDfaError",
-    "DfaDeadEndError",
     "NotAlternatingError",
     "PlayWitness",
     "PositionalStrategy",
@@ -100,7 +92,6 @@ __all__ = [
     "build_relaxation",
     "compute_winning_region",
     "density",
-    "dfa_to_mealy",
     "encode_at_most_k",
     "enumerate_local_optima",
     "format_lp",
@@ -111,7 +102,6 @@ __all__ = [
     "is_locally_optimal",
     "lp_solve",
     "most_permissive",
-    "parse_dfa",
     "parse_game",
     "random_extract",
     "replp_extract",

@@ -6,7 +6,7 @@ class SparseGamesError(Exception):
 
 
 class GameFormatError(SparseGamesError):
-    """Malformed game or automaton text.
+    """Malformed game text.
 
     Carries the 1-based line number of the offending record when known.
     """
@@ -29,14 +29,6 @@ class NotAlternatingError(SparseGamesError):
 
 class InitNotPlayer1Error(SparseGamesError):
     """Mealy translation requires the play to start with a player-1 move."""
-
-
-class NonAlternatingDfaError(SparseGamesError):
-    """The automaton does not alternate input and output letters."""
-
-
-class DfaDeadEndError(SparseGamesError):
-    """An input transition is not followed by any output transition."""
 
 
 class SearchSpaceTooLargeError(SparseGamesError):

@@ -125,7 +125,7 @@ def gen_adversarial(i: int) -> SafetyGame:
 
 
 def gen_random(seed: int, n0: int, n1: int, k: int) -> SafetyGame:
-    """Random game with n0 player-0 and n1 player-1 positions, between 1
+    """Random game with n0 player-0 and n1 player-1 positions, between 0
     and k actions per position, targets drawn uniformly.  Deterministic
     in (seed, n0, n1, k)."""
     if n0 < 1 or n1 < 1 or k < 1:

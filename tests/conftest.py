@@ -179,22 +179,3 @@ FIG_GAME = sg.SafetyGame.build(
     },
     "g0",
 )
-
-FIG_DFA_TEXT = b"""
-pos q0 1
-pos q1 0
-pos q2 1
-pos q3 0
-init q0
-accepting q0
-accepting q1
-accepting q2
-accepting q3
-edge q0 u q1
-edge q0 v q1
-edge q1 y q2
-edge q1 z q2
-edge q2 u q3
-edge q2 v q1
-edge q3 x q0
-"""

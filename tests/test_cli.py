@@ -12,6 +12,8 @@ import sparsegames as sg
 from sparsegames import cli
 from sparsegames.cli import METHODS as CLI_METHODS, main
 
+from conftest import gap_game
+
 
 def _write_game(tmp_path, game, name="game.txt"):
     path = tmp_path / name
@@ -177,6 +179,109 @@ def test_dump_cnf_and_lp(tmp_path):
     assert all(l.endswith(" 0") for l in body)
     lp_text = lp_path.read_text()
     assert lp_text.startswith("Minimize") and lp_text.endswith("End\n")
+
+
+def _parse_lp(text):
+    """Objective, rows (coefficient dict, rhs) and bounds of a
+    ``--dump-lp`` file.  Terms are ``[sign] [coef] name``, split at the
+    sign tokens."""
+
+    def linear(expr):
+        coefs, sign, term = {}, 1.0, []
+        for tok in expr.split() + ["+"]:
+            if tok not in "+-":
+                term.append(tok)
+                continue
+            if term:
+                coef = float(term[0]) if len(term) == 2 else 1.0
+                coefs[term[-1]] = coefs.get(term[-1], 0.0) + sign * coef
+            sign, term = (-1.0 if tok == "-" else 1.0), []
+        return coefs
+
+    section, objective, rows, bounds = None, {}, [], {}
+    for line in text.splitlines():
+        if line in ("Minimize", "Subject To", "Bounds", "End"):
+            section = line
+        elif section == "Minimize":
+            objective = linear(line.split(":", 1)[1])
+        elif section == "Subject To":
+            expr, rhs = line.split(":", 1)[1].rsplit(">=", 1)
+            rows.append((linear(expr), float(rhs)))
+        else:
+            lo, name, hi = line.split("<=")
+            bounds[name.strip()] = (float(lo), float(hi))
+    return objective, rows, bounds
+
+
+def _dump_lp_optimum(lp_text):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    objective, rows, bounds = _parse_lp(lp_text)
+    names = sorted(bounds)
+    col = {name: j for j, name in enumerate(names)}
+    a_ub = [[0.0] * len(names) for _ in rows]
+    for i, (coefs, _) in enumerate(rows):
+        for name, coef in coefs.items():
+            a_ub[i][col[name]] = -coef
+    res = linprog(
+        [objective.get(name, 0.0) for name in names],
+        A_ub=a_ub,
+        b_ub=[-rhs for _, rhs in rows],
+        bounds=[bounds[name] for name in names],
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def _visited(game, choice):
+    """Positions a play can reach under ``choice``: every edge of a
+    player-1 position, the chosen edge of a player-0 one."""
+    seen, stack = {game.init}, [game.init]
+    while stack:
+        pos = stack.pop()
+        v = game.pos_index[pos]
+        for a, dst in game.out_edges[v]:
+            act, target = game.act_names[a], game.pos_names[dst]
+            if (game.pos_owner[v] == 1 or choice.get(pos) == act) and target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["adversarial4", "gap40"])
+def test_dumps_cross_check_the_ilp_density(tmp_path, name):
+    # The dumps are the unreduced encodings: HiGHS's LP optimum, rounded
+    # up, bounds the ilp density (tight on the integral trap root, one
+    # below it on the gap game), and the ilp strategy's positions satisfy
+    # every dumped clause.
+    game = sg.gen_adversarial(4) if name == "adversarial4" else gap_game(40, 6)[0]
+    path = _write_game(tmp_path, game)
+    lp_path, cnf_path, json_path = (tmp_path / f for f in ("i.lp", "i.cnf", "r.json"))
+    assert main(
+        ["extract", path, "--method", "ilp", "--runs", "1", "--json", str(json_path),
+         "--dump-lp", str(lp_path), "--dump-cnf", str(cnf_path)]
+    ) == 0
+    trial = json.loads(json_path.read_text())["trials"][0]
+    bound = math.ceil(_dump_lp_optimum(lp_path.read_text()) - 1e-9)
+    assert (bound, trial["density"]) == {"adversarial4": (8, 8), "gap40": (48, 49)}[name]
+
+    choice = dict(
+        line.split()[1:] for line in trial["strategy"].splitlines()
+        if line.startswith("choice ")
+    )
+    var_pos = {}
+    clauses = []
+    for line in cnf_path.read_text().splitlines():
+        if line.startswith("c var "):
+            _, _, var, _, _, pos = line.split()
+            var_pos[int(var)] = pos
+        elif not line.startswith(("c", "p")):
+            clauses.append([int(lit) for lit in line.split()[:-1]])
+    visited = _visited(game, choice)
+    assert visited <= set(var_pos.values())
+    true = {var for var, pos in var_pos.items() if pos in visited}
+    assert clauses
+    assert all(any((lit > 0) == (abs(lit) in true) for lit in clause) for clause in clauses)
 
 
 def test_timeout_reports_to(tmp_path, capsys):

@@ -159,6 +159,16 @@ def test_random_respects_sizes_and_degree():
     assert all(d <= 3 for d in degree.values())
 
 
+def test_random_degrees_span_zero_to_k():
+    # Dead ends are drawn on purpose: a position has 0..k actions.
+    degrees = {
+        len(edges)
+        for seed in range(200)
+        for edges in sg.gen_random(seed, 5, 5, 3).out_edges
+    }
+    assert degrees == {0, 1, 2, 3}
+
+
 def test_random_rejects_bad_params():
     with pytest.raises(ValueError):
         sg.gen_random(0, 0, 1, 1)

@@ -4,7 +4,7 @@ import pytest
 
 import sparsegames as sg
 
-from conftest import FIG_DFA_TEXT, FIG_GAME
+from conftest import FIG_GAME
 
 
 def _mp(game):
@@ -22,27 +22,6 @@ def test_figure_strategy_folds_to_two_state_machine():
         ("g2", "u"): ("g0", "x"),
         ("g2", "v"): ("g2", "z"),
     }
-
-
-def test_figure_dfa_contracts_with_smallest_output_pick():
-    dfa = sg.parse_dfa(FIG_DFA_TEXT)
-    machine = sg.dfa_to_mealy(dfa)
-    assert len(machine.states) == 2
-    # y < z, so the deterministic pick emits y where the drawing chose z;
-    # the graph structure is identical.
-    assert machine.transitions == {
-        ("q0", "u"): ("q2", "y"),
-        ("q0", "v"): ("q2", "y"),
-        ("q2", "u"): ("q0", "x"),
-        ("q2", "v"): ("q2", "y"),
-    }
-
-
-def test_two_letter_loop_contracts_to_single_state():
-    dfa = sg.parse_dfa(b"pos s 1\npos t 0\ninit s\naccepting s\nedge s u t\nedge t z s\n")
-    machine = sg.dfa_to_mealy(dfa)
-    assert machine.states == ("s",)
-    assert machine.transitions == {("s", "u"): ("s", "z")}
 
 
 def _alternating_corpus():
@@ -105,8 +84,6 @@ def test_translation_deterministic():
     winning = sg.compute_winning_region(game)
     strat = sg.smart_random_extract(game, winning, 4)
     assert sg.strategy_to_mealy(game, strat) == sg.strategy_to_mealy(game, strat)
-    dfa = sg.parse_dfa(FIG_DFA_TEXT)
-    assert sg.dfa_to_mealy(dfa) == sg.dfa_to_mealy(dfa)
 
 
 def test_not_alternating_rejected():
@@ -184,56 +161,6 @@ def test_undefined_reachable_choice_rejected():
         sg.strategy_to_mealy(game, bogus)
 
 
-def test_dfa_dead_end_detected():
-    # the input letter u is never followed by an output letter
-    dfa = sg.parse_dfa(b"pos s 1\npos t 0\ninit s\naccepting s\nedge s u t\n")
-    with pytest.raises(sg.DfaDeadEndError):
-        sg.dfa_to_mealy(dfa)
-
-
-_REJECTING_DFA = b"""
-pos s 1
-pos t 0
-pos r 1
-init s
-accepting s
-accepting t
-edge s u t
-edge t y r
-edge t z s
-edge r u t
-"""
-
-
-def test_dfa_reply_avoids_non_accepting_state():
-    # y < z, but y leads to the non-accepting r, so the reply is z.
-    machine = sg.dfa_to_mealy(sg.parse_dfa(_REJECTING_DFA + b"accepting r\n"))
-    assert machine.transitions == {("s", "u"): ("r", "y"), ("r", "u"): ("r", "y")}
-    machine = sg.dfa_to_mealy(sg.parse_dfa(_REJECTING_DFA))
-    assert machine.states == ("s",)
-    assert machine.transitions == {("s", "u"): ("s", "z")}
-
-
-def test_dfa_without_accepting_reply_is_dead_end():
-    text = _REJECTING_DFA.replace(b"edge t z s\n", b"")
-    with pytest.raises(sg.DfaDeadEndError, match="accepting"):
-        sg.dfa_to_mealy(sg.parse_dfa(text))
-
-
-def test_dfa_non_alternating_rejected():
-    # initial state reads a player-0 letter
-    dfa = sg.parse_dfa(b"pos s 0\npos t 1\ninit s\naccepting s\nedge s z t\nedge t u s\n")
-    with pytest.raises(sg.NonAlternatingDfaError):
-        sg.dfa_to_mealy(dfa)
-
-
-def test_dfa_state_at_both_parities_rejected():
-    # s -u-> s would make s read inputs at both parities via t
-    text = b"pos s 1\npos t 0\ninit s\naccepting s\nedge s u t\nedge t z s\nedge t y t\n"
-    with pytest.raises(sg.NonAlternatingDfaError):
-        sg.dfa_to_mealy(sg.parse_dfa(text))
-
-
 def test_serialize_mealy_format():
     strat = sg.PositionalStrategy({"g1": "z", "g3": "x"})
     machine = sg.strategy_to_mealy(FIG_GAME, strat)
@@ -244,19 +171,3 @@ def test_serialize_mealy_format():
         b"trans g2 u x g0\n"
         b"trans g2 v z g2\n"
     )
-
-
-def test_parse_dfa_rejects_undeclared_accepting():
-    with pytest.raises(sg.GameFormatError):
-        sg.parse_dfa(b"pos s 1\ninit s\naccepting nope\nedge s u s\n")
-
-
-def test_parse_dfa_undeclared_accepting_carries_its_line():
-    with pytest.raises(sg.GameFormatError, match="line 3: accepting") as info:
-        sg.parse_dfa(b"pos q 1\ninit q\naccepting z\n")
-    assert info.value.line == 3
-
-
-def test_parse_dfa_rejects_invalid_utf8():
-    with pytest.raises(sg.GameFormatError, match="UTF-8"):
-        sg.parse_dfa(b"pos s 1\xff\ninit s\naccepting s\nedge s u s\n")
