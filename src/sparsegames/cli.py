@@ -239,12 +239,14 @@ def cmd_extract(args) -> int:
 
     if args.dump_cnf or args.dump_lp:
         pruned, mp2 = pruned_context(game, mp)
+        forced = sum(f and o == 0 for f, o in zip(pruned.fixpoint.doomed, pruned.pos_owner))
+        offset = f"offset {forced}: forced player-0 positions; density >= optimum + offset"
     if args.dump_cnf:
         cnf, var_map = build_cnf(pruned, mp2)
         comments = tuple(f"var {v} = position {p}" for p, v in sorted(var_map.items()))
-        Path(args.dump_cnf).write_text(to_dimacs(cnf, comments))
+        Path(args.dump_cnf).write_text(to_dimacs(cnf, (offset, *comments)))
     if args.dump_lp:
-        Path(args.dump_lp).write_text(format_lp(build_relaxation(pruned, mp2)))
+        Path(args.dump_lp).write_text(f"\\ {offset}\n" + format_lp(build_relaxation(pruned, mp2)))
 
     report = _extract_report(
         args.game, game, mp, args.method, args.seed, args.runs,

@@ -2,15 +2,17 @@
 the LP front end shared by every LP engine, and the repetitive rounding
 heuristic.
 
-The relaxation has one [0,1] variable per position of the pruned winning
-game.  A feasible 0/1 point is exactly the indicator of a position set
-containing init that is closed under player-1 moves and offers every
-player-0 member an allowed successor inside the set, so minimizing the
-player-0 mass lower-bounds the minimum strategy density.  The
+The relaxation is over the pruned winning game.  A support is a
+position set containing init that is closed under player-1 moves and
+offers every player-0 member an allowed successor inside the set; it
+contains the forced positions, which unit propagation of these rules
+adds to every support.  The relaxation has one [0,1] variable per free
+(unforced) position, so a feasible 0/1 point plus the forced positions
+is exactly a support, and minimizing the player-0 mass plus the forced
+player-0 count lower-bounds the minimum strategy density.  The
 constraints are the :func:`support_rows`, shared with ``sat.py``.
-:func:`build_relaxation` writes this LP over every pruned position, for
-``--dump-lp``; the engines solve :class:`_Frame`'s reduced problem
-instead, which leaves out the positions every support contains.
+:func:`build_relaxation` is the one LP builder: every LP engine solves
+it through :class:`_Frame`, and ``--dump-lp`` writes it.
 
 The solver is a dense bounded dual simplex.  Its columns are the n
 structural variables and one surplus per row (``rows @ x - s = rhs``,
@@ -50,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +93,6 @@ class LpProblem:
     rhs: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    row_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         n = len(self.var_names)
@@ -104,10 +105,6 @@ class LpProblem:
             raise ValueError("objective length does not match variables")
         if self.lo.shape != (n,) or self.hi.shape != (n,):
             raise ValueError("bound vectors do not match variables")
-        if not self.row_labels:
-            self.row_labels = tuple(f"c{i}" for i in range(self.rows.shape[0]))
-        elif len(self.row_labels) != len(self.rhs):
-            raise ValueError("row_labels length does not match rows")
         # Written so that every comparison must hold: NaN fails them all.
         if not ((0.0 <= self.lo) & (self.lo <= self.hi) & (self.hi <= 1.0)).all():
             raise ValueError("bounds must satisfy 0 <= lo <= hi <= 1")
@@ -116,8 +113,7 @@ class LpProblem:
 
     def with_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "LpProblem":
         return LpProblem(
-            self.var_names, self.objective, self.rows, self.rhs,
-            lo.copy(), hi.copy(), self.row_labels,
+            self.var_names, self.objective, self.rows, self.rhs, lo.copy(), hi.copy()
         )
 
 
@@ -140,78 +136,59 @@ class LpSolution:
 
 def support_rows(
     game: SafetyGame, mp: MostPermissiveStrategy
-) -> list[tuple[int, tuple[int, ...]]]:
+) -> list[tuple[int | None, tuple[int, ...]]]:
     """The constraints of a support set, shared by the LP and SAT
     encodings: a support containing position ``v`` contains one of
-    ``targets`` for every pair ``(v, targets)``.
+    ``targets`` for every pair ``(v, targets)``, and every support
+    contains one of ``targets`` for a pair ``(None, targets)``.
 
     The keys of ``mp.moves`` (the winning positions) are covered in index
     order.  A player-0 position gives one pair with the targets of its
     allowed actions, duplicates kept; a player-1 position gives one
-    ``(v, (d,))`` pair per distinct successor, in index order.
+    ``(v, (d,))`` pair per distinct successor, in index order.  Every
+    support contains the forced positions, which ``game.fixpoint`` flags
+    ``doomed``, so a pair with a forced target is dropped and a forced
+    source is written ``None``.
     """
-    rows: list[tuple[int, tuple[int, ...]]] = []
+    forced = game.fixpoint.doomed
+    rows: list[tuple[int | None, tuple[int, ...]]] = []
     for v, edges in mp.moves.items():
         if game.pos_owner[v] == 0:
-            rows.append((v, tuple([d for _, d in edges])))
+            pairs = [tuple([d for _, d in edges])]
         else:
-            rows += [(v, (d,)) for d in sorted({d for _, d in edges})]
+            pairs = [(d,) for d in sorted({d for _, d in edges})]
+        source = None if forced[v] else v
+        rows += [(source, t) for t in pairs if not any([forced[d] for d in t])]
     return rows
 
 
-def pair_rows(
-    pairs: list[tuple[int | None, tuple[int, ...]]], column, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and right-hand sides of support pairs over ``n`` columns,
-    where ``column[v]`` is position ``v``'s column.  A pair ``(v, targets)``
-    is the row ``-v + sum(targets) >= 0`` and a pair ``(None, targets)``,
-    whose source is already in the support, the row ``sum(targets) >= 1``;
-    duplicate targets accumulate coefficients."""
-    rows = np.zeros((len(pairs), n))
+def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
+    """Real relaxation of minimum-density extraction over a pruned game,
+    reduced by its forced positions.
+
+    One [0,1] variable per free (unforced) position in index order, cost 1
+    for player 0, and one row per :func:`support_rows` pair: a pair
+    ``(v, targets)`` is the row ``-v + sum(targets) >= 0`` and a pair
+    ``(None, targets)`` the row ``sum(targets) >= 1``; duplicate targets
+    accumulate coefficients.  The optimum plus the forced player-0 count
+    is a lower bound on the density.
+    """
+    if len(mp.moves) != len(game.pos_names):
+        raise ValueError("build_relaxation expects a game pruned to its winning part")
+    free = [v for v, f in enumerate(game.fixpoint.doomed) if not f]
+    column = {v: j for j, v in enumerate(free)}
+    pairs = support_rows(game, mp)
+    rows = np.zeros((len(pairs), len(free)))
     for row, (v, targets) in zip(rows, pairs):
         if v is not None:
             row[column[v]] = -1.0
         for d in targets:
             row[column[d]] += 1.0
-    return rows, np.array([float(v is None) for v, _ in pairs])
-
-
-def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
-    """Real relaxation of minimum-density extraction over a pruned game.
-
-    One variable per position, bounds [0,1] with init fixed to 1, an
-    explicit ``init >= 1`` row, and one ``-v + sum(targets) >= 0`` row per
-    :func:`support_rows` pair: a flow row per player-0 position (duplicate
-    targets accumulate coefficients) and a row per (player-1 position,
-    distinct successor) pair.
-    """
-    if len(mp.moves) != len(game.pos_names):
-        raise ValueError("build_relaxation expects a game pruned to its winning part")
-    names = game.pos_names
-    n = len(names)
-    objective = np.array(
-        [1.0 if o == 0 else 0.0 for o in game.pos_owner], dtype=float
-    )
-    pairs = support_rows(game, mp)
-    rows, rhs = pair_rows([(None, (game.init_index,)), *pairs], range(n), n)
-    labels = ["init"]
-    for v, targets in pairs:
-        if game.pos_owner[v] == 0:
-            labels.append(f"flow_{names[v]}")
-        else:
-            labels.append(f"succ_{names[v]}_{names[targets[0]]}")
-
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    lo[game.init_index] = 1.0
     return LpProblem(
-        var_names=names,
-        objective=objective,
-        rows=rows,
-        rhs=rhs,
-        lo=lo,
-        hi=hi,
-        row_labels=tuple(labels),
+        tuple([game.pos_names[v] for v in free]),
+        [1.0 if game.pos_owner[v] == 0 else 0.0 for v in free],
+        rows, [float(v is None) for v, _ in pairs],
+        np.zeros(len(free)), np.ones(len(free)),
     )
 
 
@@ -411,8 +388,8 @@ def format_lp(problem: LpProblem) -> str:
     bounds), for cross-checking against external solvers by hand."""
     lines = ["Minimize", " obj: " + _linear_expr(problem.objective, problem.var_names)]
     lines.append("Subject To")
-    for label, row, b in zip(problem.row_labels, problem.rows, problem.rhs):
-        lines.append(f" {label}: {_linear_expr(row, problem.var_names)} >= {b:g}")
+    for i, (row, b) in enumerate(zip(problem.rows, problem.rhs)):
+        lines.append(f" c{i}: {_linear_expr(row, problem.var_names)} >= {b:g}")
     lines.append("Bounds")
     for name, l, h in zip(problem.var_names, problem.lo, problem.hi):
         lines.append(f" {l:g} <= {name} <= {h:g}")
@@ -450,12 +427,10 @@ class _Frame:
     closure that the game's ``fixpoint`` flags ``doomed``, here of
     the pruned game, where every allowed target is live.  ``offset``
     counts the forced player-0 ones.  Its variables are the ``free``
-    positions in index order (``column`` maps a pruned position to its
-    variable, -1 when forced), and its ``pairs`` are the
-    :func:`support_rows` pairs without a forced target, in their order,
-    with ``None`` for a forced source.
-    ``problem`` is their LP (:func:`pair_rows`), and ``sat`` encodes the
-    same pairs.  The root optimum plus ``offset``, rounded up, is ``lb``.
+    positions in index order.  ``problem`` is its LP
+    (:func:`build_relaxation`), and ``sat`` encodes the same pairs
+    (:func:`sparsegames.sat.build_cnf`).  The root optimum plus
+    ``offset``, rounded up, is ``lb``.
 
     An integral root is offered with the first incumbent: its support has
     at most ``lb`` player-0 positions, so it certifies ``ub == lb`` before
@@ -471,23 +446,8 @@ class _Frame:
         forced = self.pruned.fixpoint.doomed
         self.forced = np.array(forced, dtype=bool)
         self.free = np.flatnonzero(~self.forced)
-        free = self.free.tolist()
         self.offset = sum(1 for f, o in zip(forced, owner) if f and o == 0)
-        self.column = [-1] * len(owner)
-        for i, v in enumerate(free):
-            self.column[v] = i
-        self.pairs = [
-            (None if forced[v] else v, targets)
-            for v, targets in support_rows(self.pruned, self.mp)
-            if not any([forced[d] for d in targets])
-        ]
-        n = len(free)
-        rows, rhs = pair_rows(self.pairs, self.column, n)
-        self.problem = LpProblem(
-            tuple([self.pruned.pos_names[v] for v in free]),
-            [1.0 if owner[v] == 0 else 0.0 for v in free],
-            rows, rhs, np.zeros(n), np.ones(n),
-        )
+        self.problem = build_relaxation(self.pruned, self.mp)
         self.tableau = Tableau.surplus(self.problem)
         self.root = lp_solve(self.problem, self.tableau)
         if self.root.status == "infeasible":

@@ -4,13 +4,13 @@ start at the LP bound.
 
 The clauses are the pairs of :func:`sparsegames.lp.support_rows`, which
 also give the LP relaxation its rows: a pair ``(v, (t1, t2))`` is the row
-``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here, and
-:func:`support_clauses` is the one encoder of both :func:`build_cnf` and
-the engine.  Minimization starts from the frame shared by the LP engines
-(:class:`sparsegames.lp._Frame`) and encodes its reduced problem: only
-the free positions are variables, a pair whose source is forced is the
-clause ``t1 | t2``, and pairs with a forced target are gone.  A
-sequential-counter at-most-k encoding bounds the free player-0
+``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here.  Like
+the LP, :func:`build_cnf` encodes the reduced problem: only the free
+positions are variables, a pair whose source is forced is the clause
+``t1 | t2``, and pairs with a forced target are gone.  Minimization
+starts from the frame shared by the LP engines
+(:class:`sparsegames.lp._Frame`) and adds to :func:`build_cnf`'s clauses
+a sequential-counter at-most-k encoding that bounds the free player-0
 variables by k minus the forced player-0 count, so on a set cover game
 the counter covers the sets alone.  An integral LP root is already
 certified by the frame and needs no SAT call.  Otherwise the probes ask
@@ -409,48 +409,30 @@ def encode_at_most_k(
     return clauses, (n - 1) * k
 
 
-def support_clauses(
-    pairs: list[tuple[int | None, tuple[int, ...]]], var
-) -> list[list[int]]:
-    """The clauses of support pairs, where ``var[v]`` is position ``v``'s
-    variable: ``!v | targets`` for a pair ``(v, targets)`` and ``targets``
-    for a pair ``(None, targets)``, whose source is already in the
-    support.  Targets are deduplicated and sorted by variable; a target
-    with variable 0 (a losing position) is an error."""
-    clauses: list[list[int]] = []
-    for v, targets in pairs:
-        # Sorted and deduplicated, a losing target shows as a leading 0.
-        if len(targets) == 1:  # every player-1 pair
-            lits = [var[targets[0]]]
-        else:
-            lits = sorted({var[d] for d in targets})
-        if lits and not lits[0]:
-            raise ValueError(
-                "a support target of a winning position is losing; "
-                "the most-permissive strategy is inconsistent"
-            )
-        clauses.append(lits if v is None else [-var[v], *lits])
-    return clauses
-
-
 def build_cnf(
     game: SafetyGame, mp: MostPermissiveStrategy
 ) -> tuple[Cnf, dict[str, int]]:
-    """Boolean strategy constraints over the winning positions.
+    """Boolean strategy constraints over a pruned game, reduced as
+    :func:`sparsegames.lp.build_relaxation` is.
 
-    Variables number the keys of ``mp.moves`` (the winning positions) in
-    index order.  Unit clause for init, then the clause ``!v | targets``
-    per :func:`support_rows` pair.  When init is losing the instance is a
-    single empty clause, trivially unsatisfiable.
+    Variables number the free (unforced) positions in index order, so LP
+    column j is variable j + 1.  Each :func:`support_rows` pair
+    ``(v, targets)`` is the clause ``!v | targets`` and each pair
+    ``(None, targets)`` the clause ``targets``, with the targets
+    deduplicated and sorted by variable.
     """
-    if game.init_index not in mp.moves:
-        return Cnf(0, [[]]), {}
-    var = [0] * len(game.pos_names)  # 0 marks a losing position
+    if len(mp.moves) != len(game.pos_names):
+        raise ValueError("build_cnf expects a game pruned to its winning part")
+    var = [0] * len(game.pos_names)
     var_map: dict[str, int] = {}
-    for v in mp.moves:
-        var[v] = var_map[game.pos_names[v]] = len(var_map) + 1
-    pairs = [(None, (game.init_index,)), *support_rows(game, mp)]
-    return Cnf(len(var_map), support_clauses(pairs, var)), var_map
+    for v, forced in enumerate(game.fixpoint.doomed):
+        if not forced:
+            var[v] = var_map[game.pos_names[v]] = len(var_map) + 1
+    clauses: list[list[int]] = []
+    for v, targets in support_rows(game, mp):
+        lits = sorted({var[d] for d in targets})
+        clauses.append(lits if v is None else [-var[v], *lits])
+    return Cnf(len(var_map), clauses), var_map
 
 
 def sat_exact_extract(
@@ -468,7 +450,7 @@ def sat_exact_extract(
     rounded up, and end below its incumbent's density.  When the root is
     integral the frame has already closed the gap, so no probe runs and
     the result is certified with ``work == 0``.  Otherwise each probe
-    solves the clauses of the frame's reduced pairs plus at-most-(k minus
+    solves the clauses of :func:`build_cnf` plus at-most-(k minus
     the forced player-0 count) over the free player-0 variables, for
     k = ``lb``, ``lb + 1``, ...; a refutation raises k by one, and the
     first model, offered to the frame as the flags of its free position
@@ -481,8 +463,9 @@ def sat_exact_extract(
     """
     frame = _Frame(game, mp)
     n = len(frame.free)
-    base = Cnf(n, support_clauses(frame.pairs, [c + 1 for c in frame.column]))
     p0_vars = (frame.problem.objective.nonzero()[0] + 1).tolist()
+    # An integral root has closed the gap already and needs no clauses.
+    base = build_cnf(frame.pruned, frame.mp)[0] if frame.lb < frame.ub else None
 
     k = frame.lb
     probes = []

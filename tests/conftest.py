@@ -1,7 +1,10 @@
-"""Shared test helpers: independent reference implementations and game
-corpora used as oracles across the suite."""
+"""Shared test helpers: independent reference implementations (among them
+the unreduced LP and CNF encodings, ``full_relaxation`` and ``full_cnf``)
+and game corpora used as oracles across the suite."""
 
 from __future__ import annotations
+
+import numpy as np
 
 import sparsegames as sg
 from sparsegames.lp import pruned_context
@@ -127,6 +130,111 @@ def gap_game(n: int, k: int):
         for e in members:
             edges[(f"x{e:0{we}d}", f"use{s:0{ws}d}")] = f"s{s:0{ws}d}"
     return sg.SafetyGame.build(positions, edges, "r"), sets
+
+
+def _full_support_rows(
+    game: sg.SafetyGame, mp: sg.MostPermissiveStrategy
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The support pairs of every winning position, none left out: a
+    player-0 position gives one pair with the targets of its allowed
+    actions, duplicates kept; a player-1 position gives one ``(v, (d,))``
+    pair per distinct successor, in index order."""
+    rows: list[tuple[int, tuple[int, ...]]] = []
+    for v, edges in mp.moves.items():
+        if game.pos_owner[v] == 0:
+            rows.append((v, tuple([d for _, d in edges])))
+        else:
+            rows += [(v, (d,)) for d in sorted({d for _, d in edges})]
+    return rows
+
+
+def _pair_rows(pairs, column, n: int):
+    """The rows and right-hand sides of support pairs over ``n`` columns,
+    where ``column[v]`` is position ``v``'s column.  A pair ``(v, targets)``
+    is the row ``-v + sum(targets) >= 0`` and a pair ``(None, targets)``,
+    whose source is already in the support, the row ``sum(targets) >= 1``;
+    duplicate targets accumulate coefficients."""
+    rows = np.zeros((len(pairs), n))
+    for row, (v, targets) in zip(rows, pairs):
+        if v is not None:
+            row[column[v]] = -1.0
+        for d in targets:
+            row[column[d]] += 1.0
+    return rows, np.array([float(v is None) for v, _ in pairs])
+
+
+def full_relaxation(game: sg.SafetyGame, mp: sg.MostPermissiveStrategy) -> sg.LpProblem:
+    """Reference unreduced relaxation over a pruned game.
+
+    One variable per position, bounds [0,1] with init fixed to 1, an
+    explicit ``init >= 1`` row, and one ``-v + sum(targets) >= 0`` row per
+    support pair: a flow row per player-0 position (duplicate targets
+    accumulate coefficients) and a row per (player-1 position, distinct
+    successor) pair.
+    """
+    if len(mp.moves) != len(game.pos_names):
+        raise ValueError("full_relaxation expects a game pruned to its winning part")
+    names = game.pos_names
+    n = len(names)
+    objective = np.array(
+        [1.0 if o == 0 else 0.0 for o in game.pos_owner], dtype=float
+    )
+    pairs = _full_support_rows(game, mp)
+    rows, rhs = _pair_rows([(None, (game.init_index,)), *pairs], range(n), n)
+    lo = np.zeros(n)
+    hi = np.ones(n)
+    lo[game.init_index] = 1.0
+    return sg.LpProblem(
+        var_names=names,
+        objective=objective,
+        rows=rows,
+        rhs=rhs,
+        lo=lo,
+        hi=hi,
+    )
+
+
+def _support_clauses(pairs, var) -> list[list[int]]:
+    """The clauses of support pairs, where ``var[v]`` is position ``v``'s
+    variable: ``!v | targets`` for a pair ``(v, targets)`` and ``targets``
+    for a pair ``(None, targets)``, whose source is already in the
+    support.  Targets are deduplicated and sorted by variable; a target
+    with variable 0 (a losing position) is an error."""
+    clauses: list[list[int]] = []
+    for v, targets in pairs:
+        # Sorted and deduplicated, a losing target shows as a leading 0.
+        if len(targets) == 1:  # every player-1 pair
+            lits = [var[targets[0]]]
+        else:
+            lits = sorted({var[d] for d in targets})
+        if lits and not lits[0]:
+            raise ValueError(
+                "a support target of a winning position is losing; "
+                "the most-permissive strategy is inconsistent"
+            )
+        clauses.append(lits if v is None else [-var[v], *lits])
+    return clauses
+
+
+def full_cnf(
+    game: sg.SafetyGame, mp: sg.MostPermissiveStrategy
+) -> tuple[sg.Cnf, dict[str, int]]:
+    """Reference unreduced Boolean strategy constraints over the winning
+    positions.
+
+    Variables number the keys of ``mp.moves`` (the winning positions) in
+    index order.  Unit clause for init, then the clause ``!v | targets``
+    per support pair.  When init is losing the instance is a single empty
+    clause, trivially unsatisfiable.
+    """
+    if game.init_index not in mp.moves:
+        return sg.Cnf(0, [[]]), {}
+    var = [0] * len(game.pos_names)  # 0 marks a losing position
+    var_map: dict[str, int] = {}
+    for v in mp.moves:
+        var[v] = var_map[game.pos_names[v]] = len(var_map) + 1
+    pairs = [(None, (game.init_index,)), *_full_support_rows(game, mp)]
+    return sg.Cnf(len(var_map), _support_clauses(pairs, var)), var_map
 
 
 def unchecked_most_permissive(game: sg.SafetyGame, winning: frozenset[str]):

@@ -12,9 +12,9 @@ import pytest
 
 import sparsegames as sg
 from sparsegames.cli import main
-from sparsegames.lp import build_relaxation, pruned_context
+from sparsegames.lp import pruned_context
 
-from conftest import solvable_random_games
+from conftest import full_relaxation, solvable_random_games
 
 METHOD_NAMES = ("random", "smart", "replp", "ilp", "sat")
 
@@ -118,14 +118,14 @@ def test_c05_lp_relaxation_bound_and_reference_simplex():
     corpus = solvable_random_games(150, 5, 5, 2, start_seed=0, max_bits=16)
     for game, winning, mp in corpus:
         pruned, mp2 = pruned_context(game, mp)
-        prob = build_relaxation(pruned, mp2)
+        prob = full_relaxation(pruned, mp2)
         sol = sg.lp_solve(prob)
         best, _ = sg.brute_force_min_density(game, mp)
         assert sol.objective_value <= best + 1e-6
     ref_checked = 0
     for game, winning, mp in solvable_random_games(100, 6, 6, 3, start_seed=500):
         pruned, mp2 = pruned_context(game, mp)
-        prob = build_relaxation(pruned, mp2)
+        prob = full_relaxation(pruned, mp2)
         mine = sg.lp_solve(prob)
         ref = linprog(
             prob.objective,

@@ -178,13 +178,16 @@ def test_dump_cnf_and_lp(tmp_path):
     assert len(body) == n_clauses
     assert all(l.endswith(" 0") for l in body)
     lp_text = lp_path.read_text()
-    assert lp_text.startswith("Minimize") and lp_text.endswith("End\n")
+    # One comment line with the forced player-0 count, then the LP.
+    assert lp_text.startswith("\\ offset 1: ") and lp_text.endswith("End\n")
+    assert lp_text.splitlines()[1] == "Minimize"
+    assert cnf_lines[0].startswith("c offset 1: ")
 
 
 def _parse_lp(text):
     """Objective, rows (coefficient dict, rhs) and bounds of a
     ``--dump-lp`` file.  Terms are ``[sign] [coef] name``, split at the
-    sign tokens."""
+    sign tokens; ``\\`` starts a comment line."""
 
     def linear(expr):
         coefs, sign, term = {}, 1.0, []
@@ -200,6 +203,8 @@ def _parse_lp(text):
 
     section, objective, rows, bounds = None, {}, [], {}
     for line in text.splitlines():
+        if line.startswith("\\"):
+            continue
         if line in ("Minimize", "Subject To", "Bounds", "End"):
             section = line
         elif section == "Minimize":
@@ -213,10 +218,19 @@ def _parse_lp(text):
     return objective, rows, bounds
 
 
+def _dump_offset(text):
+    """The forced player-0 count of a dump, from its ``offset`` comment."""
+    (line,) = [l for l in text.splitlines() if l.split()[1:2] == ["offset"]]
+    return int(line.split()[2].rstrip(":"))
+
+
 def _dump_lp_optimum(lp_text):
+    """HiGHS's optimum of a ``--dump-lp`` file; 0 when it has no variables."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     objective, rows, bounds = _parse_lp(lp_text)
     names = sorted(bounds)
+    if not names:
+        return 0.0
     col = {name: j for j, name in enumerate(names)}
     a_ub = [[0.0] * len(names) for _ in rows]
     for i, (coefs, _) in enumerate(rows):
@@ -248,13 +262,19 @@ def _visited(game, choice):
     return seen
 
 
-@pytest.mark.parametrize("name", ["adversarial4", "gap40"])
+@pytest.mark.parametrize("name", ["adversarial4", "gap40", "chain64"])
 def test_dumps_cross_check_the_ilp_density(tmp_path, name):
-    # The dumps are the unreduced encodings: HiGHS's LP optimum, rounded
-    # up, bounds the ilp density (tight on the integral trap root, one
-    # below it on the gap game), and the ilp strategy's positions satisfy
-    # every dumped clause.
-    game = sg.gen_adversarial(4) if name == "adversarial4" else gap_game(40, 6)[0]
+    # The dumps are the reduced encodings the engines solve: HiGHS's LP
+    # optimum plus the dumped forced player-0 count, rounded up, bounds
+    # the ilp density (tight on the integral trap root and on the chain,
+    # whose reduced LP is empty, one below it on the gap game); the ilp
+    # strategy's positions satisfy every dumped clause, and they include
+    # every forced position.
+    game = {
+        "adversarial4": lambda: sg.gen_adversarial(4),
+        "gap40": lambda: gap_game(40, 6)[0],
+        "chain64": lambda: sg.gen_chain(64),
+    }[name]()
     path = _write_game(tmp_path, game)
     lp_path, cnf_path, json_path = (tmp_path / f for f in ("i.lp", "i.cnf", "r.json"))
     assert main(
@@ -262,8 +282,12 @@ def test_dumps_cross_check_the_ilp_density(tmp_path, name):
          "--dump-lp", str(lp_path), "--dump-cnf", str(cnf_path)]
     ) == 0
     trial = json.loads(json_path.read_text())["trials"][0]
-    bound = math.ceil(_dump_lp_optimum(lp_path.read_text()) - 1e-9)
-    assert (bound, trial["density"]) == {"adversarial4": (8, 8), "gap40": (48, 49)}[name]
+    lp_text, cnf_text = lp_path.read_text(), cnf_path.read_text()
+    offset = _dump_offset(lp_text)
+    assert _dump_offset(cnf_text) == offset
+    bound = math.ceil(_dump_lp_optimum(lp_text) + offset - 1e-9)
+    expected = {"adversarial4": (8, 8), "gap40": (48, 49), "chain64": (64, 64)}
+    assert (bound, trial["density"]) == expected[name]
 
     choice = dict(
         line.split()[1:] for line in trial["strategy"].splitlines()
@@ -271,16 +295,20 @@ def test_dumps_cross_check_the_ilp_density(tmp_path, name):
     )
     var_pos = {}
     clauses = []
-    for line in cnf_path.read_text().splitlines():
+    for line in cnf_text.splitlines():
         if line.startswith("c var "):
             _, _, var, _, _, pos = line.split()
             var_pos[int(var)] = pos
         elif not line.startswith(("c", "p")):
             clauses.append([int(lit) for lit in line.split()[:-1]])
     visited = _visited(game, choice)
-    assert visited <= set(var_pos.values())
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    pruned, _ = sg.lp.pruned_context(game, mp)
+    forced = set(pruned.pos_names) - set(var_pos.values())
+    assert visited <= set(pruned.pos_names) and forced <= visited
+    assert sum(pruned.pos_owner[pruned.pos_index[p]] == 0 for p in forced) == offset
     true = {var for var, pos in var_pos.items() if pos in visited}
-    assert clauses
+    assert bool(clauses) == (name != "chain64")
     assert all(any((lit > 0) == (abs(lit) in true) for lit in clause) for clause in clauses)
 
 

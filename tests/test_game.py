@@ -18,6 +18,7 @@ from sparsegames.lp import pruned_context
 from conftest import (
     FIG_GAME,
     allowed_names,
+    full_cnf,
     gap_game,
     naive_region_without,
     naive_winning_region,
@@ -990,7 +991,7 @@ def test_decode_support_reads_flags_only_at_successors_of_reached_positions():
     for game in games + _setcover_corpus():
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
         pruned, mp2 = pruned_context(game, mp)
-        cnf, _ = sg.build_cnf(pruned, mp2)
+        cnf, _ = full_cnf(pruned, mp2)
         # Every pruned position is winning, so variable v + 1 is position v.
         flags = list(sg.sat_solve(cnf).model)
         strat = sg.game.decode_support(pruned, flags)

@@ -15,9 +15,9 @@ import pytest
 import sparsegames as sg
 from sparsegames.game import reach, strategy_moves
 from sparsegames.lp import _Frame
-from sparsegames.lp import build_relaxation, pruned_context
+from sparsegames.lp import pruned_context
 
-from conftest import gap_game, solvable_random_games
+from conftest import full_relaxation, gap_game, solvable_random_games
 
 # gen_random(63, 6, 6, 3) has a fractional root relaxation, so the
 # branch-and-bound actually branches (9 LP solves).
@@ -139,7 +139,7 @@ def test_integrality_gap_solved_exactly():
     # up, so ilp must branch and sat must refute a bound.
     game, sets = gap_game(40, 6)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    root = sg.lp_solve(build_relaxation(*pruned_context(game, mp)))
+    root = sg.lp_solve(full_relaxation(*pruned_context(game, mp)))
     assert root.status == "optimal"
     assert np.ceil(root.objective_value - 1e-9) == 48
     for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
@@ -206,7 +206,7 @@ def _enumerate_feasible_min(problem, fixed0, fixed1):
 def test_node_bounds_are_valid_lower_bounds():
     game, mp = _branching_game()
     pruned, mp2 = pruned_context(game, mp)
-    problem = build_relaxation(pruned, mp2)
+    problem = full_relaxation(pruned, mp2)
     if len(problem.var_names) > 14:
         pytest.skip("completion enumeration too large")
     stats = {}
@@ -296,7 +296,7 @@ def test_forced_closure_presolve_is_exact():
     assert len(cases) == 144
     for game, mp, best in cases:
         frame = _Frame(game, mp)
-        full_root = sg.lp_solve(build_relaxation(frame.pruned, frame.mp))
+        full_root = sg.lp_solve(full_relaxation(frame.pruned, frame.mp))
         reduced = frame.offset + frame.root.objective_value
         assert full_root.objective_value - 1e-9 <= reduced <= best + 1e-9
         forced = {frame.pruned.pos_names[v] for v in np.flatnonzero(frame.forced)}

@@ -12,7 +12,7 @@ from sparsegames.lp import (
     pruned_context,
 )
 
-from conftest import gap_game, solvable_random_games
+from conftest import full_relaxation, gap_game, solvable_random_games
 
 
 def _bounded(names, objective, rows, rhs, lo=None, hi=None):
@@ -91,12 +91,6 @@ def test_bad_bounds_rejected_at_build():
         ):
             with pytest.raises(ValueError, match="finite"):
                 _bounded(["a", "b"], *data)
-    # Three rows with one label: format_lp used to drop the other two.
-    with pytest.raises(ValueError, match="row_labels"):
-        sg.LpProblem(
-            ("a", "b"), objective, [[1.0, 1.0]] * 3, [1.0] * 3,
-            np.zeros(2), np.ones(2), ("only",),
-        )
 
 
 def test_lp_solve_deterministic():
@@ -116,11 +110,10 @@ def test_relaxation_of_player1_selfloop():
     game = sg.SafetyGame.build({"p": 1}, {("p", "z"): "p"}, "p")
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     prob = build_relaxation(game, mp)
-    assert prob.var_names == ("p",)
-    assert prob.row_labels == ("init", "succ_p_p")
-    # init row p >= 1, then the degenerate -p + p >= 0 row
-    assert prob.rows[0].tolist() == [1.0]
-    assert prob.rows[1].tolist() == [0.0]
+    # init p is forced, and so is its only successor: the only pair,
+    # (p, (p,)), has a forced target and goes, so the LP is empty.
+    assert prob.var_names == ()
+    assert prob.rows.shape == (0, 0)
     sol = sg.lp_solve(prob)
     assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
 
@@ -133,13 +126,15 @@ def test_relaxation_flow_row_for_init():
     )
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     prob = build_relaxation(game, mp)
-    i_v = prob.var_names.index("v")
+    # init v is forced and no variable; its two targets stay free
+    assert prob.var_names == ("a", "b")
     i_a = prob.var_names.index("a")
     i_b = prob.var_names.index("b")
-    flow = prob.rows[list(prob.row_labels).index("flow_v")]
-    assert flow[i_v] == -1.0 and flow[i_a] == 1.0 and flow[i_b] == 1.0
-    # init variable fixed to 1 via bounds
-    assert prob.lo[i_v] == 1.0 and prob.hi[i_v] == 1.0
+    # v's flow row, with its forced source, is a + b >= 1
+    flow = prob.rows[prob.rhs.tolist().index(1.0)]
+    assert flow[i_a] == 1.0 and flow[i_b] == 1.0
+    assert prob.rhs.tolist().count(1.0) == 1
+    assert prob.lo.tolist() == [0.0, 0.0] and prob.hi.tolist() == [1.0, 1.0]
 
 
 def test_relaxation_accumulates_duplicate_targets():
@@ -150,8 +145,21 @@ def test_relaxation_accumulates_duplicate_targets():
     )
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     prob = build_relaxation(game, mp)
-    flow = prob.rows[list(prob.row_labels).index("flow_v")]
+    # v's one distinct target a is forced with it, so nothing is free.
+    assert prob.rows.shape == (0, 0)
+    # Behind a forced player-1 position, w has two actions to a and one
+    # to b: its flow row is 2a + b >= 1.
+    game = sg.SafetyGame.build(
+        {"v": 1, "w": 0, "a": 1, "b": 1},
+        {("v", "z"): "w", ("w", "x"): "a", ("w", "y"): "a", ("w", "u"): "b",
+         ("a", "z"): "v", ("b", "z"): "b"},
+        "v",
+    )
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    prob = build_relaxation(game, mp)
+    flow = prob.rows[prob.rhs.tolist().index(1.0)]
     assert flow[prob.var_names.index("a")] == 2.0
+    assert flow[prob.var_names.index("b")] == 1.0
 
 
 def test_relaxation_requires_pruned_game():
@@ -169,7 +177,7 @@ def test_lp_bound_below_exact_density():
     checked = 0
     for game, winning, mp in solvable_random_games(200, 6, 6, 3):
         pruned, mp2 = pruned_context(game, mp)
-        sol = sg.lp_solve(build_relaxation(pruned, mp2))
+        sol = sg.lp_solve(full_relaxation(pruned, mp2))
         exact = sg.ilp_exact_extract(game, mp).density
         assert sol.objective_value <= exact + 1e-6
         checked += 1
@@ -180,7 +188,7 @@ def test_lp_matches_scipy_reference():
     linprog = pytest.importorskip("scipy.optimize").linprog
     for game, winning, mp in solvable_random_games(100, 6, 6, 3):
         pruned, mp2 = pruned_context(game, mp)
-        prob = build_relaxation(pruned, mp2)
+        prob = full_relaxation(pruned, mp2)
         mine = sg.lp_solve(prob)
         ref = linprog(
             prob.objective,
@@ -206,8 +214,8 @@ def test_replp_integral_relaxation_single_round():
 
 
 def test_replp_rounds_on_the_frame(monkeypatch):
-    # replp prunes once, through its frame, never builds the unreduced
-    # relaxation, takes its first round from the frame's root, and decodes
+    # replp prunes once, through its frame, builds the relaxation once,
+    # there too, takes its first round from the frame's root, and decodes
     # only the support it returns: the frame's incumbent, which only the
     # exact engines read, is never decoded.
     calls = {"pruned_context": 0, "build_relaxation": 0, "decode_support": 0}
@@ -224,14 +232,14 @@ def test_replp_rounds_on_the_frame(monkeypatch):
     strat = lp_mod.replp_extract(game, mp, stats=stats)
     assert sg.validate_strategy(game, mp, strat).winning
     assert stats["rounds"] > 1
-    assert calls == {"pruned_context": 1, "build_relaxation": 0, "decode_support": 1}
+    assert calls == {"pruned_context": 1, "build_relaxation": 1, "decode_support": 1}
 
     game = sg.gen_adversarial(3)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     stats = {}
     lp_mod.replp_extract(game, mp, stats=stats)
     assert stats["rounds"] == 1
-    assert calls == {"pruned_context": 2, "build_relaxation": 0, "decode_support": 2}
+    assert calls == {"pruned_context": 2, "build_relaxation": 2, "decode_support": 2}
     assert stats["pivots"] == lp_mod._Frame(game, mp).root.pivots > 0
 
 
@@ -283,10 +291,10 @@ def test_decode_support_picks_smallest_action():
 def test_format_lp_dump():
     game = sg.SafetyGame.build({"p": 1}, {("p", "z"): "p"}, "p")
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    text = sg.format_lp(build_relaxation(game, mp))
+    text = sg.format_lp(full_relaxation(game, mp))
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
-    assert " init: p >= 1" in text
+    assert " c0: p >= 1" in text
 
 
 def test_simplex_matches_scipy_on_general_random_lps():
@@ -408,7 +416,7 @@ def test_lp_solutions_are_pinned(monkeypatch):
     for label, *pinned in _PINNED_ROOTS:
         game = games[label]
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
-        sol = sg.lp_solve(build_relaxation(*pruned_context(game, mp)))
+        sol = sg.lp_solve(full_relaxation(*pruned_context(game, mp)))
         assert _pin(sol) == tuple(pinned), label
 
     solved = []
@@ -438,7 +446,7 @@ def test_trap_roots_stay_integral():
     games += [sg.gen_adversarial(i) for i in (1, 2, 3, 4, 8, 12, 16, 24)]
     for game in games:
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
-        sol = sg.lp_solve(build_relaxation(*pruned_context(game, mp)))
+        sol = sg.lp_solve(full_relaxation(*pruned_context(game, mp)))
         assert sol.status == "optimal"
         x = sol.values
         assert np.all(np.minimum(x, 1.0 - x) <= INTEGRALITY_EPS)
@@ -449,7 +457,7 @@ def test_root_lp_of_adversarial_32():
     # used to take about a second per root.
     game = sg.gen_adversarial(32)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    prob = build_relaxation(*pruned_context(game, mp))
+    prob = full_relaxation(*pruned_context(game, mp))
     assert prob.rows.shape == (417, 385)
     sol = sg.lp_solve(prob)
     assert sol.status == "optimal"
@@ -523,10 +531,10 @@ def _full_height_dual_loop(T, beta, d, basis, upper, lo_ext, hi_ext, max_pivots)
 def test_pivot_loop_matches_full_height_reference(monkeypatch):
     problems = _random_lps(4242, 150)
     for game, winning, mp in solvable_random_games(60, 6, 6, 3):
-        problems.append(build_relaxation(*pruned_context(game, mp)))
+        problems.append(full_relaxation(*pruned_context(game, mp)))
     for game in (sg.gen_chain(8), sg.gen_adversarial(4)):
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
-        problems.append(build_relaxation(*pruned_context(game, mp)))
+        problems.append(full_relaxation(*pruned_context(game, mp)))
     fast = [sg.lp_solve(prob) for prob in problems]
     monkeypatch.setattr(lp_mod, "_dual_loop", _full_height_dual_loop)
     for prob, mine in zip(problems, fast):
@@ -569,11 +577,11 @@ def test_pivot_loop_matches_full_height_reference_from_warm_starts(monkeypatch):
     # must pivot exactly as the reference does too.
     problems = _random_lps(91, 60)
     for game, winning, mp in solvable_random_games(20, 6, 6, 3):
-        problems.append(build_relaxation(*pruned_context(game, mp)))
+        problems.append(full_relaxation(*pruned_context(game, mp)))
     for n, k in ((20, 4), (40, 6)):
         game, _ = gap_game(n, k)
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
-        problems.append(build_relaxation(*pruned_context(game, mp)))
+        problems.append(full_relaxation(*pruned_context(game, mp)))
     rng = sg.SplitMix64(8)
     cases = []
     for prob in problems:
@@ -611,11 +619,11 @@ def test_warm_start_matches_cold_solve():
     # columns where the two bases differ.
     problems = _random_lps(77, 150)
     for game, winning, mp in solvable_random_games(40, 6, 6, 3):
-        problems.append(build_relaxation(*pruned_context(game, mp)))
+        problems.append(full_relaxation(*pruned_context(game, mp)))
     for n, k in ((20, 4), (40, 6)):
         game, _ = gap_game(n, k)
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
-        problems.append(build_relaxation(*pruned_context(game, mp)))
+        problems.append(full_relaxation(*pruned_context(game, mp)))
     rng = sg.SplitMix64(5)
     outcomes = {"optimal": 0, "infeasible": 0}
     for trial, prob in enumerate(problems):
@@ -648,7 +656,7 @@ def test_warm_start_matches_cold_solve():
 def test_rebuild_leaves_its_tableau_unchanged():
     game, _ = gap_game(20, 4)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    prob = build_relaxation(*pruned_context(game, mp))
+    prob = full_relaxation(*pruned_context(game, mp))
     tableau = lp_mod.Tableau.surplus(prob)
     before = tableau.copy()
     sol = sg.lp_solve(prob)

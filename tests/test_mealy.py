@@ -64,7 +64,7 @@ def _check_traces_stay_winning(game, strat, machine, depth=12):
             mid = game.pos_names[mid_idx]
             assert mid in winning
             landed = game.edges[(mid, out)]
-            assert landed == nxt_state or True  # state naming matches positions
+            assert landed == nxt_state  # state naming matches positions
             node = (nxt_state, landed)
             if node not in seen:
                 seen.add(node)

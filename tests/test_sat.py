@@ -7,7 +7,7 @@ from sparsegames.lp import _Frame
 from sparsegames.lp import INTEGRALITY_EPS, pruned_context
 from sparsegames.sat import _luby
 
-from conftest import solvable_random_games, unchecked_most_permissive
+from conftest import full_cnf, solvable_random_games, unchecked_most_permissive
 
 
 def _truth_table_sat(num_vars: int, clauses) -> bool:
@@ -162,8 +162,9 @@ def test_build_cnf_player1_selfloop():
     game = sg.SafetyGame.build({"p": 1}, {("p", "z"): "p"}, "p")
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     cnf, var_map = sg.build_cnf(game, mp)
-    assert var_map == {"p": 1}
-    assert cnf.clauses == [[1], [-1, 1]]
+    # init p and its only successor are forced: no variable, no clause
+    assert var_map == {}
+    assert (cnf.num_vars, cnf.clauses) == (0, [])
     assert sg.sat_solve(cnf).status == "sat"
 
 
@@ -175,9 +176,9 @@ def test_build_cnf_flow_clause():
     )
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     cnf, var_map = sg.build_cnf(game, mp)
-    v, a, b = var_map["v"], var_map["a"], var_map["b"]
-    assert [v] in cnf.clauses
-    assert sorted([-v, a, b]) in [sorted(c) for c in cnf.clauses]
+    # init v is forced, so its flow clause loses its source literal
+    assert var_map == {"a": 1, "b": 2}
+    assert cnf.clauses == [[-1, 1], [-2, 2], [1, 2]]
 
 
 def test_build_cnf_rejects_losing_target():
@@ -194,6 +195,8 @@ def test_build_cnf_rejects_losing_target():
         # v is player 0 and allows actions to the losing p and q.
         sg.MostPermissiveStrategy(frozenset({"v"}), {v: ((x, p), (y, q))}),
     ]
+    # Neither covers every position of the game, so neither is the
+    # most-permissive strategy of a pruned game.
     for mp in inconsistent:
         with pytest.raises(ValueError):
             sg.build_cnf(game, mp)
@@ -201,37 +204,30 @@ def test_build_cnf_rejects_losing_target():
 
 def test_encodings_of_adversarial_1_are_pinned():
     # The CDCL's choices depend on clause order, so the exact text is pinned.
+    # M (init) and e1, its only successor, are forced; the rest are free.
     game = sg.gen_adversarial(1)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     pruned, mp2 = pruned_context(game, mp)
     cnf, var_map = sg.build_cnf(pruned, mp2)
-    assert var_map == {p: i for i, p in enumerate(pruned.pos_names, 1)}
+    assert var_map == {p: i for i, p in enumerate(pruned.pos_names[2:], 1)}
     assert sg.to_dimacs(cnf) == (
-        "p cnf 13 14\n1 0\n-1 2 0\n-2 3 4 5 0\n-3 11 0\n-4 9 0\n-5 10 0\n"
-        "-6 11 0\n-7 12 0\n-8 13 0\n-9 6 7 0\n-10 7 8 0\n-11 1 0\n-12 1 0\n"
-        "-13 1 0\n"
+        "p cnf 11 9\n1 2 3 0\n-1 9 0\n-2 7 0\n-3 8 0\n-4 9 0\n-5 10 0\n"
+        "-6 11 0\n-7 4 5 0\n-8 5 6 0\n"
     )
-    bounds = "".join(
-        f" {'1' if p == 'M' else '0'} <= {p} <= 1\n" for p in pruned.pos_names
-    )
+    bounds = "".join(f" 0 <= {p} <= 1\n" for p in pruned.pos_names[2:])
     assert sg.format_lp(sg.build_relaxation(pruned, mp2)) == (
         "Minimize\n"
-        " obj: e1 + wm1_1 + wm2_1 + wt1_1 + wt2_1 + wt3_1\n"
+        " obj: wm1_1 + wm2_1 + wt1_1 + wt2_1 + wt3_1\n"
         "Subject To\n"
-        " init: M >= 1\n"
-        " succ_M_e1: - M + e1 >= 0\n"
-        " flow_e1: - e1 + ra_1 + rb1_1 + rb2_1 >= 0\n"
-        " succ_ra_1_wt1_1: - ra_1 + wt1_1 >= 0\n"
-        " succ_rb1_1_wm1_1: - rb1_1 + wm1_1 >= 0\n"
-        " succ_rb2_1_wm2_1: - rb2_1 + wm2_1 >= 0\n"
-        " succ_rt1_1_wt1_1: - rt1_1 + wt1_1 >= 0\n"
-        " succ_rt2_1_wt2_1: - rt2_1 + wt2_1 >= 0\n"
-        " succ_rt3_1_wt3_1: - rt3_1 + wt3_1 >= 0\n"
-        " flow_wm1_1: rt1_1 + rt2_1 - wm1_1 >= 0\n"
-        " flow_wm2_1: rt2_1 + rt3_1 - wm2_1 >= 0\n"
-        " flow_wt1_1: M - wt1_1 >= 0\n"
-        " flow_wt2_1: M - wt2_1 >= 0\n"
-        " flow_wt3_1: M - wt3_1 >= 0\n"
+        " c0: ra_1 + rb1_1 + rb2_1 >= 1\n"
+        " c1: - ra_1 + wt1_1 >= 0\n"
+        " c2: - rb1_1 + wm1_1 >= 0\n"
+        " c3: - rb2_1 + wm2_1 >= 0\n"
+        " c4: - rt1_1 + wt1_1 >= 0\n"
+        " c5: - rt2_1 + wt2_1 >= 0\n"
+        " c6: - rt3_1 + wt3_1 >= 0\n"
+        " c7: rt1_1 + rt2_1 - wm1_1 >= 0\n"
+        " c8: rt2_1 + rt3_1 - wm2_1 >= 0\n"
         "Bounds\n" + bounds + "End\n"
     )
 
@@ -245,7 +241,7 @@ def test_cnf_satisfiable_iff_init_winning():
         seed += 1
         winning = sg.compute_winning_region(game)
         mp = unchecked_most_permissive(game, winning)
-        cnf, _ = sg.build_cnf(game, mp)
+        cnf, _ = full_cnf(game, mp)
         out = sg.sat_solve(cnf)
         if game.init in winning:
             if solvable >= 100:
@@ -262,7 +258,7 @@ def test_cnf_satisfiable_iff_init_winning():
 def test_cardinality_monotone_in_k():
     for game, winning, mp in solvable_random_games(20, 5, 5, 2):
         pruned, mp2 = pruned_context(game, mp)
-        base, var_map = sg.build_cnf(pruned, mp2)
+        base, var_map = full_cnf(pruned, mp2)
         p0_vars = sorted(var_map[p] for p in pruned.positions0)
         if not p0_vars:
             continue
@@ -284,7 +280,7 @@ def test_model_decodes_to_winning_strategy():
 
     for game, winning, mp in solvable_random_games(60, 6, 6, 3):
         pruned, mp2 = pruned_context(game, mp)
-        cnf, var_map = sg.build_cnf(pruned, mp2)
+        cnf, var_map = full_cnf(pruned, mp2)
         out = sg.sat_solve(cnf)
         assert out.status == "sat"
         flags = [False] * len(pruned.pos_names)
@@ -292,6 +288,32 @@ def test_model_decodes_to_winning_strategy():
             flags[pruned.pos_index[p]] = out.model[var - 1]
         strat = decode_support(pruned, flags)
         assert sg.validate_strategy(game, mp, strat).winning
+
+
+def test_engines_build_each_encoding_at_most_once(monkeypatch):
+    # Every LP engine solves build_relaxation's problem, built once by its
+    # frame; sat builds its clauses with build_cnf only when the root
+    # leaves a gap to probe.
+    import sparsegames.lp as lp_mod
+    import sparsegames.sat as sat_mod
+
+    calls = {"build_relaxation": 0, "build_cnf": 0}
+    for mod, name in ((lp_mod, "build_relaxation"), (sat_mod, "build_cnf")):
+        real = getattr(mod, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mod, name, spy)
+    engines = (sg.replp_extract, sg.ilp_exact_extract, sg.sat_exact_extract)
+    for game, probes in ((sg.gen_random(63, 6, 6, 3), 1), (sg.gen_adversarial(3), 0)):
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        for engine in engines:
+            calls.update(build_relaxation=0, build_cnf=0)
+            engine(game, mp)
+            expected = probes if engine is sg.sat_exact_extract else 0
+            assert calls == {"build_relaxation": 1, "build_cnf": expected}, engine
 
 
 def test_sat_exact_matches_ilp_on_random_games():
