@@ -16,6 +16,7 @@ from .errors import (
     GameFormatError,
     InitLosingError,
     InitNotPlayer1Error,
+    LpTooLargeError,
     NotAlternatingError,
     SearchSpaceTooLargeError,
     SparseGamesError,
@@ -75,6 +76,7 @@ __all__ = [
     "InitNotPlayer1Error",
     "LpProblem",
     "LpSolution",
+    "LpTooLargeError",
     "MealyMachine",
     "MostPermissiveStrategy",
     "NotAlternatingError",

@@ -11,12 +11,13 @@ Subcommands:
 * ``oracle``   debugging aid: brute-force minimum density and the local
   optimum densities (guarded exhaustive search).
 
-Exit codes: 0 ok, 1 usage or I/O error, 2 initial position losing,
-3 a ``smart`` or ``replp`` trial timed out before it had a strategy
-(``t/o``), or an exact engine's budget or deadline ran out and it
-returned its incumbent uncertified, 4 a trial's strategy failed
-validation or its engine claimed a density other than the strategy's
-(``invalid``); 4 takes precedence over 3.
+Exit codes: 0 ok, 1 usage or I/O error, or a reduced LP whose dense
+tableau exceeds ``LP_TABLEAU_BYTES`` (``replp``, ``ilp``, ``sat`` and
+``--dump-lp``), 2 initial position losing, 3 a ``smart`` or ``replp``
+trial timed out before it had a strategy (``t/o``), or an exact engine's
+budget or deadline ran out and it returned its incumbent uncertified,
+4 a trial's strategy failed validation or its engine claimed a density
+other than the strategy's (``invalid``); 4 takes precedence over 3.
 """
 
 from __future__ import annotations

@@ -35,5 +35,10 @@ class SearchSpaceTooLargeError(SparseGamesError):
     """The brute-force oracle refuses instances beyond its guard."""
 
 
+class LpTooLargeError(SparseGamesError):
+    """A reduced LP whose dense simplex tableau exceeds the memory budget
+    ``sparsegames.lp.LP_TABLEAU_BYTES``."""
+
+
 class TimeoutExceededError(SparseGamesError):
     """A wall-clock deadline expired inside a long-running engine."""

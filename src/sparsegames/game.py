@@ -38,9 +38,9 @@ class SafetyGame:
 
     Construct via :func:`parse_game` or :meth:`SafetyGame.build`, the
     validating entry points; the constructor trusts its arrays and
-    derives only the name lookups, ``init`` and ``in_sources``, and
-    ``fixpoint`` is derived on first use.  Games with equal arrays are
-    equal.
+    derives only ``init``, and ``pos_index``, ``act_index``,
+    ``in_sources`` and ``fixpoint`` are built on first use.  Games with
+    equal arrays are equal.
     """
 
     pos_names: tuple[str, ...]
@@ -51,16 +51,19 @@ class SafetyGame:
     init_index: int
 
     def __post_init__(self):
-        self.pos_index = {p: i for i, p in enumerate(self.pos_names)}
-        self.act_index = {a: i for i, a in enumerate(self.act_names)}
         self.init = self.pos_names[self.init_index]
+
+    pos_index = functools.cached_property(lambda self: {p: i for i, p in enumerate(self.pos_names)})
+    act_index = functools.cached_property(lambda self: {a: i for i, a in enumerate(self.act_names)})
+
+    @functools.cached_property
+    def in_sources(self) -> tuple[tuple[int, ...], ...]:
+        """Per position, the source of each incoming edge, with multiplicity."""
         incoming: list[list[int]] = [[] for _ in self.pos_names]
         for s, edges in enumerate(self.out_edges):
             for _, d in edges:
                 incoming[d].append(s)
-        # One entry per incoming edge (multiplicity matters for the
-        # successor counters used by the fixpoint).
-        self.in_sources = tuple(map(tuple, incoming))
+        return tuple(map(tuple, incoming))
 
     @functools.cached_property
     def fixpoint(self) -> "Fixpoint":
@@ -282,11 +285,13 @@ def _intern(owners, act_owner, edges, init) -> SafetyGame:
     out: list[list[tuple[int, int]]] = [[] for _ in pos_names]
     for (src, act), dst in edges.items():
         out[pos_index[src]].append((act_index[act], pos_index[dst]))
-    return SafetyGame(
+    game = SafetyGame(
         pos_names, tuple([owners[p] for p in pos_names]),
         act_names, tuple([act_owner[a] for a in act_names]),
         tuple([tuple(sorted(lst)) for lst in out]), pos_index[init],
     )
+    game.pos_index, game.act_index = pos_index, act_index
+    return game
 
 
 def serialize_game(game: SafetyGame) -> bytes:
@@ -333,12 +338,15 @@ def _solve(game: SafetyGame) -> Fixpoint:
     distinct live target of a player-0 member."""
     owner, out = game.pos_owner, game.out_edges
     n = len(owner)
-    arena = Arena._of(game, [True] * n, [len(edges) for edges in out], [False] * n)
+    alive, cnt, doomed = [True] * n, [len(edges) for edges in out], [False] * n
+    dead_ends = [v for v in range(n) if not owner[v] and not out[v]]
     # Nothing is doomed yet, so no deletion stops early, and a dead end
-    # has no edges, so no cascade kills it before its own turn.
-    for v in [v for v in range(n) if not owner[v] and not out[v]]:
-        arena._delete(v)
-    alive, doomed = arena.alive, arena.doomed
+    # has no edges, so no cascade kills it before its own turn.  Without
+    # dead ends no arena is made, so ``in_sources`` is not built.
+    if dead_ends:
+        arena = Arena(game, (alive, cnt, doomed))
+        for v in dead_ends:
+            arena._delete(v)
 
     def unit(v: int, _) -> tuple[tuple[int, int], ...]:
         first = None
@@ -353,7 +361,7 @@ def _solve(game: SafetyGame) -> Fixpoint:
     init = game.init_index
     for v in reach(game, unit)[0] if alive[init] else [init]:
         doomed[v] = True
-    return Fixpoint(tuple(alive), tuple(arena.cnt), tuple(doomed))
+    return Fixpoint(tuple(alive), tuple(cnt), tuple(doomed))
 
 
 class Arena:
@@ -374,12 +382,13 @@ class Arena:
     arena nor back to the game, so a game is freed by reference counting
     alone.
 
-    ``try_delete`` removes all outgoing edges of a player-0 position and
-    propagates removals.  If the initial position survives, the deletion
-    is kept; otherwise every change is rolled back.  Deleting edges never
-    enlarges the winning region, so cascading from the current region is
-    equivalent to recomputing the fixpoint from scratch on the mutated
-    game.
+    ``try_delete``, the one cascade, removes all outgoing edges of a
+    player-0 position, propagates along ``in_sources``, records the kills
+    and decrements in the reused lists ``killed`` and ``decremented``, and
+    undoes them unless the initial position survives.  Deleting edges
+    never enlarges the winning region, so cascading from the current region
+    is equivalent to recomputing the fixpoint on the mutated game.  The
+    benchmark counts calls by that name; the drain and ``peek_delete`` use ``_delete``.
 
     ``doomed`` flags positions whose death is known to lose init.  The
     initial fixpoint flags the forced closure of a winning init, the
@@ -412,33 +421,36 @@ class Arena:
     (``test_arena_flags_exactly_the_forced_closure``).
     """
 
-    def __init__(self, game: SafetyGame):
-        self.game = game
-        alive, cnt, doomed = game.fixpoint
-        self.alive, self.cnt, self.doomed = list(alive), list(cnt), list(doomed)
+    def __init__(self, game: SafetyGame, state: tuple[list, list, list] | None = None):
+        """An arena over ``game`` in ``state`` taken as is, or in copies of its fixpoint."""
+        self.game, self.killed, self.decremented = game, [], []
+        self.owner, self.in_sources = game.pos_owner, game.in_sources
+        self.alive, self.cnt, self.doomed = state or map(list, game.fixpoint)
 
-    @classmethod
-    def _of(cls, game: SafetyGame, alive: list, cnt: list, doomed: list) -> "Arena":
-        """An arena over ``game`` in the given state, which it takes as is."""
-        arena = cls.__new__(cls)
-        arena.game, arena.alive, arena.cnt, arena.doomed = game, alive, cnt, doomed
-        return arena
+    def try_delete(self, v: int) -> bool:
+        """Tentatively delete all outgoing edges of player-0 position ``v``.
 
-    def _delete(self, v: int) -> tuple[bool, list[int], list[int]]:
-        """Kill live ``v`` and cascade; ``killed`` is the FIFO queue.  Returns
-        False as soon as a doomed position dies, and flags ``v`` doomed."""
-        alive, cnt, doomed = self.alive, self.cnt, self.doomed
-        owner, in_sources = self.game.pos_owner, self.game.in_sources
-        alive[v] = False
-        killed = [v]
-        decremented: list[int] = []
+        Returns True (and keeps the deletion) when the initial position is
+        still winning afterwards; returns False, flags ``v`` doomed and
+        restores the previous state otherwise.  Deleting an already-dead
+        position is a no-op that trivially succeeds.
+        """
+        alive = self.alive
+        if not alive[v]:
+            return True
+        cnt, doomed, owner = self.cnt, self.doomed, self.owner
+        killed, decremented, in_sources = self.killed, self.decremented, self.in_sources
+        killed.clear()
+        decremented.clear()
+        killed.append(v)
         if doomed[v]:
-            return False, killed, decremented
+            return False
+        alive[v] = False
         for t in killed:
             for s in in_sources[t]:
                 if not alive[s]:
                     continue
-                if owner[s] == 0:
+                if not owner[s]:
                     cnt[s] -= 1
                     decremented.append(s)
                     if cnt[s]:
@@ -447,40 +459,29 @@ class Arena:
                 killed.append(s)
                 if doomed[s]:
                     doomed[v] = True
-                    return False, killed, decremented
-        return True, killed, decremented
+                    for u in decremented:
+                        cnt[u] += 1
+                    for u in killed:
+                        alive[u] = True
+                    return False
+        return True
 
-    def _rollback(self, killed: list[int], decremented: list[int]) -> None:
-        for s in decremented:
-            self.cnt[s] += 1
-        for s in killed:
-            self.alive[s] = True
-
-    def try_delete(self, v: int) -> bool:
-        """Tentatively delete all outgoing edges of player-0 position ``v``.
-
-        Returns True (and keeps the deletion) when the initial position is
-        still winning afterwards; returns False and restores the previous
-        state otherwise.  Deleting an already-dead position is a no-op
-        that trivially succeeds.
-        """
-        if not self.alive[v]:
-            return True
-        ok, killed, decremented = self._delete(v)
-        if not ok:
-            self._rollback(killed, decremented)
-        return ok
+    _delete = try_delete
 
     def peek_delete(self, v: int) -> bool:
         """Like :meth:`try_delete`, but never keeps the deletion."""
         if not self.alive[v]:
             return True
-        ok, killed, decremented = self._delete(v)
-        self._rollback(killed, decremented)
-        return ok
+        if not self._delete(v):
+            return False
+        for s in self.decremented:
+            self.cnt[s] += 1
+        for s in self.killed:
+            self.alive[s] = True
+        return True
 
     def copy(self) -> "Arena":
-        return Arena._of(self.game, self.alive[:], self.cnt[:], self.doomed[:])
+        return Arena(self.game, (self.alive[:], self.cnt[:], self.doomed[:]))
 
     def winning_indices(self) -> list[int]:
         return [v for v, a in enumerate(self.alive) if a]
@@ -552,7 +553,9 @@ def pruned_context(
     rank, as interning their names afresh would.  Idempotent."""
     order, _ = reach(game, mp.moves.get)
     kept = sorted(order)
-    rank = {v: i for i, v in enumerate(kept)}
+    rank = [0] * len(game.pos_owner)
+    for i, v in enumerate(kept):
+        rank[v] = i
     used = sorted({a for v in kept for a, _ in mp.moves[v]})
     act_rank = {a: i for i, a in enumerate(used)}
     out = tuple([tuple([(act_rank[a], rank[d]) for a, d in mp.moves[v]]) for v in kept])

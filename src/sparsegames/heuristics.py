@@ -25,7 +25,6 @@ from .errors import InitLosingError, TimeoutExceededError
 from .game import (
     Arena,
     MostPermissiveStrategy,
-    Moves,
     PositionalStrategy,
     SafetyGame,
     _strategy_walk,
@@ -45,18 +44,16 @@ def random_extract(
     restricted to its reachable domain."""
     if game.init_index not in mp.moves:
         raise InitLosingError("cannot extract a strategy for a losing game")
-    rng = SplitMix64(seed)
-    owner = game.pos_owner
+    owner, moves = game.pos_owner, mp.moves
     # Index order is sorted-name order, and each entry lists its actions
     # in name order, so a seed draws the same actions whatever the parse
-    # order.
-    choices = [(v, e) for v, e in mp.moves.items() if not owner[v]]
-    picks = rng.below_each([len(e) for _, e in choices])
-    moves: Moves = {v: (e[k],) for (v, e), k in zip(choices, picks)}
-    _, parent = reach(game, moves.get)
+    # order.  Only the positions the walk visits build a move.
+    choices = [v for v in moves if not owner[v]]
+    pick = dict(zip(choices, SplitMix64(seed).below_each([len(moves[v]) for v in choices])))
+    _, parent = reach(game, lambda v, _: (moves[v][pick[v]],))
     names, acts = game.pos_names, game.act_names
     return PositionalStrategy(
-        {names[v]: acts[e[0][0]] for v, e in moves.items() if parent[v] >= 0}
+        {names[v]: acts[moves[v][pick[v]][0]] for v in choices if parent[v] >= 0}
     )
 
 

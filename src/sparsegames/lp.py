@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TimeoutExceededError
+from .errors import LpTooLargeError, TimeoutExceededError
 from .game import (
     MostPermissiveStrategy,
     PositionalStrategy,
@@ -64,6 +64,10 @@ from .game import (
     decode_support,
     pruned_context,
 )
+
+#: the largest dense tableau, m x (n + m) float64 entries, that
+#: :func:`build_relaxation` lets an LP engine allocate
+LP_TABLEAU_BYTES = 256 << 20
 
 #: treat |v| <= EPS as 0 and |v - 1| <= EPS as 1 when rounding LP values
 INTEGRALITY_EPS = 1e-9
@@ -171,14 +175,22 @@ def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
     ``(v, targets)`` is the row ``-v + sum(targets) >= 0`` and a pair
     ``(None, targets)`` the row ``sum(targets) >= 1``; duplicate targets
     accumulate coefficients.  The optimum plus the forced player-0 count
-    is a lower bound on the density.
+    is a lower bound on the density.  Raises :class:`LpTooLargeError`,
+    before it allocates anything, when the m x (n + m) tableau of the m
+    rows and n variables would exceed ``LP_TABLEAU_BYTES``.
     """
     if len(mp.moves) != len(game.pos_names):
         raise ValueError("build_relaxation expects a game pruned to its winning part")
     free = [v for v, f in enumerate(game.fixpoint.doomed) if not f]
-    column = {v: j for j, v in enumerate(free)}
     pairs = support_rows(game, mp)
-    rows = np.zeros((len(pairs), len(free)))
+    m, n = len(pairs), len(free)
+    if m * (n + m) * 8 > LP_TABLEAU_BYTES:
+        raise LpTooLargeError(
+            f"the reduced LP has {m} rows and {n} variables; its dense tableau"
+            f" needs {m * (n + m) * 8} bytes, over the {LP_TABLEAU_BYTES}-byte limit"
+        )
+    column = {v: j for j, v in enumerate(free)}
+    rows = np.zeros((m, n))
     for row, (v, targets) in zip(rows, pairs):
         if v is not None:
             row[column[v]] = -1.0

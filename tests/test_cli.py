@@ -51,6 +51,21 @@ def test_solve_losing_game_exit_code(tmp_path, capsys):
     assert "init_winning no" in out and "init losing" in out
 
 
+@pytest.mark.parametrize(
+    "args", [["--method", m] for m in ("replp", "ilp", "sat")]
+    + [["--method", "smart", "--dump-lp", "dump.lp"]],
+    ids=["replp", "ilp", "sat", "dump-lp"],
+)
+def test_extract_refuses_an_lp_over_the_budget(tmp_path, capsys, monkeypatch, args):
+    # An LP too large for the dense simplex is an error line and exit 1,
+    # not a traceback from numpy's allocator.
+    monkeypatch.setattr(sg.lp, "LP_TABLEAU_BYTES", 1)
+    monkeypatch.chdir(tmp_path)
+    path = _write_game(tmp_path, sg.gen_adversarial(8))
+    assert main(["extract", path, *args]) == 1
+    assert capsys.readouterr().err.startswith("error: the reduced LP has 72 rows")
+
+
 def test_extract_losing_game_exit_code(tmp_path, capsys):
     path = _write_game(tmp_path, _losing_game())
     assert main(["extract", path, "--method", "smart"]) == 2

@@ -358,16 +358,10 @@ def test_arena_rollback_after_doomed_stop_restores_state():
     arena = sg.game.Arena(game)
     assert not arena.peek_delete(idx["c"])
     alive, cnt = list(arena.alive), list(arena.cnt)
-    rolled_back = []
-    rollback = arena._rollback
-
-    def spy(killed, decremented):
-        rolled_back.append((list(killed), list(decremented)))
-        rollback(killed, decremented)
-
-    arena._rollback = spy
     assert not arena.try_delete(idx["u"])
-    assert rolled_back == [([idx["u"], idx["b"], idx["c"]], [idx["a"], idx["c"]])]
+    # The cascade's buffers hold what it rolled back.
+    assert arena.killed == [idx["u"], idx["b"], idx["c"]]
+    assert arena.decremented == [idx["a"], idx["c"]]
     assert arena.alive == alive
     assert arena.cnt == cnt
     assert game.init_index not in naive_region_without(game, {idx["u"]})
@@ -376,7 +370,8 @@ def test_arena_rollback_after_doomed_stop_restores_state():
 def test_arena_cascade_visits_breadth_first():
     # Deleting u kills a and b, then c (through a) and d (through b), and
     # decrements init z, which keeps s.  A peek rolls back even a kept
-    # deletion, so its rollback shows the kill order: first in, first out.
+    # deletion, and the buffers it rolled back from show the kill order:
+    # first in, first out.
     game = sg.SafetyGame.build(
         {"a": 1, "b": 1, "c": 1, "d": 1, "s": 1, "u": 0, "z": 0},
         {
@@ -390,17 +385,11 @@ def test_arena_cascade_visits_breadth_first():
     )
     idx = game.pos_index
     arena = sg.game.Arena(game)
-    rolled_back = []
-    rollback = arena._rollback
-
-    def spy(killed, decremented):
-        rolled_back.append((list(killed), list(decremented)))
-        rollback(killed, decremented)
-
-    arena._rollback = spy
+    alive, cnt = list(arena.alive), list(arena.cnt)
     assert arena.peek_delete(idx["u"])
-    order = [idx[p] for p in "uabcd"]
-    assert rolled_back == [(order, [idx["z"], idx["z"]])]
+    assert arena.killed == [idx[p] for p in "uabcd"]
+    assert arena.decremented == [idx["z"], idx["z"]]
+    assert (arena.alive, arena.cnt) == (alive, cnt)
 
 
 def _check_fixpoint(game: sg.SafetyGame) -> None:
@@ -624,6 +613,48 @@ def test_prune_is_idempotent():
         pruned = pruned_context(game, _mp(game))[0]
         again = pruned_context(pruned, _mp(pruned))[0]
         assert again == pruned
+
+
+_VIEWS = {"pos_index", "act_index", "in_sources"}
+
+
+def test_pruned_games_build_no_views():
+    # The LP frame and pruned_context read a pruned game's arrays and
+    # fixpoint only, so its name lookups and in_sources stay unbuilt.
+    for game in (sg.gen_adversarial(4), sg.gen_random(63, 6, 6, 3), gap_game(20, 4)[0]):
+        mp = _mp(game)
+        pruned, _ = pruned_context(game, mp)
+        assert not _VIEWS & pruned.__dict__.keys()
+        frame = sg.lp._Frame(game, mp)
+        assert not _VIEWS & frame.pruned.__dict__.keys()
+        assert frame.pruned == pruned
+        assert pruned.pos_index == {p: i for i, p in enumerate(pruned.pos_names)}
+        assert pruned.act_index == {a: i for i, a in enumerate(pruned.act_names)}
+        assert pruned.in_sources == sg.SafetyGame.build(
+            {p: pruned.pos_owner[i] for i, p in enumerate(pruned.pos_names)},
+            pruned.edges, pruned.init,
+        ).in_sources
+
+
+def test_interned_games_keep_their_name_lookups():
+    # Parsing hands the game the lookups interning built, before anything
+    # reads them; equality, hashing and pickling see the arrays alone,
+    # built views or not.
+    parsed = sg.parse_game(sg.serialize_game(FIG_GAME))
+    assert parsed.__dict__.keys() & _VIEWS == {"pos_index", "act_index"}
+    assert parsed.pos_index == {p: i for i, p in enumerate(parsed.pos_names)}
+    assert parsed.act_index == {a: i for i, a in enumerate(parsed.act_names)}
+    bare = sg.SafetyGame(
+        parsed.pos_names, parsed.pos_owner, parsed.act_names, parsed.act_owner,
+        parsed.out_edges, parsed.init_index,
+    )
+    assert not _VIEWS & bare.__dict__.keys()
+    assert bare == parsed and hash(bare) == hash(parsed) and bare == FIG_GAME
+    for game in (parsed, bare, pickle.loads(pickle.dumps(bare))):
+        again = pickle.loads(pickle.dumps(game))
+        assert again == parsed and hash(again) == hash(parsed)
+        assert again.in_sources == parsed.in_sources
+        assert again.act_index == parsed.act_index
 
 
 def test_prune_matches_name_filter():

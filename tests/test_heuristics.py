@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 import sparsegames as sg
-from sparsegames.game import Arena
+from sparsegames.game import Arena, reach
 from sparsegames.rng import SplitMix64
 
 from conftest import solvable_random_games
@@ -328,25 +328,58 @@ def test_smart_matches_literal_resolve_implementation():
         assert fast == literal
 
 
+def _literal_random(game, mp, seed):
+    """Reference draw: a (position, allowed edges) list over the winning
+    player-0 positions in index order, one move per entry, the whole
+    moves dict walked by ``reach``, and the named choices it reaches."""
+    owner = game.pos_owner
+    choices = [(v, e) for v, e in mp.moves.items() if not owner[v]]
+    picks = SplitMix64(seed).below_each([len(e) for _, e in choices])
+    moves = {v: (e[k],) for (v, e), k in zip(choices, picks)}
+    _, parent = reach(game, moves.get)
+    names, acts = game.pos_names, game.act_names
+    return sg.PositionalStrategy(
+        {names[v]: acts[e[0][0]] for v, e in moves.items() if parent[v] >= 0}
+    )
+
+
+def test_random_matches_literal_draw():
+    # The draw builds a move only where its walk goes; the choices must be
+    # those of drawing every move first and keeping the reached ones.
+    cases = [sg.gen_chain(16), sg.gen_adversarial(3), sg.gen_adversarial(6)]
+    cases += [game for game, _, _ in solvable_random_games(30, 8, 6, 3)]
+    for game in cases:
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        for seed in range(5):
+            fast = sg.random_extract(game, mp, seed)
+            assert fast == _literal_random(game, mp, seed)
+            assert sg.validate_strategy(game, mp, fast).winning
+
+
 def test_smart_on_a_chain_rejects_every_deletion_without_a_cascade(monkeypatch):
     # Every chain position is in the forced closure, so each tentative
-    # deletion stops at its own flag: one rollback of ([v], []) per
-    # candidate, and no position beyond v is killed or decremented.
+    # deletion stops at its own flag: each candidate fails and rolls back
+    # ([v], []) from the arena's buffers, and no position beyond v is
+    # killed or decremented.
     game = sg.gen_chain(64)
     rolled_back = []
-    rollback = Arena._rollback
+    try_delete = Arena.try_delete
 
-    def spy(self, killed, decremented):
-        rolled_back.append((list(killed), list(decremented)))
-        rollback(self, killed, decremented)
+    def spy(self, v):
+        ok = try_delete(self, v)
+        rolled_back.append((ok, list(self.killed), list(self.decremented)))
+        return ok
 
-    monkeypatch.setattr(Arena, "_rollback", spy)
+    monkeypatch.setattr(Arena, "try_delete", spy)
     strat = sg.smart_random_extract(game, sg.compute_winning_region(game), 0)
     assert sg.density(game, strat) == 64
     candidates = [v for v, o in enumerate(game.pos_owner) if o == 0]
     assert len(rolled_back) == 64
-    assert sorted(killed[0] for killed, _ in rolled_back) == candidates
-    assert all(len(killed) == 1 and not decremented for killed, decremented in rolled_back)
+    assert sorted(killed[0] for _, killed, _ in rolled_back) == candidates
+    assert all(
+        not ok and len(killed) == 1 and not decremented
+        for ok, killed, decremented in rolled_back
+    )
 
 
 def test_smart_tries_each_winning_position_once(monkeypatch):

@@ -213,6 +213,35 @@ def test_replp_integral_relaxation_single_round():
     assert stats["lp_shape"] == (0, 0)
 
 
+#: gen_adversarial(8)'s reduced LP: 72 rows, 88 free positions, and the
+#: bytes of its dense m x (n + m) tableau
+_ADV8_TABLEAU = 72 * (88 + 72) * 8
+
+
+@pytest.mark.parametrize(
+    "engine", [sg.replp_extract, sg.ilp_exact_extract, sg.sat_exact_extract],
+    ids=["replp", "ilp", "sat"],
+)
+def test_lp_engines_refuse_a_tableau_over_the_budget(monkeypatch, engine):
+    # One byte under the tableau, each LP engine raises from
+    # build_relaxation before the rows or the tableau are allocated; at
+    # the tableau's size it solves.
+    game = sg.gen_adversarial(8)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    allocated = []
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape, **k: allocated.append(shape) or zeros(shape, **k))
+    monkeypatch.setattr(lp_mod, "LP_TABLEAU_BYTES", _ADV8_TABLEAU - 1)
+    with pytest.raises(sg.LpTooLargeError, match=f"{_ADV8_TABLEAU} bytes"):
+        engine(game, mp)
+    assert allocated == []
+    monkeypatch.setattr(lp_mod, "LP_TABLEAU_BYTES", _ADV8_TABLEAU)
+    result = engine(game, mp)
+    strat = result if isinstance(result, sg.PositionalStrategy) else result.strategy
+    assert sg.density(game, strat) == 16
+    assert {(72, 88), (72, 160)} <= set(allocated)  # the rows, then the tableau
+
+
 def test_replp_rounds_on_the_frame(monkeypatch):
     # replp prunes once, through its frame, builds the relaxation once,
     # there too, takes its first round from the frame's root, and decodes
