@@ -388,7 +388,7 @@ class Arena:
     undoes them unless the initial position survives.  Deleting edges
     never enlarges the winning region, so cascading from the current region
     is equivalent to recomputing the fixpoint on the mutated game.  The
-    benchmark counts calls by that name; the drain and ``peek_delete`` use ``_delete``.
+    benchmark counts calls by that name; the fixpoint drain uses ``_delete``.
 
     ``doomed`` flags positions whose death is known to lose init.  The
     initial fixpoint flags the forced closure of a winning init, the
@@ -396,17 +396,16 @@ class Arena:
     player-1 member, and the one distinct live target of a player-0 member
     whose live targets are one position.  A region of a later state that
     holds init is closed the same way and lies inside the initial region,
-    so it holds the whole closure.  Each ``v`` whose tentative deletion
-    (by ``try_delete`` or ``peek_delete``) fails is flagged too, in this
-    arena only.  The flags stay valid because an arena only loses player-0
-    edges and regains exactly what it rolls back, so every later state has
-    a subset of the edges of the state that set the flag, and edge
-    deletions only shrink the winning region.  If ``v`` dies in a later
-    state, dropping its edges there changes nothing, and the result is a
-    subgame of the one that already lost init.  A tentative cascade
-    therefore stops as soon as it kills a doomed position, after recording
-    that kill and every decrement, so the rollback restores ``alive`` and
-    ``cnt`` exactly.
+    so it holds the whole closure.  Each ``v`` whose ``try_delete`` fails
+    is flagged too, in this arena only.  The flags stay valid because an
+    arena only loses player-0 edges and regains exactly what it rolls
+    back, so every later state has a subset of the edges of the state that
+    set the flag, and edge deletions only shrink the winning region.  If
+    ``v`` dies in a later state, dropping its edges there changes nothing,
+    and the result is a subgame of the one that already lost init.  A
+    tentative cascade therefore stops as soon as it kills a doomed
+    position, after recording that kill and every decrement, so the
+    rollback restores ``alive`` and ``cnt`` exactly.
 
     ``copy`` duplicates ``alive``, ``cnt`` and ``doomed``.  The flags stay
     valid in the copy by the same argument: it starts from the edges of
@@ -468,23 +467,8 @@ class Arena:
 
     _delete = try_delete
 
-    def peek_delete(self, v: int) -> bool:
-        """Like :meth:`try_delete`, but never keeps the deletion."""
-        if not self.alive[v]:
-            return True
-        if not self._delete(v):
-            return False
-        for s in self.decremented:
-            self.cnt[s] += 1
-        for s in self.killed:
-            self.alive[s] = True
-        return True
-
     def copy(self) -> "Arena":
         return Arena(self.game, (self.alive[:], self.cnt[:], self.doomed[:]))
-
-    def winning_indices(self) -> list[int]:
-        return [v for v, a in enumerate(self.alive) if a]
 
 
 def compute_winning_region(game: SafetyGame) -> frozenset[str]:

@@ -124,4 +124,5 @@ def is_locally_optimal(game: SafetyGame, strat: PositionalStrategy) -> bool:
     for u in range(len(owner)):
         if owner[u] == 0 and u not in reached:
             arena.try_delete(u)
-    return not any(arena.peek_delete(v) for v in domain)
+    # A failed deletion restores the arena; the first kept one ends the test.
+    return not any(arena.try_delete(v) for v in domain)

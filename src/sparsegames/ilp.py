@@ -26,7 +26,8 @@ a few pivots from there (Land & Doig 1960; Koberstein, *The Dual Simplex
 Method*, 2005).  A heap node keeps only its basis header (m basis
 indices and n + m bound flags), not its tableau.  A popped node's tableau
 is rebuilt once from the root's optimal tableau, pivoting in only the
-columns where the two bases differ, and each child solve gets a copy.
+columns where the two bases differ; the fix-0 child solves on a copy of
+it and the fix-1 child on the tableau itself.
 """
 
 from __future__ import annotations
@@ -69,22 +70,21 @@ def ilp_exact_extract(
     The root LP and the all-ones incumbent come from :class:`_Frame`;
     every integral node's support is offered to it, the root's by the
     frame itself, so an integral root ends the search before any node is
-    expanded.  Each child LP starts from a copy of its parent's optimal
-    tableau.  ``work`` counts LP solves, the root included.  When the
-    node budget or the ``deadline`` runs out before a child LP, the
-    incumbent is returned with ``certified=False``.  ``warm_seed`` is
-    ignored.  When a ``stats`` dict is supplied, every expanded node is
-    recorded under ``"nodes"`` as (bound, positions of the pruned game
-    fixed to 0, positions fixed to 1, the forced ones included), with the
-    forced player-0 count in the bound.  The simplex pivots of every LP
-    solve go under ``"pivots"``, the forced player-0 count under
-    ``"forced"`` and the reduced LP's (rows, variables) under
-    ``"lp_shape"``.
+    expanded.  Each child LP starts from its parent's optimal tableau.
+    ``work`` counts LP solves, the root included.  When the node budget
+    or the ``deadline`` runs out before a child LP, the incumbent is
+    returned with ``certified=False``.  ``warm_seed`` is ignored.  When a
+    ``stats`` dict is supplied, every expanded node is recorded under
+    ``"nodes"`` as (bound, positions of the pruned game fixed to 0,
+    positions fixed to 1, the forced ones included), with the forced
+    player-0 count in the bound.  The simplex pivots of every LP solve go
+    under ``"pivots"``, the forced player-0 count under ``"forced"`` and
+    the reduced LP's (rows, variables) under ``"lp_shape"``.
     """
     frame = _Frame(game, mp)
     problem = frame.problem
     free = frame.free
-    forced = frozenset(np.flatnonzero(frame.forced).tolist())
+    forced = frozenset(np.flatnonzero(frame.forced).tolist()) if stats is not None else None
     lp_solves = 1
     pivots = frame.root.pivots
     certified = True
@@ -127,7 +127,7 @@ def ilp_exact_extract(
             else:
                 c_lo[branch] = 1.0
             lp_solves += 1
-            child = lp_solve(problem.with_bounds(c_lo, c_hi), start.copy())
+            child = lp_solve(problem.with_bounds(c_lo, c_hi), start if fix_value else start.copy())
             pivots += child.pivots
             if child.status == "infeasible":
                 continue

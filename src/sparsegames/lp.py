@@ -9,10 +9,11 @@ contains the forced positions, which unit propagation of these rules
 adds to every support.  The relaxation has one [0,1] variable per free
 (unforced) position, so a feasible 0/1 point plus the forced positions
 is exactly a support, and minimizing the player-0 mass plus the forced
-player-0 count lower-bounds the minimum strategy density.  The
-constraints are the :func:`support_rows`, shared with ``sat.py``.
-:func:`build_relaxation` is the one LP builder: every LP engine solves
-it through :class:`_Frame`, and ``--dump-lp`` writes it.
+player-0 count lower-bounds the minimum strategy density.  The free
+positions and the constraints, numbered by LP column, are those of
+:func:`support_rows`, shared with ``sat.py``.  :func:`build_relaxation`
+is the one LP builder: every LP engine solves it through
+:class:`_Frame`, and ``--dump-lp`` writes it.
 
 The solver is a dense bounded dual simplex.  Its columns are the n
 structural variables and one surplus per row (``rows @ x - s = rhs``,
@@ -140,11 +141,13 @@ class LpSolution:
 
 def support_rows(
     game: SafetyGame, mp: MostPermissiveStrategy
-) -> list[tuple[int | None, tuple[int, ...]]]:
-    """The constraints of a support set, shared by the LP and SAT
-    encodings: a support containing position ``v`` contains one of
-    ``targets`` for every pair ``(v, targets)``, and every support
-    contains one of ``targets`` for a pair ``(None, targets)``.
+) -> tuple[list[int], list[tuple[int | None, tuple[int, ...]]]]:
+    """The reduced problem of a pruned game, shared by the LP and SAT
+    encodings: the free positions in index order, and the support pairs
+    over their LP columns (their places in that list).  A support holding
+    free position ``j`` holds one of ``targets`` for every pair ``(j,
+    targets)``, and every support holds one of ``targets`` for a pair
+    ``(None, targets)``.
 
     The keys of ``mp.moves`` (the winning positions) are covered in index
     order.  A player-0 position gives one pair with the targets of its
@@ -152,55 +155,55 @@ def support_rows(
     ``(v, (d,))`` pair per distinct successor, in index order.  Every
     support contains the forced positions, which ``game.fixpoint`` flags
     ``doomed``, so a pair with a forced target is dropped and a forced
-    source is written ``None``.
+    source is written ``None``.  Raises ``ValueError`` unless ``mp`` keys
+    every position, as on a game pruned to its winning part.
     """
-    forced = game.fixpoint.doomed
+    if len(mp.moves) != len(game.pos_names):
+        raise ValueError("the encodings expect a game pruned to its winning part")
+    free = [v for v, f in enumerate(game.fixpoint.doomed) if not f]
+    column: list[int | None] = [None] * len(game.pos_names)  # None where forced
+    for j, v in enumerate(free):
+        column[v] = j
     rows: list[tuple[int | None, tuple[int, ...]]] = []
     for v, edges in mp.moves.items():
         if game.pos_owner[v] == 0:
-            pairs = [tuple([d for _, d in edges])]
+            pairs = [tuple([column[d] for _, d in edges])]
         else:
-            pairs = [(d,) for d in sorted({d for _, d in edges})]
-        source = None if forced[v] else v
-        rows += [(source, t) for t in pairs if not any([forced[d] for d in t])]
-    return rows
+            pairs = [(column[d],) for d in sorted({d for _, d in edges})]
+        rows += [(column[v], t) for t in pairs if None not in t]
+    return free, rows
 
 
 def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
     """Real relaxation of minimum-density extraction over a pruned game,
     reduced by its forced positions.
 
-    One [0,1] variable per free (unforced) position in index order, cost 1
-    for player 0, and one row per :func:`support_rows` pair: a pair
-    ``(v, targets)`` is the row ``-v + sum(targets) >= 0`` and a pair
-    ``(None, targets)`` the row ``sum(targets) >= 1``; duplicate targets
-    accumulate coefficients.  The optimum plus the forced player-0 count
-    is a lower bound on the density.  Raises :class:`LpTooLargeError`,
-    before it allocates anything, when the m x (n + m) tableau of the m
-    rows and n variables would exceed ``LP_TABLEAU_BYTES``.
+    One [0,1] variable per free position of :func:`support_rows`, in its
+    order, cost 1 for player 0, and one row per pair: a pair ``(j,
+    targets)`` is the row ``-x_j + sum(targets) >= 0`` and a pair ``(None,
+    targets)`` the row ``sum(targets) >= 1``; duplicate targets accumulate
+    coefficients.  The optimum plus the forced player-0 count is a lower
+    bound on the density.  Raises :class:`LpTooLargeError`, before it
+    allocates anything, when the m x (n + m) tableau of the m rows and n
+    variables would exceed ``LP_TABLEAU_BYTES``.
     """
-    if len(mp.moves) != len(game.pos_names):
-        raise ValueError("build_relaxation expects a game pruned to its winning part")
-    free = [v for v, f in enumerate(game.fixpoint.doomed) if not f]
-    pairs = support_rows(game, mp)
+    free, pairs = support_rows(game, mp)
     m, n = len(pairs), len(free)
     if m * (n + m) * 8 > LP_TABLEAU_BYTES:
         raise LpTooLargeError(
             f"the reduced LP has {m} rows and {n} variables; its dense tableau"
             f" needs {m * (n + m) * 8} bytes, over the {LP_TABLEAU_BYTES}-byte limit"
         )
-    column = {v: j for j, v in enumerate(free)}
     rows = np.zeros((m, n))
-    for row, (v, targets) in zip(rows, pairs):
-        if v is not None:
-            row[column[v]] = -1.0
-        for d in targets:
-            row[column[d]] += 1.0
+    for row, (j, targets) in zip(rows, pairs):
+        if j is not None:
+            row[j] = -1.0
+        for t in targets:
+            row[t] += 1.0
     return LpProblem(
         tuple([game.pos_names[v] for v in free]),
         [1.0 if game.pos_owner[v] == 0 else 0.0 for v in free],
-        rows, [float(v is None) for v, _ in pairs],
-        np.zeros(len(free)), np.ones(len(free)),
+        rows, [float(j is None) for j, _ in pairs], np.zeros(n), np.ones(n),
     )
 
 

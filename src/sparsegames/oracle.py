@@ -15,7 +15,6 @@ from .game import (
     MostPermissiveStrategy,
     PositionalStrategy,
     SafetyGame,
-    restrict_to_reachable,
     search_space_bits,
 )
 from .lp import pruned_context
@@ -44,9 +43,6 @@ def brute_force_min_density(
     owner = pruned.pos_owner
     out = pruned.out_edges
     init = pruned.init_index
-
-    allowed_acts: list[tuple[tuple[int, int], ...]] = [out[v] for v in range(n)]
-
     best_density = n + 1
     best_choice: dict[int, int] | None = None
 
@@ -85,22 +81,21 @@ def brute_force_min_density(
             best_choice = dict(choice)
             return
         v = min(frontier)
-        for act, _ in allowed_acts[v]:
+        for act, _ in out[v]:
             choice[v] = act
             rec(choice)
         del choice[v]
 
     rec({})
     assert best_choice is not None
-    witness = PositionalStrategy(
-        {
-            pruned.pos_names[v]: pruned.act_names[a]
-            for v, a in best_choice.items()
-        }
-    )
     # The recorded choice map may include frontier decisions that became
-    # unreachable under later decisions; trim to the reachable domain.
-    return best_density, restrict_to_reachable(pruned, witness)
+    # unreachable under later decisions; name only the ones its own walk
+    # reaches.
+    seen, _ = closure(best_choice)
+    names, acts = pruned.pos_names, pruned.act_names
+    return best_density, PositionalStrategy(
+        {names[v]: acts[a] for v, a in best_choice.items() if v in seen}
+    )
 
 
 def _residual_density(game: SafetyGame, deleted: set[int]) -> int:
@@ -152,7 +147,7 @@ def enumerate_local_optima(game: SafetyGame) -> set[int]:
     if not base.alive[game.init_index]:
         raise InitLosingError("local optima are only defined for winnable games")
     owner = game.pos_owner
-    candidates = [v for v in base.winning_indices() if owner[v] == 0]
+    candidates = [v for v, a in enumerate(base.alive) if a and owner[v] == 0]
     n = len(candidates)
     if n > LOCAL_OPTIMA_POSITION_GUARD:
         raise SearchSpaceTooLargeError(

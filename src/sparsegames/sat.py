@@ -3,12 +3,13 @@ CDCL solver, cardinality constraints, and minimization by probes that
 start at the LP bound.
 
 The clauses are the pairs of :func:`sparsegames.lp.support_rows`, which
-also give the LP relaxation its rows: a pair ``(v, (t1, t2))`` is the row
-``-v + t1 + t2 >= 0`` there and the clause ``!v | t1 | t2`` here.  Like
-the LP, :func:`build_cnf` encodes the reduced problem: only the free
-positions are variables, a pair whose source is forced is the clause
-``t1 | t2``, and pairs with a forced target are gone.  Minimization
-starts from the frame shared by the LP engines
+also give the LP relaxation its rows: a pair ``(j, (s, t))`` of LP
+columns is the row ``-x_j + x_s + x_t >= 0`` there and the clause ``!x_j
+| x_s | x_t`` over the matching variables here (:func:`build_cnf`).
+Like the LP, :func:`build_cnf` encodes the reduced problem: only the
+free positions are variables, a pair whose source is forced is the
+clause ``x_s | x_t``, and pairs with a forced target are gone.
+Minimization starts from the frame shared by the LP engines
 (:class:`sparsegames.lp._Frame`) and adds to :func:`build_cnf`'s clauses
 a sequential-counter at-most-k encoding that bounds the free player-0
 variables by k minus the forced player-0 count, so on a set cover game
@@ -18,10 +19,10 @@ for k = the LP bound rounded up, then one more after each refutation, so
 the first model is optimal.
 
 The solver is a conventional CDCL: two watched literals per clause,
-first-UIP conflict learning, decaying variable activities with
-deterministic index tie-breaking, phase saving, and Luby restarts.  It
-has no randomized component, so identical input yields an identical
-model or refutation.
+watch lists and values indexed by literal, first-UIP conflict learning,
+decaying variable activities with deterministic index tie-breaking,
+phase saving, and Luby restarts.  It has no randomized component, so
+identical input yields an identical model or refutation.
 """
 
 from __future__ import annotations
@@ -86,8 +87,14 @@ class _Solver:
         n = num_vars
         self.nvars = n
         self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[int]] = {}
-        self.assign = [0] * (n + 1)  # 0 unknown, 1 true, -1 false
+        # Per-literal lists of length 2n + 1, indexed by the signed literal
+        # itself: Python's negative indexing gives -l its own slot, as in
+        # MiniSat's watch lists (Een & Sorensson, SAT 2003).  ``watches[l]``
+        # holds the clauses watching l, and ``value[l]`` is 1 when l is
+        # true, -1 when false and 0 when unassigned; both slots of a
+        # variable are written together.
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.value = [0] * (2 * n + 1)
         self.level = [0] * (n + 1)
         self.reason = [-1] * (n + 1)
         self.trail: list[int] = []
@@ -118,25 +125,22 @@ class _Solver:
             self.unsat_at_root = True
             return
         if len(unique) == 1:
-            lit = unique[0]
-            v = abs(lit)
-            cur = self.assign[v]
-            want = 1 if lit > 0 else -1
-            if cur == -want:
+            cur = self.value[unique[0]]
+            if cur == -1:
                 self.unsat_at_root = True
             elif cur == 0:
-                self._enqueue(lit, -1)
+                self._enqueue(unique[0], -1)
             return
         ci = len(self.clauses)
         self.clauses.append(unique)
-        self.watches.setdefault(unique[0], []).append(ci)
-        self.watches.setdefault(unique[1], []).append(ci)
+        self.watches[unique[0]].append(ci)
+        self.watches[unique[1]].append(ci)
 
     # -- assignment primitives
 
     def _enqueue(self, lit: int, reason: int) -> None:
         v = lit if lit > 0 else -lit
-        self.assign[v] = 1 if lit > 0 else -1
+        self.value[lit], self.value[-lit] = 1, -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -145,7 +149,7 @@ class _Solver:
         """Unit propagation; returns a conflicting clause index or -1."""
         clauses = self.clauses
         watches = self.watches
-        assign = self.assign
+        value = self.value
         trail = self.trail
         level = self.level
         reason = self.reason
@@ -153,7 +157,7 @@ class _Solver:
             lit = trail[self.qhead]
             self.qhead += 1
             false_lit = -lit
-            ws = watches.get(false_lit)
+            ws = watches[false_lit]
             if not ws:
                 continue
             kept: list[int] = []
@@ -165,20 +169,16 @@ class _Solver:
                     cl[0] = cl[1]
                     cl[1] = false_lit
                 first = cl[0]
-                fv = assign[first] if first > 0 else -assign[-first]
+                fv = value[first]
                 if fv == 1:
                     kept.append(ci)
                     continue
                 for k in range(2, len(cl)):
                     q = cl[k]
-                    if (assign[q] if q > 0 else -assign[-q]) != -1:
+                    if value[q] != -1:
                         cl[1] = q
                         cl[k] = false_lit
-                        wq = watches.get(q)
-                        if wq is None:
-                            watches[q] = [ci]
-                        else:
-                            wq.append(ci)
+                        watches[q].append(ci)
                         break
                 else:
                     kept.append(ci)
@@ -188,7 +188,7 @@ class _Solver:
                         conflict = ci
                         break
                     v = first if first > 0 else -first
-                    assign[v] = 1 if first > 0 else -1
+                    value[first], value[-first] = 1, -1
                     level[v] = cur_level
                     reason[v] = ci
                     trail.append(first)
@@ -209,7 +209,7 @@ class _Solver:
             self.order = [
                 (-self.activity[u], u)
                 for u in range(1, self.nvars + 1)
-                if self.assign[u] == 0
+                if self.value[u] == 0
             ]
             heapq.heapify(self.order)
 
@@ -280,7 +280,7 @@ class _Solver:
         level = self.level
         order = self.order
         activity = self.activity
-        assign = self.assign
+        value = self.value
         polarity = self.polarity
         reason = self.reason
         push = heapq.heappush
@@ -291,7 +291,7 @@ class _Solver:
                 break
             trail.pop()
             polarity[v] = lit > 0
-            assign[v] = 0
+            value[lit] = value[-lit] = 0
             reason[v] = -1
             push(order, (-activity[v], v))
         del self.trail_lim[bj_level:]
@@ -299,11 +299,11 @@ class _Solver:
 
     def _decide(self) -> int:
         order = self.order
-        assign = self.assign
+        value = self.value
         activity = self.activity
         while order:
             neg_act, v = heapq.heappop(order)
-            if assign[v] == 0 and -neg_act == activity[v]:
+            if value[v] == 0 and -neg_act == activity[v]:
                 return v if self.polarity[v] else -v
         return 0
 
@@ -338,8 +338,8 @@ class _Solver:
                 else:
                     ci = len(self.clauses)
                     self.clauses.append(learned)
-                    self.watches.setdefault(learned[0], []).append(ci)
-                    self.watches.setdefault(learned[1], []).append(ci)
+                    self.watches[learned[0]].append(ci)
+                    self.watches[learned[1]].append(ci)
                     self._enqueue(learned[0], ci)
                 self.var_inc /= self._ACT_DECAY
             else:
@@ -351,9 +351,7 @@ class _Solver:
                     continue
                 lit = self._decide()
                 if lit == 0:
-                    model = tuple(
-                        self.assign[v] == 1 for v in range(1, self.nvars + 1)
-                    )
+                    model = tuple([x == 1 for x in self.value[1 : self.nvars + 1]])
                     return SatOutcome("sat", model, conflicts)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, -1)
@@ -415,24 +413,19 @@ def build_cnf(
     """Boolean strategy constraints over a pruned game, reduced as
     :func:`sparsegames.lp.build_relaxation` is.
 
-    Variables number the free (unforced) positions in index order, so LP
-    column j is variable j + 1.  Each :func:`support_rows` pair
-    ``(v, targets)`` is the clause ``!v | targets`` and each pair
-    ``(None, targets)`` the clause ``targets``, with the targets
-    deduplicated and sorted by variable.
+    Variables are the free positions of :func:`support_rows`: LP column j
+    is variable j + 1.  Each pair ``(j, targets)`` is the clause ``!x_j |
+    targets`` and each pair ``(None, targets)`` the clause ``targets``,
+    with the targets deduplicated and sorted.  ``var_map`` maps the name
+    of each free position to its variable.
     """
-    if len(mp.moves) != len(game.pos_names):
-        raise ValueError("build_cnf expects a game pruned to its winning part")
-    var = [0] * len(game.pos_names)
-    var_map: dict[str, int] = {}
-    for v, forced in enumerate(game.fixpoint.doomed):
-        if not forced:
-            var[v] = var_map[game.pos_names[v]] = len(var_map) + 1
+    free, pairs = support_rows(game, mp)
+    var_map = {game.pos_names[v]: j + 1 for j, v in enumerate(free)}
     clauses: list[list[int]] = []
-    for v, targets in support_rows(game, mp):
-        lits = sorted({var[d] for d in targets})
-        clauses.append(lits if v is None else [-var[v], *lits])
-    return Cnf(len(var_map), clauses), var_map
+    for j, targets in pairs:
+        lits = sorted({t + 1 for t in targets})
+        clauses.append(lits if j is None else [-(j + 1), *lits])
+    return Cnf(len(free), clauses), var_map
 
 
 def sat_exact_extract(

@@ -339,6 +339,24 @@ def test_timeout_reports_to(tmp_path, capsys):
     assert "t/o" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_non_positive_timeout_runs_without_a_deadline(timeout, tmp_path, capsys, monkeypatch):
+    deadlines = []
+    real = cli.ilp_exact_extract
+
+    def spy(game, mp, *, deadline):
+        deadlines.append(deadline)
+        return real(game, mp, deadline=deadline)
+
+    monkeypatch.setattr(cli, "ilp_exact_extract", spy)
+    path = _write_game(tmp_path, sg.gen_random(63, 6, 6, 3))
+    code = main(["extract", path, "--method", "ilp", "--runs", "2", "--timeout-secs", timeout])
+    assert code == 0
+    assert deadlines == [None, None]
+    out = capsys.readouterr().out
+    assert len(re.findall(r"^trial seed=\d density=4 time=\S+s$", out, re.M)) == 2
+
+
 def test_deadline_after_warm_start_prints_uncertified_density(
     tmp_path, capsys, monkeypatch
 ):

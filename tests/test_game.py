@@ -125,6 +125,30 @@ def test_parse_and_build_reject_bad_edges_alike():
     assert checked >= 90
 
 
+@pytest.mark.parametrize(
+    "record,pattern",
+    [
+        ("pos b", "expected 'pos <id> <owner>'"),
+        ("pos b 1 x", "expected 'pos <id> <owner>'"),
+        ("init", "expected 'init <id>'"),
+        ("init a b", "expected 'init <id>'"),
+        ("edge a x", "expected 'edge <src> <action> <dst>'"),
+        ("edge a x a y", "expected 'edge <src> <action> <dst>'"),
+    ],
+)
+def test_parse_rejects_records_of_the_wrong_arity(record, pattern):
+    text = f"pos a 1\n# comment\n\n{record}\ninit a\n"
+    with pytest.raises(GameFormatError, match=pattern) as err:
+        sg.parse_game(text)
+    assert err.value.line == 4
+    assert str(err.value) == f"line 4: {pattern}"
+
+
+def test_game_repr_counts_positions_and_edges():
+    assert repr(sg.gen_adversarial(1)) == "SafetyGame(|V0|=6, |V1|=7, edges=17, init='M')"
+    assert repr(sg.gen_chain(2)) == "SafetyGame(|V0|=2, |V1|=2, edges=4, init='m1')"
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(GameFormatError) as err:
         sg.parse_game(b"pos a 0\n# comment\npos a 0\n")
@@ -308,7 +332,8 @@ def test_player0_edge_removal_never_enlarges_winning_region(seed, n0, n1, k):
 def test_arena_deletions_match_naive_rescan(seed, n0, n1, k, ops):
     # With one or two actions per position about half of the live
     # deletions lose init, so most draws roll back and learn doomed
-    # positions, from try_delete and from peek_delete alike.
+    # positions.  A peek op deletes on a copy, which answers the same and
+    # leaves the arena untouched.
     game = sg.gen_random(seed, n0, n1, k)
     arena = sg.game.Arena(game)
     if not arena.alive[game.init_index]:
@@ -319,14 +344,18 @@ def test_arena_deletions_match_naive_rescan(seed, n0, n1, k, ops):
     for pick, peek in ops:
         v = p0[pick % len(p0)]
         expected = v not in region or game.init_index in naive_region_without(game, deleted | {v})
-        assert (arena.peek_delete if peek else arena.try_delete)(v) == expected
+        before = (arena.alive[:], arena.cnt[:], arena.doomed[:])
+        target = arena.copy() if peek else arena
+        assert target.try_delete(v) == expected
         if not expected:
             # The flag just learned answers a repeat without a cascade.
-            assert not arena.try_delete(v)
+            assert not target.try_delete(v)
         elif not peek:
             deleted.add(v)
             region = naive_region_without(game, deleted)
-        assert arena.winning_indices() == sorted(region)
+        if peek:
+            assert (arena.alive, arena.cnt, arena.doomed) == before
+        assert [u for u, a in enumerate(arena.alive) if a] == sorted(region)
         for u in region:
             if game.pos_owner[u] == 0:
                 assert arena.cnt[u] == sum(d in region for _, d in game.out_edges[u])
@@ -336,9 +365,10 @@ def test_arena_deletions_match_naive_rescan(seed, n0, n1, k, ops):
 
 def test_arena_rollback_after_doomed_stop_restores_state():
     # Deleting u decrements a, then kills b (a player-1 position) and c.
-    # c was doomed by a failed peek, so the cascade stops at c before it
-    # reaches init z.  w offers two targets, so the forced closure flagged
-    # at construction ends there and c is doomed only by the peek.
+    # c was doomed by a failed deletion, so the cascade stops at c before
+    # it reaches init z.  w offers two targets, so the forced closure
+    # flagged at construction ends there and c is doomed only by that
+    # failed deletion.
     game = sg.SafetyGame.build(
         {"a": 0, "b": 1, "c": 0, "p": 1, "q": 1, "s": 1, "u": 0, "w": 0, "z": 1},
         {
@@ -356,7 +386,7 @@ def test_arena_rollback_after_doomed_stop_restores_state():
     )
     idx = game.pos_index
     arena = sg.game.Arena(game)
-    assert not arena.peek_delete(idx["c"])
+    assert not arena.try_delete(idx["c"])
     alive, cnt = list(arena.alive), list(arena.cnt)
     assert not arena.try_delete(idx["u"])
     # The cascade's buffers hold what it rolled back.
@@ -369,9 +399,8 @@ def test_arena_rollback_after_doomed_stop_restores_state():
 
 def test_arena_cascade_visits_breadth_first():
     # Deleting u kills a and b, then c (through a) and d (through b), and
-    # decrements init z, which keeps s.  A peek rolls back even a kept
-    # deletion, and the buffers it rolled back from show the kill order:
-    # first in, first out.
+    # decrements init z, which keeps s.  The deletion is kept, and its
+    # buffers show the kill order: first in, first out.
     game = sg.SafetyGame.build(
         {"a": 1, "b": 1, "c": 1, "d": 1, "s": 1, "u": 0, "z": 0},
         {
@@ -385,11 +414,10 @@ def test_arena_cascade_visits_breadth_first():
     )
     idx = game.pos_index
     arena = sg.game.Arena(game)
-    alive, cnt = list(arena.alive), list(arena.cnt)
-    assert arena.peek_delete(idx["u"])
+    assert arena.try_delete(idx["u"])
     assert arena.killed == [idx[p] for p in "uabcd"]
     assert arena.decremented == [idx["z"], idx["z"]]
-    assert (arena.alive, arena.cnt) == (alive, cnt)
+    assert not any(arena.alive[v] for v in arena.killed)
 
 
 def _check_fixpoint(game: sg.SafetyGame) -> None:

@@ -7,7 +7,7 @@ import sparsegames as sg
 from sparsegames.game import Arena, reach
 from sparsegames.rng import SplitMix64
 
-from conftest import solvable_random_games
+from conftest import naive_region_without, solvable_random_games
 
 
 def test_splitmix_reference_vectors():
@@ -282,7 +282,38 @@ def test_local_optimality_is_relative_to_the_undefined_set():
     assert through_v is not None
     # single-position deletion in the full game would judge v droppable
     arena = Arena(game)
-    assert arena.peek_delete(game.pos_index["v"])
+    assert arena.try_delete(game.pos_index["v"])
+
+
+def _naive_locally_optimal(game, strat):
+    """Reference: walk the strategy from init over names, then, for each
+    player-0 position it reaches, delete that position and every player-0
+    position it leaves unreached, and re-solve with a naive rescan."""
+    owner, out, names, acts = game.pos_owner, game.out_edges, game.pos_names, game.act_names
+    reached, stack = {game.init_index}, [game.init_index]
+    while stack:
+        v = stack.pop()
+        for a, d in out[v]:
+            if (owner[v] or strat.choice.get(names[v]) == acts[a]) and d not in reached:
+                reached.add(d)
+                stack.append(d)
+    domain = {v for v in reached if owner[v] == 0}
+    undefined = {v for v in range(len(owner)) if owner[v] == 0} - domain
+    return all(
+        game.init_index not in naive_region_without(game, undefined | {v}) for v in domain
+    )
+
+
+def test_local_optimality_matches_a_naive_resolve():
+    verdicts = set()
+    for idx, (game, winning, mp) in enumerate(solvable_random_games(30, 5, 5, 3)):
+        strategies = [sg.smart_random_extract(game, winning, idx), sg.random_extract(game, mp, idx)]
+        strategies.append(sg.ilp_exact_extract(game, mp).strategy)
+        for strat in strategies:
+            verdict = sg.is_locally_optimal(game, strat)
+            assert verdict == _naive_locally_optimal(game, strat)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_empty_domain_strategy_vacuously_locally_optimal():

@@ -1,4 +1,7 @@
 import hashlib
+import math
+import time
+import types
 
 import numpy as np
 import pytest
@@ -91,6 +94,29 @@ def test_bad_bounds_rejected_at_build():
         ):
             with pytest.raises(ValueError, match="finite"):
                 _bounded(["a", "b"], *data)
+
+
+def test_problem_shapes_are_checked_at_build():
+    with pytest.raises(ValueError, match="objective length"):
+        _bounded(["x", "y"], [1.0], [[1.0, 1.0]], [0.5])
+    for lo, hi in (([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0])):
+        with pytest.raises(ValueError, match="bound vectors"):
+            sg.LpProblem(("x", "y"), [1.0, 1.0], [[1.0, 1.0]], [0.5], lo, hi)
+
+
+def test_start_of_another_problem_is_rejected():
+    prob = _bounded(["x", "y"], [1.0, 1.0], [[1.0, 1.0]], [0.5])
+    other = _bounded(["x"], [1.0], [[1.0], [1.0]], [0.5, 0.2])
+    with pytest.raises(ValueError, match="does not match"):
+        sg.lp_solve(prob, lp_mod.Tableau.surplus(other))
+
+
+def test_rebuilding_a_singular_basis_header_is_rejected():
+    # The two rows are parallel, so x and y cannot both be basic.
+    prob = _bounded(["x", "y"], [1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [0.5, 1.0])
+    tableau = lp_mod.Tableau.surplus(prob)
+    with pytest.raises(ValueError, match="singular"):
+        tableau.rebuilt(np.array([0, 1]), np.zeros(4, dtype=bool))
 
 
 def test_lp_solve_deterministic():
@@ -270,6 +296,41 @@ def test_replp_rounds_on_the_frame(monkeypatch):
     assert stats["rounds"] == 1
     assert calls == {"pruned_context": 2, "build_relaxation": 2, "decode_support": 2}
     assert stats["pivots"] == lp_mod._Frame(game, mp).root.pivots > 0
+
+
+def test_replp_expired_deadline_raises_before_the_frame(monkeypatch):
+    frames = []
+    real = lp_mod._Frame
+    monkeypatch.setattr(lp_mod, "_Frame", lambda *args: frames.append(1) or real(*args))
+    game, _, mp = solvable_random_games(1, 6, 6, 3, start_seed=63)[0]
+    with pytest.raises(sg.TimeoutExceededError):
+        lp_mod.replp_extract(game, mp, deadline=time.monotonic() - 1.0)
+    assert frames == []
+
+
+def test_replp_deadline_after_the_root_raises_before_round_two(monkeypatch):
+    # The clock passes the deadline once the frame has solved the root, so
+    # the check before the second round's LP fires; the root is fractional
+    # on this game, so that round would otherwise run.
+    now = [0.0]
+    solves = []
+    real_frame, real_solve = lp_mod._Frame, lp_mod.lp_solve
+
+    def frame(*args):
+        built = real_frame(*args)
+        now[0] = math.inf
+        return built
+
+    monkeypatch.setattr(lp_mod, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(lp_mod, "_Frame", frame)
+    monkeypatch.setattr(lp_mod, "lp_solve", lambda *a: solves.append(1) or real_solve(*a))
+    game = sg.gen_random(63, 6, 6, 3)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    assert lp_mod._fractional(real_frame(game, mp).root.values).any()
+    solves.clear()
+    with pytest.raises(sg.TimeoutExceededError):
+        lp_mod.replp_extract(game, mp, deadline=1.0)
+    assert solves == [1]  # the root only
 
 
 def test_replp_chain_density_matches_oracle():

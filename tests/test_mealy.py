@@ -24,6 +24,14 @@ def test_figure_strategy_folds_to_two_state_machine():
     }
 
 
+def test_machine_run_emits_the_replies_of_an_input_word():
+    machine = sg.strategy_to_mealy(FIG_GAME, sg.PositionalStrategy({"g1": "z", "g3": "x"}))
+    assert machine.run([]) == []
+    assert machine.run(["u", "u", "v", "v", "u"]) == ["z", "x", "z", "z", "x"]
+    with pytest.raises(KeyError):
+        machine.run(["u", "w"])
+
+
 def _alternating_corpus():
     games = [sg.gen_chain(n) for n in range(1, 7)]
     games += [sg.gen_adversarial(i) for i in range(1, 4)]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 import sparsegames as sg
 from sparsegames.lp import _Frame
 from sparsegames.lp import INTEGRALITY_EPS, pruned_context
-from sparsegames.sat import _luby
+from sparsegames.sat import _Solver, _luby
 
-from conftest import full_cnf, solvable_random_games, unchecked_most_permissive
+from conftest import full_cnf, gap_game, solvable_random_games, unchecked_most_permissive
 
 
 def _truth_table_sat(num_vars: int, clauses) -> bool:
@@ -67,6 +68,73 @@ def test_random_cnfs_match_truth_tables():
         assert (out.status == "sat") == expected
         if out.status == "sat":
             assert _model_satisfies(cnf.clauses, out.model)
+
+
+def _random_3cnf(rng, min_vars=20, max_vars=50):
+    """A random 3-CNF at 4.2 clauses per variable, near the satisfiability
+    threshold, so both verdicts occur and most take conflicts."""
+    nv = min_vars + rng.below(max_vars - min_vars + 1)
+    clauses = []
+    for _ in range(42 * nv // 10):
+        chosen = set()
+        while len(chosen) < 3:
+            chosen.add(1 + rng.below(nv))
+        clauses.append([v if rng.below(2) else -v for v in sorted(chosen)])
+    return sg.Cnf(nv, clauses)
+
+
+def test_activity_rescale_keeps_verdicts(monkeypatch):
+    # With a low limit the activities overflow it within a few conflicts;
+    # the rescale and the rebuilt decision heap must leave every verdict
+    # as the truth table gives it.
+    rescales = []
+    real_bump = _Solver._bump
+
+    def bump(self, v):
+        inc = self.var_inc
+        real_bump(self, v)
+        if self.var_inc < inc:
+            rescales.append(v)
+
+    monkeypatch.setattr(_Solver, "_ACT_LIMIT", 1.5)
+    monkeypatch.setattr(_Solver, "_bump", bump)
+    rng = sg.SplitMix64(2024)
+    for _ in range(40):
+        cnf = _random_3cnf(rng, 10, 13)
+        out = sg.sat_solve(cnf)
+        assert (out.status == "sat") == _truth_table_sat(cnf.num_vars, cnf.clauses)
+        if out.status == "sat":
+            assert _model_satisfies(cnf.clauses, out.model)
+    assert len(rescales) > 10
+
+
+def test_cdcl_search_is_pinned():
+    # SHA-256 prefixes of the solver's (status, conflicts, model) on seeded
+    # random 3-CNFs and of sat_exact_extract's probes on seeded games.  They
+    # pin the search itself: watch order, decisions, learned clauses and
+    # restarts all show in the conflict counts and the models.
+    rng = sg.SplitMix64(29)
+    digest = hashlib.sha256()
+    verdicts = {"sat": 0, "unsat": 0}
+    for _ in range(120):
+        out = sg.sat_solve(_random_3cnf(rng))
+        verdicts[out.status] += 1
+        digest.update(repr((out.status, out.conflicts, out.model)).encode())
+    assert verdicts == {"sat": 75, "unsat": 45}
+    assert digest.hexdigest()[:16] == "17a040017ea8d9bf"
+
+    digest = hashlib.sha256()
+    games = [game for game, _, _ in solvable_random_games(60, 20, 10, 3)] + [gap_game(40, 6)[0]]
+    probes = 0
+    for game in games:
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        stats = {}
+        sg.sat_exact_extract(game, mp, stats=stats)
+        probes += len(stats["probes"])
+        digest.update(repr(stats["probes"]).encode())
+    assert stats["probes"] == [(48, "unsat", 1064), (49, "sat", 2)]
+    assert probes == 12
+    assert digest.hexdigest()[:16] == "cd5033cd86c78e84"
 
 
 def test_sat_solve_deterministic():
@@ -152,6 +220,11 @@ def test_at_most_k_exhaustive_six_vars():
             assert got == (sum(bits) <= k), (k, bits)
 
 
+def test_at_most_negative_k_is_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sg.encode_at_most_k([1, 2], -1, 3)
+
+
 def test_at_most_k_size_linear():
     clauses, naux = sg.encode_at_most_k(list(range(1, 51)), 5, 51)
     assert naux == 49 * 5
@@ -200,6 +273,40 @@ def test_build_cnf_rejects_losing_target():
     for mp in inconsistent:
         with pytest.raises(ValueError):
             sg.build_cnf(game, mp)
+
+
+def test_lp_rows_and_cnf_clauses_encode_the_same_pairs():
+    # Row i of the relaxation and clause i of the CNF come from the same
+    # support pair: -1 at column j is the literal -(j + 1), a positive
+    # coefficient at column t is the literal t + 1, and a row with rhs 1
+    # is a clause with no negative literal.  A source that is its own
+    # target leaves -1 plus its multiplicity at its column and both of
+    # its literals in the clause.
+    games = [game for game, _, _ in solvable_random_games(40, 6, 6, 3)]
+    games += [sg.gen_adversarial(i) for i in range(1, 6)]
+    for game in games:
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        pruned, mp2 = pruned_context(game, mp)
+        problem = sg.build_relaxation(pruned, mp2)
+        cnf, var_map = sg.build_cnf(pruned, mp2)
+        n = len(problem.var_names)
+        assert list(var_map) == list(problem.var_names)
+        assert list(var_map.values()) == list(range(1, n + 1))
+        assert (cnf.num_vars, len(cnf.clauses)) == (n, problem.rows.shape[0])
+        for row, rhs, clause in zip(problem.rows, problem.rhs, cnf.clauses):
+            negative = {-lit - 1 for lit in clause if lit < 0}
+            positive = {lit - 1 for lit in clause if lit > 0}
+            assert len(negative) <= 1 and len(clause) == len(negative) + len(positive)
+            assert rhs == (0.0 if negative else 1.0)
+            for j, coef in enumerate(row):
+                if j in negative and j in positive:
+                    assert coef >= 0.0
+                elif j in negative:
+                    assert coef == -1.0
+                elif j in positive:
+                    assert coef >= 1.0 and coef == int(coef)
+                else:
+                    assert coef == 0.0
 
 
 def test_encodings_of_adversarial_1_are_pinned():
