@@ -72,6 +72,14 @@ class SafetyGame:
         return _solve(self)
 
     @functools.cached_property
+    def candidates(self) -> tuple[int, ...]:
+        """The player-0 positions of :attr:`fixpoint`'s winning region in
+        index order, which every seed of the local search permutes; listed
+        on first use and kept."""
+        owner = self.pos_owner
+        return tuple([v for v, a in enumerate(self.fixpoint.alive) if a and not owner[v]])
+
+    @functools.cached_property
     def same_player_edge(self) -> tuple[int, int] | None:
         """The first edge, as (source, target) indices in ``out_edges``
         order, whose ends belong to the same player, or None when play
@@ -149,10 +157,18 @@ class MostPermissiveStrategy:
     to its allowed (action, target) index edges and a player-1 position to
     all of its ``out_edges``, both in ``out_edges`` order.  ``winning``
     holds the same region as position names, for the I/O edges.
+
+    ``random_extract`` keeps its seed-independent set-up here on first
+    use: each player-0 entry's place among the bounds of its draws, and
+    those bounds, the entries' move counts.  Like any kept value, it
+    assumes ``moves`` is not changed after.
     """
 
     winning: frozenset[str]
     moves: Moves
+
+    def __post_init__(self):
+        object.__setattr__(self, "_draws", None)
 
 
 @dataclass(frozen=True)
@@ -166,7 +182,11 @@ class PositionalStrategy:
     reach it.  Pass ``dict(strat.choice)`` where a dict is needed, as to
     ``json.dumps``.  For the last game it was read against, the strategy
     keeps the index edges of ``choice`` and their :func:`reach` visit
-    order, computed from the names on first use (:func:`_strategy_walk`).
+    order, converted from the names on first use (:func:`_strategy_walk`).
+    A strategy that ``random_extract`` or :func:`decode_support` returns
+    also carries the walk that built it, which that first use takes
+    instead of walking again when the names convert to its moves; the
+    names are converted regardless, so checks read what the strategy says.
     """
 
     choice: Mapping[str, str]
@@ -174,6 +194,7 @@ class PositionalStrategy:
     def __post_init__(self):
         object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
         object.__setattr__(self, "_walk", None)
+        object.__setattr__(self, "_taken", None)
 
     def __reduce__(self):
         # Pickle and deep-copy the names only; the memo is rebuilt on use.
@@ -572,15 +593,42 @@ def _strategy_walk(game: SafetyGame, strat: PositionalStrategy) -> tuple[Moves, 
     visit order they give, which :func:`validate_strategy`,
     :func:`density`, :func:`restrict_to_reachable`, ``strategy_to_mealy``
     and ``is_locally_optimal`` read.  The first of them converts
-    ``strat.choice`` and walks; the result stays on the strategy for this
-    game only, held by a weak reference to it, so another game converts
-    afresh and a strategy does not keep its game alive."""
+    ``strat.choice``; the result stays on the strategy for this game only,
+    held by a weak reference to it, so another game converts afresh and a
+    strategy does not keep its game alive.
+
+    The names are always converted, so what is checked is what
+    ``serialize_strategy`` writes.  The walk is not always run: the first
+    conversion takes the walk an extractor recorded (:func:`_walked`) when
+    it was taken on this game and the converted moves equal its moves key
+    for key.  :func:`reach` reads moves only at the positions it visits,
+    so walking those moves would give the same order.  The record is read
+    once and dropped, whether or not it is taken."""
     memo = strat._walk
     if memo is None or memo[0]() is not game:
         moves = strategy_moves(game, strat)
-        memo = (weakref.ref(game), moves, reach(game, moves.get)[0])
+        taken = strat._taken
+        if taken is not None and taken[0]() is game and taken[1] == moves:
+            order = taken[2]
+        else:
+            order = reach(game, moves.get)[0]
+        memo = (weakref.ref(game), moves, order)
         object.__setattr__(strat, "_walk", memo)
+        object.__setattr__(strat, "_taken", None)
     return memo[1], memo[2]
+
+
+def _walked(game: SafetyGame, moves: Moves, order: list[int]) -> PositionalStrategy:
+    """The strategy naming the player-0 ``moves`` that a :func:`reach`
+    walk of ``game`` took, in visit ``order``, with that walk recorded on
+    it for :func:`_strategy_walk`.  ``moves`` must hold exactly the
+    visited player-0 positions, each with the one edge the walk took.  The
+    choices are named in index order, which is sorted-name order, so
+    ``serialize_strategy`` sorts them in one pass."""
+    names, acts = game.pos_names, game.act_names
+    strat = PositionalStrategy({names[v]: acts[moves[v][0][0]] for v in sorted(moves)})
+    object.__setattr__(strat, "_taken", (weakref.ref(game), moves, order))
+    return strat
 
 
 def validate_strategy(
@@ -594,7 +642,9 @@ def validate_strategy(
     One pass over the strategy's kept walk for ``game`` (:func:`_strategy_walk`)
     gives the verdict: every visited position but init is the target of an
     edge the play can take, so a violation is a visited position outside the
-    region or a visited player-0 position without a move.  The walk is
+    region or a visited player-0 position without a move.  An extractor's
+    recorded walk is taken only where the names convert to its moves, so
+    the verdict is on the choices ``serialize_strategy`` writes.  The walk is
     breadth-first, so the path that discovered the first violation in its
     order is a shortest violating play; only a failing check walks again,
     for the parents that trace it into the verdict's witness.
@@ -629,19 +679,20 @@ def decode_support(game: SafetyGame, flags: Sequence) -> PositionalStrategy:
     as per-position flags: the one :func:`reach` walk from init picks, at
     each player-0 position it reaches, the smallest action whose target is
     flagged, so only successors of reached positions are read.  The
-    strategy names exactly the reached player-0 positions."""
-    out, names, acts = game.out_edges, game.pos_names, game.act_names
-    choice: dict[str, str] = {}
+    strategy names exactly the reached player-0 positions and carries
+    this walk for its first use on ``game`` (:func:`_strategy_walk`); the
+    exact engines decode on the pruned game, so theirs walk again."""
+    out = game.out_edges
+    taken: Moves = {}
 
     def pick(v: int, _) -> tuple[tuple[int, int], ...]:
         for edge in out[v]:
             if flags[edge[1]]:
-                choice[names[v]] = acts[edge[0]]
-                return (edge,)
+                taken[v] = move = (edge,)
+                return move
         raise AssertionError("support offers no successor at a reached position")
 
-    reach(game, pick)
-    return PositionalStrategy(choice)
+    return _walked(game, taken, reach(game, pick)[0])
 
 
 def density(game: SafetyGame, strat: PositionalStrategy) -> int:

@@ -21,13 +21,17 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .errors import InitLosingError, TimeoutExceededError
 from .game import (
     Arena,
+    Moves,
     MostPermissiveStrategy,
     PositionalStrategy,
     SafetyGame,
     _strategy_walk,
+    _walked,
     decode_support,
     reach,
 )
@@ -41,20 +45,43 @@ def random_extract(
     game: SafetyGame, mp: MostPermissiveStrategy, seed: int
 ) -> PositionalStrategy:
     """Uniform random specialization of the most-permissive strategy,
-    restricted to its reachable domain."""
+    restricted to its reachable domain.
+
+    One draw per player-0 entry of ``mp.moves`` over the bounds ``mp``
+    keeps (:func:`_draw_plan`); only the positions the one :func:`reach`
+    walk visits build a move.  The strategy carries that walk for its
+    first use on ``game`` (:func:`_strategy_walk`)."""
     if game.init_index not in mp.moves:
         raise InitLosingError("cannot extract a strategy for a losing game")
-    owner, moves = game.pos_owner, mp.moves
-    # Index order is sorted-name order, and each entry lists its actions
-    # in name order, so a seed draws the same actions whatever the parse
-    # order.  Only the positions the walk visits build a move.
-    choices = [v for v in moves if not owner[v]]
-    pick = dict(zip(choices, SplitMix64(seed).below_each([len(moves[v]) for v in choices])))
-    _, parent = reach(game, lambda v, _: (moves[v][pick[v]],))
-    names, acts = game.pos_names, game.act_names
-    return PositionalStrategy(
-        {names[v]: acts[moves[v][pick[v]][0]] for v in choices if parent[v] >= 0}
-    )
+    moves = mp.moves
+    slot, bounds = _draw_plan(game, mp)
+    draws = SplitMix64(seed).below_each(bounds)
+    taken: Moves = {}
+
+    def move(v: int, _) -> tuple[tuple[int, int], ...]:
+        taken[v] = edge = (moves[v][draws[slot[v]]],)
+        return edge
+
+    return _walked(game, taken, reach(game, move)[0])
+
+
+def _draw_plan(game: SafetyGame, mp: MostPermissiveStrategy) -> tuple[list[int], np.ndarray]:
+    """Per position of ``game``, its place among the player-0 entries of
+    ``mp.moves`` (-1 elsewhere), and those entries' move counts as uint64
+    bounds for :meth:`SplitMix64.below_each`.  Index order is sorted-name
+    order and each entry lists its actions in name order, so a seed draws
+    the same actions whatever the parse order.  ``mp`` is in index form,
+    so it belongs to one game; the plan is built on first use and kept
+    on it."""
+    if mp._draws is None:
+        owner = game.pos_owner
+        slot, counts = [-1] * len(owner), []
+        for v, edges in mp.moves.items():
+            if not owner[v]:
+                slot[v] = len(counts)
+                counts.append(len(edges))
+        object.__setattr__(mp, "_draws", (slot, np.array(counts, dtype=np.uint64)))
+    return mp._draws
 
 
 def smart_random_extract(
@@ -84,13 +111,14 @@ def smart_random_extract(
     ``winning`` should be the winning region of ``game``.  Init counts as
     losing when it is outside ``winning`` or outside the game's initial
     fixpoint.  The candidates are the player-0 positions of that fixpoint,
-    listed in index order, which is sorted-name order.
+    listed in index order, which is sorted-name order, once per game
+    (:attr:`SafetyGame.candidates`); each seed shuffles a copy.  The
+    strategy carries the walk of :func:`decode_support`.
     """
     arena = Arena(game)
-    alive, owner = arena.alive, game.pos_owner
-    if game.init not in winning or not alive[game.init_index]:
+    if game.init not in winning or not arena.alive[game.init_index]:
         raise InitLosingError("cannot extract a strategy for a losing game")
-    order = [v for v in range(len(owner)) if alive[v] and not owner[v]]
+    order = list(game.candidates)
     SplitMix64(seed).shuffle(order)
     for start in range(0, len(order), DEADLINE_BLOCK):
         if deadline is not None and time.monotonic() > deadline:

@@ -155,7 +155,10 @@ def support_rows(
     ``(v, (d,))`` pair per distinct successor, in index order.  Every
     support contains the forced positions, which ``game.fixpoint`` flags
     ``doomed``, so a pair with a forced target is dropped and a forced
-    source is written ``None``.  Raises ``ValueError`` unless ``mp`` keys
+    source is written ``None``.  A pair ``(j, (j,))``, a free position
+    whose only target is itself, holds in every support and is dropped
+    too: it would be the all-zero LP row ``0 >= 0`` and the CNF tautology
+    ``[-x, x]``.  Raises ``ValueError`` unless ``mp`` keys
     every position, as on a game pruned to its winning part.
     """
     if len(mp.moves) != len(game.pos_names):
@@ -170,7 +173,8 @@ def support_rows(
             pairs = [tuple([column[d] for _, d in edges])]
         else:
             pairs = [(column[d],) for d in sorted({d for _, d in edges})]
-        rows += [(column[v], t) for t in pairs if None not in t]
+        j = column[v]
+        rows += [(j, t) for t in pairs if None not in t and t != (j,)]
     return free, rows
 
 

@@ -65,16 +65,22 @@ class SplitMix64:
 
     def below_each(self, bounds) -> list[int]:
         """``[self.below(n) for n in bounds]``, leaving the same state,
-        drawn in uint64 batches.  ``bounds`` is a sequence of ints in
-        [1, 2**64], all checked before anything is drawn."""
+        drawn in uint64 batches.  ``bounds`` is a sequence of ints or an
+        integer ndarray, such as the uint64 array a caller keeps to draw
+        over again, with every bound in [1, 2**64], all checked before
+        anything is drawn.  An array is checked by its own ``min`` and
+        ``max``, not element by element."""
         if not len(bounds):
             return []
-        top = max(bounds)
-        if not (0 < min(bounds) and top <= _SPAN):
+        if isinstance(bounds, np.ndarray):
+            low, top = int(bounds.min()), int(bounds.max())
+        else:
+            low, top = min(bounds), max(bounds)
+        if not (0 < low and top <= _SPAN):
             raise ValueError(_BOUNDS_ERROR)
         if top == _SPAN:  # fits no uint64
             return [self.below(n) for n in bounds]
-        return self._draw(np.array(bounds, dtype=np.uint64))
+        return self._draw(np.asarray(bounds, dtype=np.uint64))
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle.  Its swap indices are the draws

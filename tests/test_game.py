@@ -846,6 +846,17 @@ def test_strategy_choice_is_a_read_only_copy():
     assert json.loads(json.dumps(dict(strat.choice))) == strat.choice
 
 
+def test_kept_walks_and_draws_are_not_part_of_the_strategies():
+    # random_extract leaves its walk, held with a weak reference to the
+    # game, on the strategy and its draw bounds on the most-permissive
+    # strategy; both still equal, pickle and copy as their fields alone.
+    mp = _mp(FIG_GAME)
+    strat = sg.random_extract(FIG_GAME, mp, 1)
+    for kept in (strat, mp):
+        assert pickle.loads(pickle.dumps(kept)) == kept
+        assert copy.deepcopy(kept) == kept
+
+
 def test_strategy_walk_is_kept_per_game():
     # A strategy decoded on the pruned game, and a copy missing one choice,
     # are read against the full game, the pruned game and the full game

@@ -1,6 +1,7 @@
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
 
 import sparsegames as sg
@@ -27,7 +28,8 @@ def test_below_rejects_bad_n():
 
 
 def test_below_each_rejects_bad_bounds_before_drawing():
-    for bounds in ([0], [5, -1], [2**64 + 1], [3, 2**65, 2]):
+    arrays = [np.array([4, 0], dtype=np.uint64), np.array([3, -1], dtype=np.int64)]
+    for bounds in [[0], [5, -1], [2**64 + 1], [3, 2**65, 2]] + arrays:
         rng = SplitMix64(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -61,16 +63,25 @@ def _random_bounds():
          "span", "random64"],
 )
 def test_below_each_matches_scalar_draws(bounds):
+    # A list and, where every bound fits one, a uint64 array draw the same;
+    # the rejection-heavy batches of either fall back to below().
+    forms = [bounds]
+    if max(bounds, default=1) < 2**64:
+        forms.append(np.array(bounds, dtype=np.uint64))
     for seed in (0, 1, 0xDEADBEEF, 2**64 - 1):
-        batch, scalar = SplitMix64(seed), SplitMix64(seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            drawn = batch.below_each(bounds)
-        assert drawn == [scalar.below(n) for n in bounds]
-        assert all(type(k) is int for k in drawn)
-        # the outputs are a bijection of the state: equal next draws mean
-        # equal states
-        assert batch.next_u64() == scalar.next_u64()
+        scalar = SplitMix64(seed)
+        expected = [scalar.below(n) for n in bounds]
+        after = scalar.next_u64()
+        for form in forms:
+            batch = SplitMix64(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                drawn = batch.below_each(form)
+            assert drawn == expected
+            assert all(type(k) is int for k in drawn)
+            # the outputs are a bijection of the state: equal next draws
+            # mean equal states
+            assert batch.next_u64() == after
 
 
 def _literal_shuffle(rng, items):

@@ -151,6 +151,82 @@ def test_strategy_is_converted_once_per_game(monkeypatch):
         assert len(calls) == 2
 
 
+def _count_walks(monkeypatch):
+    """A list that grows by the game of every ``reach`` walk from now on."""
+    walks = []
+    real = sg.game.reach
+
+    def spy(game, moves):
+        walks.append(game)
+        return real(game, moves)
+
+    monkeypatch.setattr(sg.game, "reach", spy)
+    monkeypatch.setattr(sg.heuristics, "reach", spy)
+    return walks
+
+
+def _read_all(game, mp, strat):
+    assert sg.validate_strategy(game, mp, strat).winning
+    sg.density(game, strat)
+    sg.strategy_to_mealy(game, strat)
+    assert sg.restrict_to_reachable(game, strat) == strat
+    sg.is_locally_optimal(game, strat)
+
+
+def test_an_extracted_strategy_is_walked_once(monkeypatch):
+    # random_extract and smart_random_extract leave their own walk on the
+    # strategy they return: validation converts the names, finds the
+    # moves of that walk and does not walk again, and neither does any
+    # reader after it.  A strategy built from the same names walks once,
+    # on first use.
+    game = sg.gen_adversarial(4)
+    mp = _mp(game)  # solves the game's fixpoint, itself a walk, first
+    walks = _count_walks(monkeypatch)
+    for extract in (
+        lambda: sg.random_extract(game, mp, 3),
+        lambda: sg.smart_random_extract(game, mp.winning, 3),
+    ):
+        walks.clear()
+        strat = extract()
+        assert walks == [game]
+        _read_all(game, mp, strat)
+        assert walks == [game]
+        walks.clear()
+        named = sg.PositionalStrategy(dict(strat.choice))
+        _read_all(game, mp, named)
+        assert walks == [game]
+
+
+def test_a_recorded_walk_that_the_names_do_not_give_is_not_taken():
+    # A strategy with one choice changed, carrying the walk recorded for
+    # the original, is judged by its names: its verdict and density are
+    # those of a strategy built from the same names alone.
+    game = sg.gen_adversarial(4)
+    mp = _mp(game)
+    changed_verdicts = 0
+    for seed in range(3):
+        for original in (
+            sg.random_extract(game, mp, seed),
+            sg.smart_random_extract(game, mp.winning, seed),
+        ):
+            recorded = original._taken
+            assert sg.validate_strategy(game, mp, original).winning
+            for p in original.choice:
+                out = game.out_edges[game.pos_index[p]]
+                for act in ["bogus"] + [game.act_names[a] for a, _ in out]:
+                    if act == original.choice[p]:
+                        continue
+                    names = {**original.choice, p: act}
+                    carried = sg.PositionalStrategy(names)
+                    object.__setattr__(carried, "_taken", recorded)
+                    fresh = sg.PositionalStrategy(names)
+                    verdict = sg.validate_strategy(game, mp, carried)
+                    assert verdict == sg.validate_strategy(game, mp, fresh)
+                    assert sg.density(game, carried) == sg.density(game, fresh)
+                    changed_verdicts += not verdict.winning
+    assert changed_verdicts > 0
+
+
 def test_init_must_be_player1():
     game = sg.SafetyGame.build(
         {"v": 0, "p": 1}, {("v", "x"): "p", ("p", "u"): "v"}, "v"

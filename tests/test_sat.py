@@ -249,9 +249,13 @@ def test_build_cnf_flow_clause():
     )
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     cnf, var_map = sg.build_cnf(game, mp)
-    # init v is forced, so its flow clause loses its source literal
+    # init v is forced, so its flow clause loses its source literal; the
+    # self-loops of a and b hold in every support, so they give no clause
     assert var_map == {"a": 1, "b": 2}
-    assert cnf.clauses == [[-1, 1], [-2, 2], [1, 2]]
+    assert cnf.clauses == [[1, 2]]
+    # nor an all-zero LP row
+    rows = sg.build_relaxation(game, mp).rows
+    assert rows.shape[0] == 1 and (rows != 0).any(axis=1).all()
 
 
 def test_build_cnf_rejects_losing_target():
