@@ -49,9 +49,9 @@ from .game import (
 from .generators import gen_adversarial, gen_chain, gen_random
 from .heuristics import random_extract, smart_random_extract
 from .ilp import ilp_exact_extract
-from .lp import build_relaxation, format_lp, pruned_context, replp_extract
+from .lp import encode_lp, format_lp, pruned_context, reduced_problem, replp_extract
 from .oracle import brute_force_min_density, enumerate_local_optima
-from .sat import build_cnf, sat_exact_extract, to_dimacs
+from .sat import encode_cnf, sat_exact_extract, to_dimacs
 
 METHODS = ("random", "smart", "replp", "ilp", "sat")
 
@@ -240,14 +240,16 @@ def cmd_extract(args) -> int:
 
     if args.dump_cnf or args.dump_lp:
         pruned, mp2 = pruned_context(game, mp)
-        forced = sum(f and o == 0 for f, o in zip(pruned.fixpoint.doomed, pruned.pos_owner))
-        offset = f"offset {forced}: forced player-0 positions; density >= optimum + offset"
-    if args.dump_cnf:
-        cnf, var_map = build_cnf(pruned, mp2)
-        comments = tuple(f"var {v} = position {p}" for p, v in sorted(var_map.items()))
-        Path(args.dump_cnf).write_text(to_dimacs(cnf, (offset, *comments)))
-    if args.dump_lp:
-        Path(args.dump_lp).write_text(f"\\ {offset}\n" + format_lp(build_relaxation(pruned, mp2)))
+        reduced = reduced_problem(pruned, mp2)
+        offset = f"offset {reduced.offset}: forced player-0 positions; density >= optimum + offset"
+        # The LP, the one encoding that can be refused, is built before any write.
+        lp_text = f"\\ {offset}\n" + format_lp(encode_lp(pruned, reduced)) if args.dump_lp else None
+        if args.dump_cnf:
+            cnf, var_map = encode_cnf(pruned, reduced)
+            comments = tuple(f"var {v} = position {p}" for p, v in sorted(var_map.items()))
+            Path(args.dump_cnf).write_text(to_dimacs(cnf, (offset, *comments)))
+        if args.dump_lp:
+            Path(args.dump_lp).write_text(lp_text)
 
     report = _extract_report(
         args.game, game, mp, args.method, args.seed, args.runs,

@@ -1,11 +1,11 @@
 """Exact minimum-density extraction by branch-and-bound over the LP
 relaxation.
 
-Like ``replp`` and ``sat``, this engine solves the one reduced problem
-built by :class:`sparsegames.lp._Frame`: the positions that every
-support contains are fixed in, and only the free ones stay variables.
-On a set cover game that leaves the sets; an unplanted 40-element
-cover's LP shrinks from 121 x 81 to 34 x 39.
+Like ``replp`` and ``sat``, this engine solves the frame's
+:class:`sparsegames.lp.ReducedProblem`: the positions that every support
+contains are fixed in, and only the free ones stay variables.  On a set
+cover game that leaves the sets; an unplanted 40-element cover's LP
+shrinks from 121 x 81 to 34 x 39.
 
 Plunging search on nodes carrying variable fixings.  Each node's bound
 is its LP optimum plus the forced player-0 count; a node is pruned once
@@ -82,9 +82,8 @@ def ilp_exact_extract(
     the reduced LP's (rows, variables) under ``"lp_shape"``.
     """
     frame = _Frame(game, mp)
-    problem = frame.problem
-    free = frame.free
-    forced = frozenset(np.flatnonzero(frame.forced).tolist()) if stats is not None else None
+    problem, reduced, free = frame.problem, frame.reduced, frame.reduced.free
+    forced = frozenset(np.flatnonzero(reduced.forced).tolist()) if stats is not None else None
     lp_solves = 1
     pivots = frame.root.pivots
     certified = True
@@ -102,7 +101,7 @@ def ilp_exact_extract(
         if node_log is not None:
             node_log.append(
                 (
-                    frame.offset + bound,
+                    reduced.offset + bound,
                     frozenset(free[hi <= 0.0].tolist()),
                     forced | frozenset(free[lo >= 1.0].tolist()),
                 )

@@ -4,16 +4,15 @@ heuristic.
 
 The relaxation is over the pruned winning game.  A support is a
 position set containing init that is closed under player-1 moves and
-offers every player-0 member an allowed successor inside the set; it
-contains the forced positions, which unit propagation of these rules
-adds to every support.  The relaxation has one [0,1] variable per free
-(unforced) position, so a feasible 0/1 point plus the forced positions
-is exactly a support, and minimizing the player-0 mass plus the forced
-player-0 count lower-bounds the minimum strategy density.  The free
-positions and the constraints, numbered by LP column, are those of
-:func:`support_rows`, shared with ``sat.py``.  :func:`build_relaxation`
-is the one LP builder: every LP engine solves it through
-:class:`_Frame`, and ``--dump-lp`` writes it.
+offers every player-0 member an allowed successor inside the set.
+:class:`ReducedProblem` states these rules as pairs over the free
+positions, those that unit propagation does not force into every
+support, and ``sat.py`` encodes the same pairs.  The relaxation
+(:func:`encode_lp`) has one [0,1] variable per free position, so a
+feasible 0/1 point plus the forced positions is exactly a support, and
+minimizing the player-0 mass plus the forced player-0 count
+lower-bounds the minimum strategy density.  Every LP engine solves it
+through :class:`_Frame`, and ``--dump-lp`` writes it.
 
 The solver is a dense bounded dual simplex.  Its columns are the n
 structural variables and one surplus per row (``rows @ x - s = rhs``,
@@ -67,7 +66,7 @@ from .game import (
 )
 
 #: the largest dense tableau, m x (n + m) float64 entries, that
-#: :func:`build_relaxation` lets an LP engine allocate
+#: :func:`encode_lp` lets an LP engine allocate
 LP_TABLEAU_BYTES = 256 << 20
 
 #: treat |v| <= EPS as 0 and |v - 1| <= EPS as 1 when rounding LP values
@@ -139,76 +138,90 @@ class LpSolution:
     upper: np.ndarray | None = None
 
 
-def support_rows(
-    game: SafetyGame, mp: MostPermissiveStrategy
-) -> tuple[list[int], list[tuple[int | None, tuple[int, ...]]]]:
-    """The reduced problem of a pruned game, shared by the LP and SAT
-    encodings: the free positions in index order, and the support pairs
-    over their LP columns (their places in that list).  A support holding
-    free position ``j`` holds one of ``targets`` for every pair ``(j,
-    targets)``, and every support holds one of ``targets`` for a pair
-    ``(None, targets)``.
+@dataclass(eq=False)
+class ReducedProblem:
+    """The reduced problem of a pruned game (:func:`reduced_problem`),
+    which every LP engine solves and the dumps write.
 
-    The keys of ``mp.moves`` (the winning positions) are covered in index
-    order.  A player-0 position gives one pair with the targets of its
-    allowed actions, duplicates kept; a player-1 position gives one
-    ``(v, (d,))`` pair per distinct successor, in index order.  Every
-    support contains the forced positions, which ``game.fixpoint`` flags
-    ``doomed``, so a pair with a forced target is dropped and a forced
-    source is written ``None``.  A pair ``(j, (j,))``, a free position
-    whose only target is itself, holds in every support and is dropped
-    too: it would be the all-zero LP row ``0 >= 0`` and the CNF tautology
-    ``[-x, x]``.  Raises ``ValueError`` unless ``mp`` keys
-    every position, as on a game pruned to its winning part.
+    Every support contains the ``forced`` positions (flags by position),
+    the forced closure that the pruned game's ``fixpoint`` flags; unit
+    propagation of the pairs adds them.  ``offset`` counts the forced
+    player-0 ones.  The ``free`` positions, in index order, are the
+    columns, and ``player0`` flags the columns player 0 owns.
+
+    The pairs are CSR int arrays: pair i has the source column
+    ``source[i]``, -1 for a forced source, and the target columns
+    ``targets[indptr[i]:indptr[i + 1]]``.  A support holding the source
+    (every support, for -1) holds one of the targets.  Positions come in
+    index order: a player-0 one gives one pair with the targets of its
+    allowed actions, duplicates kept, a player-1 one a pair per distinct
+    successor in index order.  A pair with a forced target, or a free
+    position's pair whose only target is itself, always holds and is gone.
     """
+
+    forced: np.ndarray
+    free: np.ndarray
+    offset: int
+    player0: np.ndarray
+    source: np.ndarray
+    indptr: np.ndarray
+    targets: np.ndarray
+
+
+def reduced_problem(game: SafetyGame, mp: MostPermissiveStrategy) -> ReducedProblem:
+    """The :class:`ReducedProblem` of a game pruned to its winning part;
+    ``ValueError`` unless ``mp`` keys every position."""
     if len(mp.moves) != len(game.pos_names):
         raise ValueError("the encodings expect a game pruned to its winning part")
-    free = [v for v, f in enumerate(game.fixpoint.doomed) if not f]
-    column: list[int | None] = [None] * len(game.pos_names)  # None where forced
-    for j, v in enumerate(free):
-        column[v] = j
-    rows: list[tuple[int | None, tuple[int, ...]]] = []
+    forced = np.array(game.fixpoint.doomed, dtype=bool)
+    player0 = np.array(game.pos_owner, dtype=int) == 0
+    column = np.where(forced, -1, np.cumsum(~forced) - 1).tolist()
+    source, indptr, targets = [], [0], []
     for v, edges in mp.moves.items():
         if game.pos_owner[v] == 0:
-            pairs = [tuple([column[d] for _, d in edges])]
+            pairs = [[column[d] for _, d in edges]]
         else:
-            pairs = [(column[d],) for d in sorted({d for _, d in edges})]
+            pairs = [[column[d]] for d in sorted({d for _, d in edges})]
         j = column[v]
-        rows += [(j, t) for t in pairs if None not in t and t != (j,)]
-    return free, rows
+        for t in pairs:
+            if -1 not in t and t != [j]:
+                source.append(j)
+                targets += t
+                indptr.append(len(targets))
+    free = np.flatnonzero(~forced)
+    return ReducedProblem(
+        forced, free, int(np.count_nonzero(forced & player0)), player0[free],
+        *(np.array(a, dtype=np.intp) for a in (source, indptr, targets)),
+    )
 
 
-def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
-    """Real relaxation of minimum-density extraction over a pruned game,
-    reduced by its forced positions.
-
-    One [0,1] variable per free position of :func:`support_rows`, in its
-    order, cost 1 for player 0, and one row per pair: a pair ``(j,
-    targets)`` is the row ``-x_j + sum(targets) >= 0`` and a pair ``(None,
-    targets)`` the row ``sum(targets) >= 1``; duplicate targets accumulate
-    coefficients.  The optimum plus the forced player-0 count is a lower
-    bound on the density.  Raises :class:`LpTooLargeError`, before it
-    allocates anything, when the m x (n + m) tableau of the m rows and n
-    variables would exceed ``LP_TABLEAU_BYTES``.
-    """
-    free, pairs = support_rows(game, mp)
-    m, n = len(pairs), len(free)
+def encode_lp(game: SafetyGame, reduced: ReducedProblem) -> LpProblem:
+    """The real relaxation of a reduced problem of ``game``: a [0,1]
+    variable per free position, cost 1 for player 0, and a row per pair,
+    ``-x_source + sum(targets) >= 0`` or, for a forced source,
+    ``sum(targets) >= 1``; duplicate targets accumulate coefficients.
+    Raises :class:`LpTooLargeError`, before it allocates, when the m x (n
+    + m) tableau would exceed ``LP_TABLEAU_BYTES``."""
+    m, n = len(reduced.source), len(reduced.free)
     if m * (n + m) * 8 > LP_TABLEAU_BYTES:
         raise LpTooLargeError(
             f"the reduced LP has {m} rows and {n} variables; its dense tableau"
             f" needs {m * (n + m) * 8} bytes, over the {LP_TABLEAU_BYTES}-byte limit"
         )
     rows = np.zeros((m, n))
-    for row, (j, targets) in zip(rows, pairs):
-        if j is not None:
-            row[j] = -1.0
-        for t in targets:
-            row[t] += 1.0
+    sourced = np.flatnonzero(reduced.source >= 0)
+    rows[sourced, reduced.source[sourced]] = -1.0
+    pair = np.repeat(np.arange(m), np.diff(reduced.indptr))
+    np.add.at(rows, (pair, reduced.targets), 1.0)
     return LpProblem(
-        tuple([game.pos_names[v] for v in free]),
-        [1.0 if game.pos_owner[v] == 0 else 0.0 for v in free],
-        rows, [float(j is None) for j, _ in pairs], np.zeros(n), np.ones(n),
+        tuple([game.pos_names[v] for v in reduced.free.tolist()]),
+        reduced.player0, rows, reduced.source < 0, np.zeros(n), np.ones(n),
     )
+
+
+def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
+    """:func:`encode_lp` of a pruned game's :func:`reduced_problem`."""
+    return encode_lp(game, reduced_problem(game, mp))
 
 
 @dataclass(eq=False)
@@ -432,23 +445,15 @@ def _linear_expr(coefs: np.ndarray, names: tuple[str, ...]) -> str:
 
 class _Frame:
     """The LP front end of ``replp``, ``ilp`` and ``sat``: the pruned game,
-    its reduced problem, the root LP of that problem solved cold and the
+    its :class:`ReducedProblem` ``reduced`` and that problem's LP
+    ``problem`` (:func:`encode_lp`), the root LP solved cold and the
     root's optimal ``tableau``, the lower bound ``lb``, and the incumbent
     of the exact engines: the decoded all-ones support, which flags every
     pruned position and so is always valid, replaced by every strictly
     sparser decoded support.  A decoded strategy names the player-0
     positions its walk reaches in the pruned game, which keeps every edge
     of a reached player-1 position, so its density in ``game`` is its
-    number of choices.
-
-    The reduced problem leaves out the ``forced`` positions, which every
-    support contains by unit propagation of the support rows: the forced
-    closure that the game's ``fixpoint`` flags ``doomed``, here of
-    the pruned game, where every allowed target is live.  ``offset``
-    counts the forced player-0 ones.  Its variables are the ``free``
-    positions in index order.  ``problem`` is its LP
-    (:func:`build_relaxation`), and ``sat`` encodes the same pairs
-    (:func:`sparsegames.sat.build_cnf`).  The root optimum plus
+    number of choices.  The root optimum plus the reduced problem's
     ``offset``, rounded up, is ``lb``.
 
     An integral root is offered with the first incumbent: its support has
@@ -461,12 +466,8 @@ class _Frame:
 
     def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
         self.pruned, self.mp = pruned_context(game, mp)
-        owner = self.pruned.pos_owner
-        forced = self.pruned.fixpoint.doomed
-        self.forced = np.array(forced, dtype=bool)
-        self.free = np.flatnonzero(~self.forced)
-        self.offset = sum(1 for f, o in zip(forced, owner) if f and o == 0)
-        self.problem = build_relaxation(self.pruned, self.mp)
+        self.reduced = reduced_problem(self.pruned, self.mp)
+        self.problem = encode_lp(self.pruned, self.reduced)
         self.tableau = Tableau.surplus(self.problem)
         self.root = lp_solve(self.problem, self.tableau)
         if self.root.status == "infeasible":
@@ -492,15 +493,15 @@ class _Frame:
         return len(self.best.choice)
 
     def bound(self, objective: float) -> int:
-        """The density bound of a reduced objective: plus ``offset``,
-        rounded up."""
-        return math.ceil(self.offset + objective - INTEGRALITY_EPS)
+        """The density bound of a reduced objective: plus the reduced
+        problem's ``offset``, rounded up."""
+        return math.ceil(self.reduced.offset + objective - INTEGRALITY_EPS)
 
     def decode(self, flags) -> PositionalStrategy:
         """Decode a support given as flags of the free positions, lifted to
         the forced ones."""
-        support = self.forced.copy()
-        support[self.free] = flags
+        support = self.reduced.forced.copy()
+        support[self.reduced.free] = flags
         return decode_support(self.pruned, support)
 
     def offer(self, flags) -> None:
@@ -512,7 +513,7 @@ class _Frame:
 
     def record(self, stats: dict) -> None:
         """Record the forced player-0 count and the reduced LP's shape."""
-        stats["forced"] = self.offset
+        stats["forced"] = self.reduced.offset
         stats["lp_shape"] = self.problem.rows.shape
 
 

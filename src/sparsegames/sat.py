@@ -2,21 +2,16 @@
 CDCL solver, cardinality constraints, and minimization by probes that
 start at the LP bound.
 
-The clauses are the pairs of :func:`sparsegames.lp.support_rows`, which
-also give the LP relaxation its rows: a pair ``(j, (s, t))`` of LP
-columns is the row ``-x_j + x_s + x_t >= 0`` there and the clause ``!x_j
-| x_s | x_t`` over the matching variables here (:func:`build_cnf`).
-Like the LP, :func:`build_cnf` encodes the reduced problem: only the
-free positions are variables, a pair whose source is forced is the
-clause ``x_s | x_t``, and pairs with a forced target are gone.
-Minimization starts from the frame shared by the LP engines
-(:class:`sparsegames.lp._Frame`) and adds to :func:`build_cnf`'s clauses
-a sequential-counter at-most-k encoding that bounds the free player-0
-variables by k minus the forced player-0 count, so on a set cover game
-the counter covers the sets alone.  An integral LP root is already
-certified by the frame and needs no SAT call.  Otherwise the probes ask
-for k = the LP bound rounded up, then one more after each refutation, so
-the first model is optimal.
+The clauses are the pairs of :class:`sparsegames.lp.ReducedProblem`,
+which also give the LP relaxation its rows: only the free positions are
+variables (:func:`encode_cnf`).  Minimization starts from the frame
+shared by the LP engines (:class:`sparsegames.lp._Frame`) and adds to
+those clauses a sequential-counter at-most-k encoding that bounds the
+free player-0 variables by k minus the forced player-0 count, so on a
+set cover game the counter covers the sets alone.  An integral LP root
+is already certified by the frame and needs no SAT call.  Otherwise the
+probes ask for k = the LP bound rounded up, then one more after each
+refutation, so the first model is optimal.
 
 The solver is a conventional CDCL: two watched literals per clause,
 watch lists and values indexed by literal, first-UIP conflict learning,
@@ -33,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .game import MostPermissiveStrategy, SafetyGame
 from .ilp import ExactResult
-from .lp import _Frame, support_rows
+from .lp import ReducedProblem, _Frame, reduced_problem
 
 DEFAULT_CONFLICT_BUDGET = 10**7
 
@@ -407,25 +402,24 @@ def encode_at_most_k(
     return clauses, (n - 1) * k
 
 
-def build_cnf(
-    game: SafetyGame, mp: MostPermissiveStrategy
-) -> tuple[Cnf, dict[str, int]]:
-    """Boolean strategy constraints over a pruned game, reduced as
-    :func:`sparsegames.lp.build_relaxation` is.
+def encode_cnf(game: SafetyGame, reduced: ReducedProblem) -> tuple[Cnf, dict[str, int]]:
+    """Boolean strategy constraints of a reduced problem of ``game``: LP
+    column j is variable j + 1, and each pair is the clause ``!x_source |
+    targets``, or ``targets`` for a forced source, with the targets
+    deduplicated and sorted.  ``var_map`` maps each free position's name
+    to its variable."""
+    free, bounds = reduced.free.tolist(), reduced.indptr.tolist()
+    lits = (reduced.targets + 1).tolist()
+    clauses = []
+    for j, a, b in zip(reduced.source.tolist(), bounds, bounds[1:]):
+        targets = sorted(set(lits[a:b]))
+        clauses.append(targets if j < 0 else [-(j + 1), *targets])
+    return Cnf(len(free), clauses), {game.pos_names[v]: j + 1 for j, v in enumerate(free)}
 
-    Variables are the free positions of :func:`support_rows`: LP column j
-    is variable j + 1.  Each pair ``(j, targets)`` is the clause ``!x_j |
-    targets`` and each pair ``(None, targets)`` the clause ``targets``,
-    with the targets deduplicated and sorted.  ``var_map`` maps the name
-    of each free position to its variable.
-    """
-    free, pairs = support_rows(game, mp)
-    var_map = {game.pos_names[v]: j + 1 for j, v in enumerate(free)}
-    clauses: list[list[int]] = []
-    for j, targets in pairs:
-        lits = sorted({t + 1 for t in targets})
-        clauses.append(lits if j is None else [-(j + 1), *lits])
-    return Cnf(len(free), clauses), var_map
+
+def build_cnf(game: SafetyGame, mp: MostPermissiveStrategy) -> tuple[Cnf, dict[str, int]]:
+    """:func:`encode_cnf` of a pruned game's :func:`~.lp.reduced_problem`."""
+    return encode_cnf(game, reduced_problem(game, mp))
 
 
 def sat_exact_extract(
@@ -443,7 +437,7 @@ def sat_exact_extract(
     rounded up, and end below its incumbent's density.  When the root is
     integral the frame has already closed the gap, so no probe runs and
     the result is certified with ``work == 0``.  Otherwise each probe
-    solves the clauses of :func:`build_cnf` plus at-most-(k minus
+    solves the clauses of :func:`encode_cnf` plus at-most-(k minus
     the forced player-0 count) over the free player-0 variables, for
     k = ``lb``, ``lb + 1``, ...; a refutation raises k by one, and the
     first model, offered to the frame as the flags of its free position
@@ -455,15 +449,16 @@ def sat_exact_extract(
     the frame's reduced LP's (rows, variables) under ``"lp_shape"``.
     """
     frame = _Frame(game, mp)
-    n = len(frame.free)
-    p0_vars = (frame.problem.objective.nonzero()[0] + 1).tolist()
+    reduced = frame.reduced
+    n = len(reduced.free)
+    p0_vars = (reduced.player0.nonzero()[0] + 1).tolist()
     # An integral root has closed the gap already and needs no clauses.
-    base = build_cnf(frame.pruned, frame.mp)[0] if frame.lb < frame.ub else None
+    base = encode_cnf(frame.pruned, reduced)[0] if frame.lb < frame.ub else None
 
     k = frame.lb
     probes = []
     while k < frame.ub and (deadline is None or time.monotonic() <= deadline):
-        card, n_aux = encode_at_most_k(p0_vars, k - frame.offset, n + 1)
+        card, n_aux = encode_at_most_k(p0_vars, k - reduced.offset, n + 1)
         cnf = Cnf(n + n_aux, base.clauses + card)
         outcome = sat_solve(cnf, max_conflicts, deadline)
         probes.append((k, outcome.status, outcome.conflicts))

@@ -199,6 +199,23 @@ def test_dump_cnf_and_lp(tmp_path):
     assert cnf_lines[0].startswith("c offset 1: ")
 
 
+def test_a_refused_lp_dump_writes_no_file(tmp_path, monkeypatch, capsys):
+    # Every requested dump is encoded before any is written: with the LP
+    # over the tableau limit, extract exits 1 and leaves no CNF behind,
+    # while the CNF alone, which needs no tableau, is written.
+    import sparsegames.lp as lp_mod
+
+    monkeypatch.setattr(lp_mod, "LP_TABLEAU_BYTES", 0)
+    path = _write_game(tmp_path, sg.gen_adversarial(2))
+    cnf_path, lp_path = tmp_path / "inst.cnf", tmp_path / "inst.lp"
+    args = ["extract", path, "--method", "random", "--dump-cnf", str(cnf_path)]
+    assert main([*args, "--dump-lp", str(lp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: the reduced LP has ")
+    assert not cnf_path.exists() and not lp_path.exists()
+    assert main(args) == 0
+    assert "\np cnf 22 18\n" in cnf_path.read_text()
+
+
 def _parse_lp(text):
     """Objective, rows (coefficient dict, rhs) and bounds of a
     ``--dump-lp`` file.  Terms are ``[sign] [coef] name``, split at the

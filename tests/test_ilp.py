@@ -297,15 +297,15 @@ def test_forced_closure_presolve_is_exact():
     for game, mp, best in cases:
         frame = _Frame(game, mp)
         full_root = sg.lp_solve(full_relaxation(frame.pruned, frame.mp))
-        reduced = frame.offset + frame.root.objective_value
+        reduced = frame.reduced.offset + frame.root.objective_value
         assert full_root.objective_value - 1e-9 <= reduced <= best + 1e-9
-        forced = {frame.pruned.pos_names[v] for v in np.flatnonzero(frame.forced)}
+        forced = {frame.pruned.pos_names[v] for v in np.flatnonzero(frame.reduced.forced)}
         for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
             stats = {}
             res = engine(game, mp, stats=stats)
             assert (res.density, res.certified) == (best, True)
             assert sg.validate_strategy(game, mp, res.strategy).winning
-            assert stats["forced"] == frame.offset
+            assert stats["forced"] == frame.reduced.offset
             assert stats["lp_shape"] == frame.problem.rows.shape
             order, _ = reach(game, strategy_moves(game, res.strategy).get)
             assert forced <= {game.pos_names[v] for v in order}

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -249,8 +250,8 @@ _ADV8_TABLEAU = 72 * (88 + 72) * 8
     ids=["replp", "ilp", "sat"],
 )
 def test_lp_engines_refuse_a_tableau_over_the_budget(monkeypatch, engine):
-    # One byte under the tableau, each LP engine raises from
-    # build_relaxation before the rows or the tableau are allocated; at
+    # One byte under the tableau, each LP engine raises from its LP
+    # builder before the rows or the tableau are allocated; at
     # the tableau's size it solves.
     game = sg.gen_adversarial(8)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
@@ -268,12 +269,39 @@ def test_lp_engines_refuse_a_tableau_over_the_budget(monkeypatch, engine):
     assert {(72, 88), (72, 160)} <= set(allocated)  # the rows, then the tableau
 
 
+def test_the_reduced_problem_at_scale_is_sparse():
+    # gen_adversarial(834), the scale panel's trap game: its reduced
+    # problem is 7,506 pairs over 9,174 columns in CSR arrays, 17,514
+    # distinct LP entries.  The CNF needs no tableau, and the LP builder
+    # refuses the 1.0 GB one from the CSR shape, before allocating it.
+    game = sg.gen_adversarial(834)
+    pruned, mp = pruned_context(game, sg.most_permissive(game, sg.compute_winning_region(game)))
+    reduced = lp_mod.reduced_problem(pruned, mp)
+    m, n = len(reduced.source), len(reduced.free)
+    sourced = np.flatnonzero(reduced.source >= 0)
+    assert (m, n, len(reduced.targets), sourced.size, reduced.offset) == (
+        7506, 9174, 10842, 6672, 834
+    )
+    pair = np.repeat(np.arange(m), np.diff(reduced.indptr))
+    entries = np.concatenate([pair * n + reduced.targets, sourced * n + reduced.source[sourced]])
+    assert np.unique(entries).size == 17514
+    assert sg.to_dimacs(sg.build_cnf(pruned, mp)[0]).startswith("p cnf 9174 7506\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(sg.LpTooLargeError, match="7506 rows and 9174 variables"):
+            build_relaxation(pruned, mp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20  # the dense rows alone would be 551 MB
+
+
 def test_replp_rounds_on_the_frame(monkeypatch):
-    # replp prunes once, through its frame, builds the relaxation once,
-    # there too, takes its first round from the frame's root, and decodes
-    # only the support it returns: the frame's incumbent, which only the
-    # exact engines read, is never decoded.
-    calls = {"pruned_context": 0, "build_relaxation": 0, "decode_support": 0}
+    # replp prunes once, through its frame, builds the reduced problem
+    # once, there too, takes its first round from the frame's root, and
+    # decodes only the support it returns: the frame's incumbent, which
+    # only the exact engines read, is never decoded.
+    calls = {"pruned_context": 0, "reduced_problem": 0, "decode_support": 0}
     for name in calls:
         real = getattr(lp_mod, name)
 
@@ -287,14 +315,14 @@ def test_replp_rounds_on_the_frame(monkeypatch):
     strat = lp_mod.replp_extract(game, mp, stats=stats)
     assert sg.validate_strategy(game, mp, strat).winning
     assert stats["rounds"] > 1
-    assert calls == {"pruned_context": 1, "build_relaxation": 1, "decode_support": 1}
+    assert calls == {"pruned_context": 1, "reduced_problem": 1, "decode_support": 1}
 
     game = sg.gen_adversarial(3)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     stats = {}
     lp_mod.replp_extract(game, mp, stats=stats)
     assert stats["rounds"] == 1
-    assert calls == {"pruned_context": 2, "build_relaxation": 2, "decode_support": 2}
+    assert calls == {"pruned_context": 2, "reduced_problem": 2, "decode_support": 2}
     assert stats["pivots"] == lp_mod._Frame(game, mp).root.pivots > 0
 
 

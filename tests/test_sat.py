@@ -401,30 +401,33 @@ def test_model_decodes_to_winning_strategy():
         assert sg.validate_strategy(game, mp, strat).winning
 
 
-def test_engines_build_each_encoding_at_most_once(monkeypatch):
-    # Every LP engine solves build_relaxation's problem, built once by its
-    # frame; sat builds its clauses with build_cnf only when the root
-    # leaves a gap to probe.
+def test_engines_build_each_encoding_at_most_once(monkeypatch, tmp_path):
+    # Every LP engine call builds one reduced problem, in its frame, and
+    # reads its LP, its clauses and its bounds off it: sat too, on the
+    # fractional root of gen_random(63, 6, 6, 3), where it probes.  An
+    # extract with both dumps builds one for the two of them.
+    import sparsegames.cli as cli_mod
     import sparsegames.lp as lp_mod
-    import sparsegames.sat as sat_mod
 
-    calls = {"build_relaxation": 0, "build_cnf": 0}
-    for mod, name in ((lp_mod, "build_relaxation"), (sat_mod, "build_cnf")):
-        real = getattr(mod, name)
-
-        def spy(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(mod, name, spy)
+    built = []
+    real = lp_mod.reduced_problem
+    for mod in (lp_mod, cli_mod):
+        monkeypatch.setattr(mod, "reduced_problem", lambda *a: built.append(1) or real(*a))
     engines = (sg.replp_extract, sg.ilp_exact_extract, sg.sat_exact_extract)
-    for game, probes in ((sg.gen_random(63, 6, 6, 3), 1), (sg.gen_adversarial(3), 0)):
+    for game, probes in ((sg.gen_random(63, 6, 6, 3), True), (sg.gen_adversarial(3), False)):
         mp = sg.most_permissive(game, sg.compute_winning_region(game))
         for engine in engines:
-            calls.update(build_relaxation=0, build_cnf=0)
-            engine(game, mp)
-            expected = probes if engine is sg.sat_exact_extract else 0
-            assert calls == {"build_relaxation": 1, "build_cnf": expected}, engine
+            built.clear()
+            stats = {}
+            engine(game, mp, stats=stats)
+            assert built == [1], engine
+        assert bool(stats["probes"]) == probes
+    path = tmp_path / "r63.txt"
+    path.write_bytes(sg.serialize_game(sg.gen_random(63, 6, 6, 3)))
+    built.clear()
+    dumps = ["--dump-lp", str(tmp_path / "r63.lp"), "--dump-cnf", str(tmp_path / "r63.cnf")]
+    assert cli_mod.main(["extract", str(path), "--method", "smart", "--runs", "1", *dumps]) == 0
+    assert built == [1]
 
 
 def test_sat_exact_matches_ilp_on_random_games():
