@@ -178,26 +178,41 @@ class PositionalStrategy:
     when the strategy is followed.
 
     ``choice`` is a read-only copy of the mapping given: writing to it
-    raises ``TypeError``, and later changes to the given mapping do not
-    reach it.  Pass ``dict(strat.choice)`` where a dict is needed, as to
-    ``json.dumps``.  For the last game it was read against, the strategy
-    keeps the index edges of ``choice`` and their :func:`reach` visit
-    order, converted from the names on first use (:func:`_strategy_walk`).
-    A strategy that ``random_extract`` or :func:`decode_support` returns
-    also carries the walk that built it, which that first use takes
-    instead of walking again when the names convert to its moves; the
-    names are converted regardless, so checks read what the strategy says.
+    raises ``TypeError``.  Pass ``dict(strat.choice)`` where a dict is
+    needed, as to ``json.dumps``.  A strategy built from names converts
+    them once per game it is read against (:func:`_strategy_walk`).  One
+    that ``random_extract`` or :func:`decode_support` returns is in index
+    form (:meth:`_from_walk`) and names its moves as ``choice`` on first
+    read.  Both compare, print, pickle and copy as ``choice`` alone.
     """
 
     choice: Mapping[str, str]
+    _own = _walk = None  # the index form's source; the names' conversion
 
     def __post_init__(self):
         object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
-        object.__setattr__(self, "_walk", None)
-        object.__setattr__(self, "_taken", None)
+
+    @classmethod
+    def _from_walk(cls, game: SafetyGame, moves: Moves, order: list[int]) -> "PositionalStrategy":
+        """The index form of the player-0 ``moves`` of a :func:`reach` walk
+        of ``game`` in visit ``order``, one edge at each visited player-0
+        position, kept with the game's names and a weak reference to it."""
+        strat = object.__new__(cls)
+        own = (weakref.ref(game), moves, order, game.pos_names, game.act_names)
+        object.__setattr__(strat, "_own", own)
+        return strat
+
+    def __getattr__(self, name: str):
+        # Only an index-form strategy lacks ``choice`` until first read.
+        if name != "choice":
+            raise AttributeError(name)
+        _, moves, _, names, acts = self._own
+        choice = MappingProxyType({names[v]: acts[moves[v][0][0]] for v in sorted(moves)})
+        object.__setattr__(self, "choice", choice)
+        return choice
 
     def __reduce__(self):
-        # Pickle and deep-copy the names only; the memo is rebuilt on use.
+        # Pickle and deep-copy the names only; a copy converts them on use.
         return PositionalStrategy, (dict(self.choice),)
 
 
@@ -332,8 +347,13 @@ def serialize_game(game: SafetyGame) -> bytes:
 
 
 def serialize_strategy(strat: PositionalStrategy) -> bytes:
-    """Render ``choice <pos> <action>`` lines sorted by position id."""
-    lines = [f"choice {p} {a}" for p, a in sorted(strat.choice.items())]
+    """Render ``choice <pos> <action>`` lines sorted by position id, an
+    index-form strategy's straight from its moves in index order."""
+    if strat._own is None:
+        lines = [f"choice {p} {a}" for p, a in sorted(strat.choice.items())]
+    else:
+        _, moves, _, names, acts = strat._own
+        lines = [f"choice {names[v]} {acts[moves[v][0][0]]}" for v in sorted(moves)]
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
@@ -589,46 +609,20 @@ def strategy_moves(game: SafetyGame, strat: PositionalStrategy) -> Moves:
 
 
 def _strategy_walk(game: SafetyGame, strat: PositionalStrategy) -> tuple[Moves, list[int]]:
-    """The index edges of ``strat`` in ``game`` and the :func:`reach`
-    visit order they give, which :func:`validate_strategy`,
-    :func:`density`, :func:`restrict_to_reachable`, ``strategy_to_mealy``
-    and ``is_locally_optimal`` read.  The first of them converts
-    ``strat.choice``; the result stays on the strategy for this game only,
-    held by a weak reference to it, so another game converts afresh and a
-    strategy does not keep its game alive.
-
-    The names are always converted, so what is checked is what
-    ``serialize_strategy`` writes.  The walk is not always run: the first
-    conversion takes the walk an extractor recorded (:func:`_walked`) when
-    it was taken on this game and the converted moves equal its moves key
-    for key.  :func:`reach` reads moves only at the positions it visits,
-    so walking those moves would give the same order.  The record is read
-    once and dropped, whether or not it is taken."""
-    memo = strat._walk
+    """The index edges of ``strat`` in ``game`` and their :func:`reach`
+    visit order, which every reader of a strategy reads.  An index-form
+    strategy on its own game gives its own moves and walk.  Otherwise the
+    first reader converts ``strat.choice`` (:func:`strategy_moves`) and
+    walks; this stays on the strategy for this game only, held by a weak
+    reference, so another game converts afresh."""
+    memo = strat._own
     if memo is None or memo[0]() is not game:
-        moves = strategy_moves(game, strat)
-        taken = strat._taken
-        if taken is not None and taken[0]() is game and taken[1] == moves:
-            order = taken[2]
-        else:
-            order = reach(game, moves.get)[0]
-        memo = (weakref.ref(game), moves, order)
-        object.__setattr__(strat, "_walk", memo)
-        object.__setattr__(strat, "_taken", None)
+        memo = strat._walk
+        if memo is None or memo[0]() is not game:
+            moves = strategy_moves(game, strat)
+            memo = (weakref.ref(game), moves, reach(game, moves.get)[0])
+            object.__setattr__(strat, "_walk", memo)
     return memo[1], memo[2]
-
-
-def _walked(game: SafetyGame, moves: Moves, order: list[int]) -> PositionalStrategy:
-    """The strategy naming the player-0 ``moves`` that a :func:`reach`
-    walk of ``game`` took, in visit ``order``, with that walk recorded on
-    it for :func:`_strategy_walk`.  ``moves`` must hold exactly the
-    visited player-0 positions, each with the one edge the walk took.  The
-    choices are named in index order, which is sorted-name order, so
-    ``serialize_strategy`` sorts them in one pass."""
-    names, acts = game.pos_names, game.act_names
-    strat = PositionalStrategy({names[v]: acts[moves[v][0][0]] for v in sorted(moves)})
-    object.__setattr__(strat, "_taken", (weakref.ref(game), moves, order))
-    return strat
 
 
 def validate_strategy(
@@ -639,15 +633,14 @@ def validate_strategy(
     """Check that following ``strat`` from init never leaves the winning
     region and never reaches an undefined player-0 choice (as at a dead end).
 
-    One pass over the strategy's kept walk for ``game`` (:func:`_strategy_walk`)
-    gives the verdict: every visited position but init is the target of an
-    edge the play can take, so a violation is a visited position outside the
-    region or a visited player-0 position without a move.  An extractor's
-    recorded walk is taken only where the names convert to its moves, so
-    the verdict is on the choices ``serialize_strategy`` writes.  The walk is
-    breadth-first, so the path that discovered the first violation in its
-    order is a shortest violating play; only a failing check walks again,
-    for the parents that trace it into the verdict's witness.
+    One pass over the strategy's walk for ``game`` (:func:`_strategy_walk`),
+    on the moves ``serialize_strategy`` names, gives the verdict: every
+    visited position but init is the target of an edge the play can take,
+    so a violation is a visited position outside the region or a visited
+    player-0 position without a move.  The walk is breadth-first, so the
+    path that discovered the first violation in its order is a shortest
+    violating play; only a failing check walks again, for the parents
+    that trace it into the verdict's witness.
     """
     moves, order = _strategy_walk(game, strat)
     owner, region = game.pos_owner, mp.moves  # its keys are the winning region
@@ -679,9 +672,8 @@ def decode_support(game: SafetyGame, flags: Sequence) -> PositionalStrategy:
     as per-position flags: the one :func:`reach` walk from init picks, at
     each player-0 position it reaches, the smallest action whose target is
     flagged, so only successors of reached positions are read.  The
-    strategy names exactly the reached player-0 positions and carries
-    this walk for its first use on ``game`` (:func:`_strategy_walk`); the
-    exact engines decode on the pruned game, so theirs walk again."""
+    strategy is that walk's index form; the exact engines decode on the
+    pruned game, so on the caller's game theirs convert by names."""
     out = game.out_edges
     taken: Moves = {}
 
@@ -692,16 +684,19 @@ def decode_support(game: SafetyGame, flags: Sequence) -> PositionalStrategy:
                 return move
         raise AssertionError("support offers no successor at a reached position")
 
-    return _walked(game, taken, reach(game, pick)[0])
+    return PositionalStrategy._from_walk(game, taken, reach(game, pick)[0])
 
 
 def density(game: SafetyGame, strat: PositionalStrategy) -> int:
     """Number of player-0 positions reachable from init under ``strat``.
 
     Defined choices at unreachable positions do not count.  Counts the
-    strategy's kept walk for ``game`` (:func:`_strategy_walk`).
+    player-0 positions of its walk for ``game`` (:func:`_strategy_walk`),
+    which are an index-form strategy's moves on its own game.
     """
-    _, order = _strategy_walk(game, strat)
+    moves, order = _strategy_walk(game, strat)
+    if strat._own is not None and strat._own[1] is moves:
+        return len(moves)
     owner = game.pos_owner
     return sum(1 for v in order if owner[v] == 0)
 
@@ -720,8 +715,12 @@ def restrict_to_reachable(
     game: SafetyGame, strat: PositionalStrategy
 ) -> PositionalStrategy:
     """Drop choices at positions that no play consistent with the
-    strategy can visit, read off its kept walk for ``game``
-    (:func:`_strategy_walk`)."""
+    strategy can visit, read off its walk for ``game``
+    (:func:`_strategy_walk`); an index-form strategy on its own game has
+    none and is returned as is."""
+    own = strat._own
+    if own is not None and own[0]() is game:
+        return strat
     reached = set(_strategy_walk(game, strat)[1])
     pos_index = game.pos_index
     return PositionalStrategy(

@@ -31,7 +31,6 @@ from .game import (
     PositionalStrategy,
     SafetyGame,
     _strategy_walk,
-    _walked,
     decode_support,
     reach,
 )
@@ -49,8 +48,8 @@ def random_extract(
 
     One draw per player-0 entry of ``mp.moves`` over the bounds ``mp``
     keeps (:func:`_draw_plan`); only the positions the one :func:`reach`
-    walk visits build a move.  The strategy carries that walk for its
-    first use on ``game`` (:func:`_strategy_walk`)."""
+    walk visits build a move.  The strategy is the index form of that walk
+    (``PositionalStrategy._from_walk``), named only when read as names."""
     if game.init_index not in mp.moves:
         raise InitLosingError("cannot extract a strategy for a losing game")
     moves = mp.moves
@@ -62,7 +61,7 @@ def random_extract(
         taken[v] = edge = (moves[v][draws[slot[v]]],)
         return edge
 
-    return _walked(game, taken, reach(game, move)[0])
+    return PositionalStrategy._from_walk(game, taken, reach(game, move)[0])
 
 
 def _draw_plan(game: SafetyGame, mp: MostPermissiveStrategy) -> tuple[list[int], np.ndarray]:
@@ -113,7 +112,8 @@ def smart_random_extract(
     fixpoint.  The candidates are the player-0 positions of that fixpoint,
     listed in index order, which is sorted-name order, once per game
     (:attr:`SafetyGame.candidates`); each seed shuffles a copy.  The
-    strategy carries the walk of :func:`decode_support`.
+    strategy is :func:`decode_support`'s index form of the remaining
+    support, on ``game``.
     """
     arena = Arena(game)
     if game.init not in winning or not arena.alive[game.init_index]:

@@ -62,6 +62,7 @@ from .game import (
     PositionalStrategy,
     SafetyGame,
     decode_support,
+    density,
     pruned_context,
 )
 
@@ -450,11 +451,10 @@ class _Frame:
     root's optimal ``tableau``, the lower bound ``lb``, and the incumbent
     of the exact engines: the decoded all-ones support, which flags every
     pruned position and so is always valid, replaced by every strictly
-    sparser decoded support.  A decoded strategy names the player-0
-    positions its walk reaches in the pruned game, which keeps every edge
-    of a reached player-1 position, so its density in ``game`` is its
-    number of choices.  The root optimum plus the reduced problem's
-    ``offset``, rounded up, is ``lb``.
+    sparser decoded support.  A decoded strategy is in index form on the
+    pruned game, which keeps every edge of a reached player-1 position, so
+    its density there and in ``game`` is its move count.  The root optimum
+    plus the reduced problem's ``offset``, rounded up, is ``lb``.
 
     An integral root is offered with the first incumbent: its support has
     at most ``lb`` player-0 positions, so it certifies ``ub == lb`` before
@@ -483,14 +483,14 @@ class _Frame:
         v = self.root.values
         if not _fractional(v).any():
             root = self.decode(v >= 1.0 - INTEGRALITY_EPS)
-            if len(root.choice) < len(best.choice):
+            if density(self.pruned, root) < density(self.pruned, best):
                 best = root
         return best
 
     @property
     def ub(self) -> int:
-        """The incumbent's density, its number of choices."""
-        return len(self.best.choice)
+        """The incumbent's density, its move count."""
+        return density(self.pruned, self.best)
 
     def bound(self, objective: float) -> int:
         """The density bound of a reduced objective: plus the reduced
@@ -508,7 +508,7 @@ class _Frame:
         """Decode a support given as flags of the free positions and keep
         it when it is strictly sparser."""
         candidate = self.decode(flags)
-        if len(candidate.choice) < self.ub:
+        if density(self.pruned, candidate) < self.ub:
             self.best = candidate
 
     def record(self, stats: dict) -> None:

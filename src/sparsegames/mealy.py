@@ -51,7 +51,7 @@ def strategy_to_mealy(game: SafetyGame, strat: PositionalStrategy) -> MealyMachi
     continuations in a single forward pass; no minimization beyond that.
     A choice that names no edge of ``game`` counts as undefined.
 
-    The states are the player-1 positions of the strategy's kept walk for
+    The states are the player-1 positions of the strategy's walk for
     ``game`` (``game._strategy_walk``), folded in its breadth-first order.
     Alternation is read from the game's kept ``same_player_edge``.
     """

@@ -857,6 +857,33 @@ def test_kept_walks_and_draws_are_not_part_of_the_strategies():
         assert copy.deepcopy(kept) == kept
 
 
+def test_an_index_form_strategy_behaves_as_its_names():
+    # An extractor's strategy keeps its game's moves and names ``choice``
+    # only on first read.  Read fresh each time, it compares, prints,
+    # pickles, copies and refuses writes and hashing as the strategy
+    # built from its names does.
+    game = sg.gen_adversarial(4)
+    mp = _mp(game)
+    for make in (
+        lambda: sg.random_extract(game, mp, 1),
+        lambda: sg.smart_random_extract(game, mp.winning, 1),
+    ):
+        named = sg.PositionalStrategy(dict(make().choice))
+        assert len(named.choice) > 5
+        assert make() == named and named == make()
+        text = f"PositionalStrategy(choice=mappingproxy({dict(named.choice)!r}))"
+        assert repr(make()) == repr(named) == text
+        assert pickle.loads(pickle.dumps(make())) == named
+        assert copy.deepcopy(make()) == named
+        assert list(make().choice) == sorted(named.choice)
+        for strat in (make(), named):
+            with pytest.raises(TypeError):
+                strat.choice[next(iter(named.choice))] = "bogus"
+            with pytest.raises(TypeError):
+                hash(strat)
+        assert dict(make().choice) == dict(named.choice)
+
+
 def test_strategy_walk_is_kept_per_game():
     # A strategy decoded on the pruned game, and a copy missing one choice,
     # are read against the full game, the pruned game and the full game

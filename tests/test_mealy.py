@@ -4,7 +4,7 @@ import pytest
 
 import sparsegames as sg
 
-from conftest import FIG_GAME
+from conftest import FIG_GAME, solvable_random_games
 
 
 def _mp(game):
@@ -117,10 +117,35 @@ def test_alternation_is_checked_once_per_game():
     assert sg.gen_adversarial(3).same_player_edge is None
 
 
+_EXTRACT = {
+    "random": lambda game, mp, seed: sg.random_extract(game, mp, seed),
+    "smart": lambda game, mp, seed: sg.smart_random_extract(game, mp.winning, seed),
+    "replp": lambda game, mp, seed: sg.replp_extract(game, mp),
+    "ilp": lambda game, mp, seed: sg.ilp_exact_extract(game, mp).strategy,
+    "sat": lambda game, mp, seed: sg.sat_exact_extract(game, mp).strategy,
+}
+
+
+def _keep_pruned(monkeypatch):
+    """A list that grows by the pruned game and most-permissive strategy
+    of every exact engine's frame from now on, which keeps them alive."""
+    kept = []
+    real = sg.lp.pruned_context
+
+    def spy(game, mp):
+        kept.append(real(game, mp))
+        return kept[-1]
+
+    monkeypatch.setattr(sg.lp, "pruned_context", spy)
+    return kept
+
+
 def test_strategy_is_converted_once_per_game(monkeypatch):
+    # On its own game, an extracted strategy is read from its moves:
     # validate_strategy, density, strategy_to_mealy, restrict_to_reachable
-    # and is_locally_optimal share one conversion of the names in
-    # ``choice``, made by the first of them: no extractor makes it for them.
+    # and is_locally_optimal convert no names.  The exact engines decode
+    # on the pruned game, which is theirs.  A strategy built from the same
+    # names converts once, on first use, and another game converts afresh.
     calls = []
     real = sg.game.strategy_moves
 
@@ -129,26 +154,22 @@ def test_strategy_is_converted_once_per_game(monkeypatch):
         return real(game, strat)
 
     monkeypatch.setattr(sg.game, "strategy_moves", spy)
+    pruned = _keep_pruned(monkeypatch)
     game = sg.gen_adversarial(4)
     mp = _mp(game)
-    extracted = [
-        sg.random_extract(game, mp, 3),
-        sg.smart_random_extract(game, mp.winning, 3),
-        sg.ilp_exact_extract(game, mp).strategy,
-    ]
-    for strat in extracted:
+    for method, extract in _EXTRACT.items():
+        pruned.clear()
+        strat = extract(game, mp, 3)
+        own, own_mp = pruned[0] if pruned else (game, mp)
+        assert (own is game) == (method in ("random", "smart"))
         calls.clear()
-        assert sg.validate_strategy(game, mp, strat).winning
-        assert calls == [strat]
-        sg.density(game, strat)
-        sg.strategy_to_mealy(game, strat)
-        restricted = sg.restrict_to_reachable(game, strat)
-        sg.is_locally_optimal(game, strat)
-        assert calls == [strat]
-        assert restricted == strat
-        # Another game converts afresh.
+        _read_all(own, own_mp, strat)
+        assert calls == []
+        named = sg.PositionalStrategy(dict(strat.choice))
+        _read_all(own, own_mp, named)
+        assert calls == [named]
         sg.density(sg.gen_adversarial(4), strat)
-        assert len(calls) == 2
+        assert calls == [named, strat]
 
 
 def _count_walks(monkeypatch):
@@ -174,11 +195,10 @@ def _read_all(game, mp, strat):
 
 
 def test_an_extracted_strategy_is_walked_once(monkeypatch):
-    # random_extract and smart_random_extract leave their own walk on the
-    # strategy they return: validation converts the names, finds the
-    # moves of that walk and does not walk again, and neither does any
-    # reader after it.  A strategy built from the same names walks once,
-    # on first use.
+    # random_extract and smart_random_extract return the index form of
+    # their own walk, which every reader reads on their game without
+    # walking again.  A strategy built from the same names walks once, on
+    # first use.
     game = sg.gen_adversarial(4)
     mp = _mp(game)  # solves the game's fixpoint, itself a walk, first
     walks = _count_walks(monkeypatch)
@@ -197,34 +217,43 @@ def test_an_extracted_strategy_is_walked_once(monkeypatch):
         assert walks == [game]
 
 
-def test_a_recorded_walk_that_the_names_do_not_give_is_not_taken():
-    # A strategy with one choice changed, carrying the walk recorded for
-    # the original, is judged by its names: its verdict and density are
-    # those of a strategy built from the same names alone.
-    game = sg.gen_adversarial(4)
-    mp = _mp(game)
-    changed_verdicts = 0
-    for seed in range(3):
-        for original in (
-            sg.random_extract(game, mp, seed),
-            sg.smart_random_extract(game, mp.winning, seed),
-        ):
-            recorded = original._taken
-            assert sg.validate_strategy(game, mp, original).winning
-            for p in original.choice:
-                out = game.out_edges[game.pos_index[p]]
-                for act in ["bogus"] + [game.act_names[a] for a, _ in out]:
-                    if act == original.choice[p]:
-                        continue
-                    names = {**original.choice, p: act}
-                    carried = sg.PositionalStrategy(names)
-                    object.__setattr__(carried, "_taken", recorded)
-                    fresh = sg.PositionalStrategy(names)
-                    verdict = sg.validate_strategy(game, mp, carried)
-                    assert verdict == sg.validate_strategy(game, mp, fresh)
-                    assert sg.density(game, carried) == sg.density(game, fresh)
-                    changed_verdicts += not verdict.winning
-    assert changed_verdicts > 0
+def _readings(game, mp, strat):
+    """What the readers of a strategy give on ``game``; a fold that
+    raises gives its error."""
+    try:
+        mealy = sg.serialize_mealy(sg.strategy_to_mealy(game, strat))
+    except (sg.NotAlternatingError, sg.InitNotPlayer1Error) as exc:
+        mealy = repr(exc)
+    return (
+        sg.serialize_strategy(strat),
+        sg.validate_strategy(game, mp, strat),
+        sg.density(game, strat),
+        mealy,
+        sg.restrict_to_reachable(game, strat),
+    )
+
+
+def test_the_index_form_reads_as_its_names(monkeypatch):
+    # Every method's strategy, read on the caller's game and on its own,
+    # gives what a strategy built from its names gives: the same bytes,
+    # verdict, density, Mealy text and restriction.
+    pruned = _keep_pruned(monkeypatch)
+    games = [FIG_GAME] + _alternating_corpus()
+    games += [game for game, _, _ in solvable_random_games(4, 6, 6, 3)]
+    folded = 0
+    for game in games:
+        mp = _mp(game)
+        for method, extract in _EXTRACT.items():
+            for seed in range(5):
+                pruned.clear()
+                strat = extract(game, mp, seed)
+                named = sg.PositionalStrategy(dict(strat.choice))
+                for g, m in [(game, mp)] + pruned:
+                    readings = _readings(g, m, strat)
+                    assert readings == _readings(g, m, named)
+                    folded += isinstance(readings[3], bytes)
+    assert folded > 0
+    assert len(games) == 14
 
 
 def test_init_must_be_player1():
