@@ -105,8 +105,6 @@ def _run_trial(
         elif method == "sat":
             result = sat_exact_extract(game, mp, deadline=deadline)
             strat, certified, claimed = result.strategy, result.certified, result.density
-        else:
-            raise ValueError(f"unknown method {method!r}")
     except TimeoutExceededError:
         return TrialRecord(
             seed, True, time_secs=time.perf_counter() - start, certified=False
@@ -239,13 +237,12 @@ def cmd_extract(args) -> int:
     mp = most_permissive(game, compute_winning_region(game))
 
     if args.dump_cnf or args.dump_lp:
-        pruned, mp2 = pruned_context(game, mp)
-        reduced = reduced_problem(pruned, mp2)
+        reduced = reduced_problem(game, mp)
         offset = f"offset {reduced.offset}: forced player-0 positions; density >= optimum + offset"
         # The LP, the one encoding that can be refused, is built before any write.
-        lp_text = f"\\ {offset}\n" + format_lp(encode_lp(pruned, reduced)) if args.dump_lp else None
+        lp_text = f"\\ {offset}\n" + format_lp(encode_lp(game, reduced)) if args.dump_lp else None
         if args.dump_cnf:
-            cnf, var_map = encode_cnf(pruned, reduced)
+            cnf, var_map = encode_cnf(game, reduced)
             comments = tuple(f"var {v} = position {p}" for p, v in sorted(var_map.items()))
             Path(args.dump_cnf).write_text(to_dimacs(cnf, (offset, *comments)))
         if args.dump_lp:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -180,14 +179,14 @@ class PositionalStrategy:
     ``choice`` is a read-only copy of the mapping given: writing to it
     raises ``TypeError``.  Pass ``dict(strat.choice)`` where a dict is
     needed, as to ``json.dumps``.  A strategy built from names converts
-    them once per game it is read against (:func:`_strategy_walk`).  One
-    that ``random_extract`` or :func:`decode_support` returns is in index
-    form (:meth:`_from_walk`) and names its moves as ``choice`` on first
-    read.  Both compare, print, pickle and copy as ``choice`` alone.
+    them on each read against a game (:func:`_strategy_walk`).  Every
+    extractor's strategy is in index form on the caller's game
+    (:meth:`_from_walk`) and names its moves as ``choice`` on first read.
+    Both compare, print, pickle and copy as ``choice`` alone.
     """
 
     choice: Mapping[str, str]
-    _own = _walk = None  # the index form's source; the names' conversion
+    _own = None  # the index form's game, moves and visit order
 
     def __post_init__(self):
         object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
@@ -196,17 +195,17 @@ class PositionalStrategy:
     def _from_walk(cls, game: SafetyGame, moves: Moves, order: list[int]) -> "PositionalStrategy":
         """The index form of the player-0 ``moves`` of a :func:`reach` walk
         of ``game`` in visit ``order``, one edge at each visited player-0
-        position, kept with the game's names and a weak reference to it."""
+        position, kept with the game itself."""
         strat = object.__new__(cls)
-        own = (weakref.ref(game), moves, order, game.pos_names, game.act_names)
-        object.__setattr__(strat, "_own", own)
+        object.__setattr__(strat, "_own", (game, moves, order))
         return strat
 
     def __getattr__(self, name: str):
         # Only an index-form strategy lacks ``choice`` until first read.
         if name != "choice":
             raise AttributeError(name)
-        _, moves, _, names, acts = self._own
+        game, moves, _ = self._own
+        names, acts = game.pos_names, game.act_names
         choice = MappingProxyType({names[v]: acts[moves[v][0][0]] for v in sorted(moves)})
         object.__setattr__(self, "choice", choice)
         return choice
@@ -352,7 +351,8 @@ def serialize_strategy(strat: PositionalStrategy) -> bytes:
     if strat._own is None:
         lines = [f"choice {p} {a}" for p, a in sorted(strat.choice.items())]
     else:
-        _, moves, _, names, acts = strat._own
+        game, moves, _ = strat._own
+        names, acts = game.pos_names, game.act_names
         lines = [f"choice {names[v]} {acts[moves[v][0][0]]}" for v in sorted(moves)]
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
@@ -571,11 +571,12 @@ def pruned_context(
 ) -> tuple[SafetyGame, MostPermissiveStrategy]:
     """Restrict the game to positions reachable from init when player 0
     ranges over the most-permissive actions and player 1 moves freely,
-    which is where every engine encodes.  A winning player-1 position has
-    only winning successors and every allowed target is winning, so the
-    pruned game is all winning and is its own most-permissive strategy,
-    returned beside it.  Kept positions and actions are renumbered by
-    rank, as interning their names afresh would.  Idempotent."""
+    the walk whose positions the LP engines encode on the caller's game.
+    A winning player-1 position has only winning successors and every
+    allowed target is winning, so the pruned game is all winning and is
+    its own most-permissive strategy, returned beside it.  Kept positions
+    and actions are renumbered by rank, as interning their names afresh
+    would.  Idempotent."""
     order, _ = reach(game, mp.moves.get)
     kept = sorted(order)
     rank = [0] * len(game.pos_owner)
@@ -611,18 +612,14 @@ def strategy_moves(game: SafetyGame, strat: PositionalStrategy) -> Moves:
 def _strategy_walk(game: SafetyGame, strat: PositionalStrategy) -> tuple[Moves, list[int]]:
     """The index edges of ``strat`` in ``game`` and their :func:`reach`
     visit order, which every reader of a strategy reads.  An index-form
-    strategy on its own game gives its own moves and walk.  Otherwise the
-    first reader converts ``strat.choice`` (:func:`strategy_moves`) and
-    walks; this stays on the strategy for this game only, held by a weak
-    reference, so another game converts afresh."""
-    memo = strat._own
-    if memo is None or memo[0]() is not game:
-        memo = strat._walk
-        if memo is None or memo[0]() is not game:
-            moves = strategy_moves(game, strat)
-            memo = (weakref.ref(game), moves, reach(game, moves.get)[0])
-            object.__setattr__(strat, "_walk", memo)
-    return memo[1], memo[2]
+    strategy on its own game gives its own moves and walk; any other
+    converts ``strat.choice`` (:func:`strategy_moves`) and walks on each
+    read."""
+    own = strat._own
+    if own is not None and own[0] is game:
+        return own[1], own[2]
+    moves = strategy_moves(game, strat)
+    return moves, reach(game, moves.get)[0]
 
 
 def validate_strategy(
@@ -672,8 +669,7 @@ def decode_support(game: SafetyGame, flags: Sequence) -> PositionalStrategy:
     as per-position flags: the one :func:`reach` walk from init picks, at
     each player-0 position it reaches, the smallest action whose target is
     flagged, so only successors of reached positions are read.  The
-    strategy is that walk's index form; the exact engines decode on the
-    pruned game, so on the caller's game theirs convert by names."""
+    strategy is that walk's index form on ``game``."""
     out = game.out_edges
     taken: Moves = {}
 
@@ -719,7 +715,7 @@ def restrict_to_reachable(
     (:func:`_strategy_walk`); an index-form strategy on its own game has
     none and is returned as is."""
     own = strat._own
-    if own is not None and own[0]() is game:
+    if own is not None and own[0] is game:
         return strat
     reached = set(_strategy_walk(game, strat)[1])
     pos_index = game.pos_index

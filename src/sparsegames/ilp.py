@@ -75,8 +75,8 @@ def ilp_exact_extract(
     or the ``deadline`` runs out before a child LP, the incumbent is
     returned with ``certified=False``.  ``warm_seed`` is ignored.  When a
     ``stats`` dict is supplied, every expanded node is recorded under
-    ``"nodes"`` as (bound, positions of the pruned game fixed to 0,
-    positions fixed to 1, the forced ones included), with the forced
+    ``"nodes"`` as (bound, positions of ``game`` fixed to 0, positions
+    fixed to 1, the forced ones included), with the forced
     player-0 count in the bound.  The simplex pivots of every LP solve go
     under ``"pivots"``, the forced player-0 count under ``"forced"`` and
     the reduced LP's (rows, variables) under ``"lp_shape"``.

@@ -2,9 +2,10 @@
 the LP front end shared by every LP engine, and the repetitive rounding
 heuristic.
 
-The relaxation is over the pruned winning game.  A support is a
-position set containing init that is closed under player-1 moves and
-offers every player-0 member an allowed successor inside the set.
+The relaxation is over the positions the most-permissive walk from init
+visits.  A support is a position set containing init that is closed
+under player-1 moves and offers every player-0 member an allowed
+successor inside the set.
 :class:`ReducedProblem` states these rules as pairs over the free
 positions, those that unit propagation does not force into every
 support, and ``sat.py`` encodes the same pairs.  The relaxation
@@ -63,7 +64,8 @@ from .game import (
     SafetyGame,
     decode_support,
     density,
-    pruned_context,
+    pruned_context,  # kept importable here, where its callers read it
+    reach,
 )
 
 #: the largest dense tableau, m x (n + m) float64 entries, that
@@ -141,23 +143,23 @@ class LpSolution:
 
 @dataclass(eq=False)
 class ReducedProblem:
-    """The reduced problem of a pruned game (:func:`reduced_problem`),
-    which every LP engine solves and the dumps write.
+    """The reduced problem of a game (:func:`reduced_problem`), which
+    every LP engine solves and the dumps write.
 
     Every support contains the ``forced`` positions (flags by position),
-    the forced closure that the pruned game's ``fixpoint`` flags; unit
+    the forced closure that the game's ``fixpoint`` flags; unit
     propagation of the pairs adds them.  ``offset`` counts the forced
-    player-0 ones.  The ``free`` positions, in index order, are the
-    columns, and ``player0`` flags the columns player 0 owns.
+    player-0 ones.  The other visited positions, ``free`` in index order,
+    are the columns, and ``player0`` flags the columns player 0 owns.
 
     The pairs are CSR int arrays: pair i has the source column
     ``source[i]``, -1 for a forced source, and the target columns
     ``targets[indptr[i]:indptr[i + 1]]``.  A support holding the source
-    (every support, for -1) holds one of the targets.  Positions come in
-    index order: a player-0 one gives one pair with the targets of its
-    allowed actions, duplicates kept, a player-1 one a pair per distinct
-    successor in index order.  A pair with a forced target, or a free
-    position's pair whose only target is itself, always holds and is gone.
+    (every support, for -1) holds one of the targets.  Visited positions
+    come in index order: a player-0 one gives one pair with the targets of
+    its allowed actions, duplicates kept, a player-1 one a pair per
+    distinct successor in index order.  A pair with a forced target, or a
+    free position's pair whose only target is itself, always holds and is gone.
     """
 
     forced: np.ndarray
@@ -170,28 +172,32 @@ class ReducedProblem:
 
 
 def reduced_problem(game: SafetyGame, mp: MostPermissiveStrategy) -> ReducedProblem:
-    """The :class:`ReducedProblem` of a game pruned to its winning part;
-    ``ValueError`` unless ``mp`` keys every position."""
-    if len(mp.moves) != len(game.pos_names):
-        raise ValueError("the encodings expect a game pruned to its winning part")
-    forced = np.array(game.fixpoint.doomed, dtype=bool)
-    player0 = np.array(game.pos_owner, dtype=int) == 0
-    column = np.where(forced, -1, np.cumsum(~forced) - 1).tolist()
+    """The :class:`ReducedProblem` of ``game`` over the positions of the
+    :func:`reach` walk that takes the moves of ``mp``; ``ValueError`` when
+    the walk visits a position that ``mp.moves`` does not key."""
+    visited = sorted(reach(game, mp.moves.get)[0])
+    doomed, owner = game.fixpoint.doomed, game.pos_owner
+    free = [v for v in visited if not doomed[v]]
+    column = dict(zip(free, range(len(free))))
     source, indptr, targets = [], [0], []
-    for v, edges in mp.moves.items():
-        if game.pos_owner[v] == 0:
-            pairs = [[column[d] for _, d in edges]]
+    for v in visited:
+        edges = mp.moves.get(v)
+        if edges is None:
+            raise ValueError(f"the walk reaches {game.pos_names[v]!r}, outside the winning region")
+        if owner[v] == 0:
+            pairs = [[column.get(d, -1) for _, d in edges]]
         else:
-            pairs = [[column[d]] for d in sorted({d for _, d in edges})]
-        j = column[v]
+            pairs = [[column.get(d, -1)] for d in sorted({d for _, d in edges})]
+        j = column.get(v, -1)
         for t in pairs:
             if -1 not in t and t != [j]:
                 source.append(j)
                 targets += t
                 indptr.append(len(targets))
-    free = np.flatnonzero(~forced)
     return ReducedProblem(
-        forced, free, int(np.count_nonzero(forced & player0)), player0[free],
+        np.array(doomed, dtype=bool), np.array(free, dtype=np.intp),
+        sum(1 for v, d in enumerate(doomed) if d and not owner[v]),
+        np.array([not owner[v] for v in free], dtype=bool),
         *(np.array(a, dtype=np.intp) for a in (source, indptr, targets)),
     )
 
@@ -221,7 +227,7 @@ def encode_lp(game: SafetyGame, reduced: ReducedProblem) -> LpProblem:
 
 
 def build_relaxation(game: SafetyGame, mp: MostPermissiveStrategy) -> LpProblem:
-    """:func:`encode_lp` of a pruned game's :func:`reduced_problem`."""
+    """:func:`encode_lp` of the game's :func:`reduced_problem` under ``mp``."""
     return encode_lp(game, reduced_problem(game, mp))
 
 
@@ -445,16 +451,15 @@ def _linear_expr(coefs: np.ndarray, names: tuple[str, ...]) -> str:
 
 
 class _Frame:
-    """The LP front end of ``replp``, ``ilp`` and ``sat``: the pruned game,
-    its :class:`ReducedProblem` ``reduced`` and that problem's LP
-    ``problem`` (:func:`encode_lp`), the root LP solved cold and the
+    """The LP front end of ``replp``, ``ilp`` and ``sat`` on the caller's
+    ``game``: its :class:`ReducedProblem` ``reduced`` and that problem's
+    LP ``problem`` (:func:`encode_lp`), the root LP solved cold and the
     root's optimal ``tableau``, the lower bound ``lb``, and the incumbent
     of the exact engines: the decoded all-ones support, which flags every
-    pruned position and so is always valid, replaced by every strictly
-    sparser decoded support.  A decoded strategy is in index form on the
-    pruned game, which keeps every edge of a reached player-1 position, so
-    its density there and in ``game`` is its move count.  The root optimum
-    plus the reduced problem's ``offset``, rounded up, is ``lb``.
+    position of the most-permissive walk and so is always valid, replaced
+    by every strictly sparser decoded support.  A decoded strategy is in
+    index form on ``game``, so its density is its move count.  The root
+    optimum plus the reduced problem's ``offset``, rounded up, is ``lb``.
 
     An integral root is offered with the first incumbent: its support has
     at most ``lb`` player-0 positions, so it certifies ``ub == lb`` before
@@ -465,9 +470,9 @@ class _Frame:
     """
 
     def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
-        self.pruned, self.mp = pruned_context(game, mp)
-        self.reduced = reduced_problem(self.pruned, self.mp)
-        self.problem = encode_lp(self.pruned, self.reduced)
+        self.game = game
+        self.reduced = reduced_problem(game, mp)
+        self.problem = encode_lp(game, self.reduced)
         self.tableau = Tableau.surplus(self.problem)
         self.root = lp_solve(self.problem, self.tableau)
         if self.root.status == "infeasible":
@@ -479,18 +484,18 @@ class _Frame:
         """The incumbent, first the decoded all-ones support, or the
         integral root's decoded support where strictly sparser; each
         :meth:`offer` that is strictly sparser replaces it."""
-        best = decode_support(self.pruned, [True] * len(self.pruned.pos_owner))
+        best = self.decode(True)
         v = self.root.values
         if not _fractional(v).any():
             root = self.decode(v >= 1.0 - INTEGRALITY_EPS)
-            if density(self.pruned, root) < density(self.pruned, best):
+            if density(self.game, root) < density(self.game, best):
                 best = root
         return best
 
     @property
     def ub(self) -> int:
         """The incumbent's density, its move count."""
-        return density(self.pruned, self.best)
+        return density(self.game, self.best)
 
     def bound(self, objective: float) -> int:
         """The density bound of a reduced objective: plus the reduced
@@ -502,13 +507,13 @@ class _Frame:
         the forced ones."""
         support = self.reduced.forced.copy()
         support[self.reduced.free] = flags
-        return decode_support(self.pruned, support)
+        return decode_support(self.game, support)
 
     def offer(self, flags) -> None:
         """Decode a support given as flags of the free positions and keep
         it when it is strictly sparser."""
         candidate = self.decode(flags)
-        if density(self.pruned, candidate) < self.ub:
+        if density(self.game, candidate) < self.ub:
             self.best = candidate
 
     def record(self, stats: dict) -> None:

@@ -418,7 +418,7 @@ def encode_cnf(game: SafetyGame, reduced: ReducedProblem) -> tuple[Cnf, dict[str
 
 
 def build_cnf(game: SafetyGame, mp: MostPermissiveStrategy) -> tuple[Cnf, dict[str, int]]:
-    """:func:`encode_cnf` of a pruned game's :func:`~.lp.reduced_problem`."""
+    """:func:`encode_cnf` of the game's :func:`~.lp.reduced_problem` under ``mp``."""
     return encode_cnf(game, reduced_problem(game, mp))
 
 
@@ -453,7 +453,7 @@ def sat_exact_extract(
     n = len(reduced.free)
     p0_vars = (reduced.player0.nonzero()[0] + 1).tolist()
     # An integral root has closed the gap already and needs no clauses.
-    base = encode_cnf(frame.pruned, reduced)[0] if frame.lb < frame.ub else None
+    base = encode_cnf(frame.game, reduced)[0] if frame.lb < frame.ub else None
 
     k = frame.lb
     probes = []

@@ -494,8 +494,8 @@ def test_arena_starts_from_an_unchanged_fixpoint(seed, n0, n1, k):
 def test_solved_game_is_freed_by_reference_counting():
     # The solved fixpoint holds no arena, so nothing refers back to the
     # game and it dies on del with the cyclic collector off.
-    # A validated strategy keeps its walk, which holds the game only by a
-    # weak reference, so it dies with the game.
+    # An extracted strategy holds its game, and the game holds nothing of
+    # the strategy, so both die.
     game = sg.gen_random(63, 6, 6, 3)
     arena = sg.game.Arena(game)
     arena.try_delete(next(v for v, o in enumerate(game.pos_owner) if o == 0))
@@ -647,15 +647,16 @@ _VIEWS = {"pos_index", "act_index", "in_sources"}
 
 
 def test_pruned_games_build_no_views():
-    # The LP frame and pruned_context read a pruned game's arrays and
-    # fixpoint only, so its name lookups and in_sources stay unbuilt.
+    # pruned_context reads a pruned game's arrays and fixpoint only, so
+    # its name lookups and in_sources stay unbuilt.  The LP frame builds
+    # nothing on the caller's game, whose fixpoint is solved already.
     for game in (sg.gen_adversarial(4), sg.gen_random(63, 6, 6, 3), gap_game(20, 4)[0]):
         mp = _mp(game)
         pruned, _ = pruned_context(game, mp)
         assert not _VIEWS & pruned.__dict__.keys()
-        frame = sg.lp._Frame(game, mp)
-        assert not _VIEWS & frame.pruned.__dict__.keys()
-        assert frame.pruned == pruned
+        built = set(game.__dict__)
+        sg.lp._Frame(game, mp)
+        assert game.__dict__.keys() == built
         assert pruned.pos_index == {p: i for i, p in enumerate(pruned.pos_names)}
         assert pruned.act_index == {a: i for i, a in enumerate(pruned.act_names)}
         assert pruned.in_sources == sg.SafetyGame.build(

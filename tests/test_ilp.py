@@ -296,10 +296,10 @@ def test_forced_closure_presolve_is_exact():
     assert len(cases) == 144
     for game, mp, best in cases:
         frame = _Frame(game, mp)
-        full_root = sg.lp_solve(full_relaxation(frame.pruned, frame.mp))
+        full_root = sg.lp_solve(full_relaxation(*pruned_context(game, mp)))
         reduced = frame.reduced.offset + frame.root.objective_value
         assert full_root.objective_value - 1e-9 <= reduced <= best + 1e-9
-        forced = {frame.pruned.pos_names[v] for v in np.flatnonzero(frame.reduced.forced)}
+        forced = {game.pos_names[v] for v in np.flatnonzero(frame.reduced.forced)}
         for engine in (sg.ilp_exact_extract, sg.sat_exact_extract):
             stats = {}
             res = engine(game, mp, stats=stats)

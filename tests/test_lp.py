@@ -189,15 +189,50 @@ def test_relaxation_accumulates_duplicate_targets():
     assert flow[prob.var_names.index("b")] == 1.0
 
 
-def test_relaxation_requires_pruned_game():
-    game = sg.SafetyGame.build(
-        {"v": 0, "a": 1, "dead": 0},
-        {("v", "x"): "a", ("a", "z"): "a"},
-        "v",
-    )
-    mp = sg.most_permissive(game, sg.compute_winning_region(game))
-    with pytest.raises(ValueError):
-        build_relaxation(game, mp)
+def _names(game, indices):
+    return [game.pos_names[v] for v in indices]
+
+
+def test_reduced_problem_reads_the_caller_game():
+    # The reduced problem of a game is its pruned game's: the same pairs
+    # over the same free and forced positions, so the same LP and CNF
+    # texts.  Pruning keeps the index order, and the forced closure of a
+    # game is that of its pruned game.  A game whose losing position the
+    # walk never reaches encodes too.
+    games = [
+        sg.SafetyGame.build(
+            {"v": 0, "a": 1, "dead": 0}, {("v", "x"): "a", ("a", "z"): "a"}, "v"
+        ),
+        sg.gen_chain(16),
+        gap_game(40, 6)[0],
+    ]
+    games += [sg.gen_adversarial(n) for n in range(1, 10)]
+    seed = 0
+    while len(games) < 312:
+        game = sg.gen_random(seed, 2 + seed % 9, 2 + seed % 7, 1 + seed % 3)
+        seed += 1
+        if game.init in sg.compute_winning_region(game):
+            games.append(game)
+    smaller = 0
+    for game in games:
+        mp = sg.most_permissive(game, sg.compute_winning_region(game))
+        pruned, mp2 = pruned_context(game, mp)
+        smaller += len(pruned.pos_names) < len(game.pos_names)
+        mine, ref = lp_mod.reduced_problem(game, mp), lp_mod.reduced_problem(pruned, mp2)
+        assert mine.offset == ref.offset
+        for field in ("player0", "source", "indptr", "targets"):
+            a, b = getattr(mine, field), getattr(ref, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        forced = _names(game, np.flatnonzero(mine.forced))
+        assert forced == _names(pruned, np.flatnonzero(ref.forced))
+        assert _names(game, mine.free) == _names(pruned, ref.free)
+        assert sg.format_lp(build_relaxation(game, mp)) == sg.format_lp(
+            build_relaxation(pruned, mp2)
+        )
+        cnf, var_map = sg.build_cnf(game, mp)
+        cnf2, var_map2 = sg.build_cnf(pruned, mp2)
+        assert (sg.to_dimacs(cnf), var_map) == (sg.to_dimacs(cnf2), var_map2)
+    assert smaller > 250
 
 
 def test_lp_bound_below_exact_density():
@@ -297,10 +332,10 @@ def test_the_reduced_problem_at_scale_is_sparse():
 
 
 def test_replp_rounds_on_the_frame(monkeypatch):
-    # replp prunes once, through its frame, builds the reduced problem
-    # once, there too, takes its first round from the frame's root, and
-    # decodes only the support it returns: the frame's incumbent, which
-    # only the exact engines read, is never decoded.
+    # replp builds the reduced problem once, in its frame, on the caller's
+    # game without pruning it, takes its first round from the frame's
+    # root, and decodes only the support it returns: the frame's
+    # incumbent, which only the exact engines read, is never decoded.
     calls = {"pruned_context": 0, "reduced_problem": 0, "decode_support": 0}
     for name in calls:
         real = getattr(lp_mod, name)
@@ -315,14 +350,14 @@ def test_replp_rounds_on_the_frame(monkeypatch):
     strat = lp_mod.replp_extract(game, mp, stats=stats)
     assert sg.validate_strategy(game, mp, strat).winning
     assert stats["rounds"] > 1
-    assert calls == {"pruned_context": 1, "reduced_problem": 1, "decode_support": 1}
+    assert calls == {"pruned_context": 0, "reduced_problem": 1, "decode_support": 1}
 
     game = sg.gen_adversarial(3)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     stats = {}
     lp_mod.replp_extract(game, mp, stats=stats)
     assert stats["rounds"] == 1
-    assert calls == {"pruned_context": 2, "reduced_problem": 2, "decode_support": 2}
+    assert calls == {"pruned_context": 0, "reduced_problem": 2, "decode_support": 2}
     assert stats["pivots"] == lp_mod._Frame(game, mp).root.pivots > 0
 
 

@@ -126,26 +126,12 @@ _EXTRACT = {
 }
 
 
-def _keep_pruned(monkeypatch):
-    """A list that grows by the pruned game and most-permissive strategy
-    of every exact engine's frame from now on, which keeps them alive."""
-    kept = []
-    real = sg.lp.pruned_context
-
-    def spy(game, mp):
-        kept.append(real(game, mp))
-        return kept[-1]
-
-    monkeypatch.setattr(sg.lp, "pruned_context", spy)
-    return kept
-
-
 def test_strategy_is_converted_once_per_game(monkeypatch):
-    # On its own game, an extracted strategy is read from its moves:
-    # validate_strategy, density, strategy_to_mealy, restrict_to_reachable
-    # and is_locally_optimal convert no names.  The exact engines decode
-    # on the pruned game, which is theirs.  A strategy built from the same
-    # names converts once, on first use, and another game converts afresh.
+    # On the caller's game, every method's strategy is read from its
+    # moves: validate_strategy, density, strategy_to_mealy,
+    # restrict_to_reachable and is_locally_optimal convert no names.  A
+    # strategy built from the same names converts on each read, and
+    # another game converts the extracted one.
     calls = []
     real = sg.game.strategy_moves
 
@@ -154,22 +140,18 @@ def test_strategy_is_converted_once_per_game(monkeypatch):
         return real(game, strat)
 
     monkeypatch.setattr(sg.game, "strategy_moves", spy)
-    pruned = _keep_pruned(monkeypatch)
     game = sg.gen_adversarial(4)
     mp = _mp(game)
-    for method, extract in _EXTRACT.items():
-        pruned.clear()
+    for extract in _EXTRACT.values():
         strat = extract(game, mp, 3)
-        own, own_mp = pruned[0] if pruned else (game, mp)
-        assert (own is game) == (method in ("random", "smart"))
         calls.clear()
-        _read_all(own, own_mp, strat)
+        _read_all(game, mp, strat)
         assert calls == []
         named = sg.PositionalStrategy(dict(strat.choice))
-        _read_all(own, own_mp, named)
-        assert calls == [named]
+        _read_all(game, mp, named)
+        assert calls == [named] * 5
         sg.density(sg.gen_adversarial(4), strat)
-        assert calls == [named, strat]
+        assert calls == [named] * 5 + [strat]
 
 
 def _count_walks(monkeypatch):
@@ -197,8 +179,8 @@ def _read_all(game, mp, strat):
 def test_an_extracted_strategy_is_walked_once(monkeypatch):
     # random_extract and smart_random_extract return the index form of
     # their own walk, which every reader reads on their game without
-    # walking again.  A strategy built from the same names walks once, on
-    # first use.
+    # walking again.  A strategy built from the same names walks once per
+    # reader.
     game = sg.gen_adversarial(4)
     mp = _mp(game)  # solves the game's fixpoint, itself a walk, first
     walks = _count_walks(monkeypatch)
@@ -214,7 +196,7 @@ def test_an_extracted_strategy_is_walked_once(monkeypatch):
         walks.clear()
         named = sg.PositionalStrategy(dict(strat.choice))
         _read_all(game, mp, named)
-        assert walks == [game]
+        assert walks == [game] * 5
 
 
 def _readings(game, mp, strat):
@@ -233,11 +215,10 @@ def _readings(game, mp, strat):
     )
 
 
-def test_the_index_form_reads_as_its_names(monkeypatch):
-    # Every method's strategy, read on the caller's game and on its own,
-    # gives what a strategy built from its names gives: the same bytes,
-    # verdict, density, Mealy text and restriction.
-    pruned = _keep_pruned(monkeypatch)
+def test_the_index_form_reads_as_its_names():
+    # Every method's strategy, read on the caller's game, gives what a
+    # strategy built from its names gives: the same bytes, verdict,
+    # density, Mealy text and restriction.
     games = [FIG_GAME] + _alternating_corpus()
     games += [game for game, _, _ in solvable_random_games(4, 6, 6, 3)]
     folded = 0
@@ -245,13 +226,10 @@ def test_the_index_form_reads_as_its_names(monkeypatch):
         mp = _mp(game)
         for method, extract in _EXTRACT.items():
             for seed in range(5):
-                pruned.clear()
                 strat = extract(game, mp, seed)
-                named = sg.PositionalStrategy(dict(strat.choice))
-                for g, m in [(game, mp)] + pruned:
-                    readings = _readings(g, m, strat)
-                    assert readings == _readings(g, m, named)
-                    folded += isinstance(readings[3], bytes)
+                readings = _readings(game, mp, strat)
+                assert readings == _readings(game, mp, sg.PositionalStrategy(dict(strat.choice)))
+                folded += isinstance(readings[3], bytes)
     assert folded > 0
     assert len(games) == 14
 
