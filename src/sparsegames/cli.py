@@ -382,9 +382,9 @@ def cmd_oracle(args) -> int:
     game = _load_game(args.game)
     mp = most_permissive(game, compute_winning_region(game))
     best, witness = brute_force_min_density(game, mp)
+    optima = enumerate_local_optima(game)
     print(f"minimum_density {best}")
     sys.stdout.write(serialize_strategy(witness).decode())
-    optima = enumerate_local_optima(game)
     print(f"local_optimum_densities {sorted(optima)}")
     return EXIT_OK
 

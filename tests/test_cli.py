@@ -628,6 +628,20 @@ def test_oracle_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "minimum_density 4" in out
     assert "local_optimum_densities [4, 5, 6]" in out
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "e8efc92f043c"
+    # r172's 20 winning player-0 positions exceed the guard, but only 14
+    # of them are reachable.
+    path = _write_game(tmp_path, sg.gen_random(172, 30, 30, 3))
+    assert main(["oracle", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("minimum_density 10\n")
+    assert out.endswith("local_optimum_densities [10]\n")
+    # adversarial 4 passes the brute-force guard, not the local-optima
+    # one, so nothing reaches stdout.
+    path = _write_game(tmp_path, sg.gen_adversarial(4))
+    assert main(["oracle", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "24 reachable winning" in captured.err
 
 
 _PINNED_GAMES = {

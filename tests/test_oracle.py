@@ -10,6 +10,7 @@ from conftest import (
     naive_winning_region,
     solvable_random_games,
 )
+from sparsegames.lp import pruned_context
 
 
 def _mp(game):
@@ -48,11 +49,39 @@ def test_oracle_below_every_heuristic():
         assert best <= sg.density(game, sg.replp_extract(game, mp))
 
 
-def test_oracle_witness_is_valid_and_minimal():
+def test_oracle_witness_is_valid_and_minimal(monkeypatch):
+    # The witness is the index form of its walk on the caller's game, so
+    # neither reader converts it by names.
+    monkeypatch.setattr(sg.game, "strategy_moves", None)
     for game, winning, mp in solvable_random_games(40, 5, 5, 2, max_bits=16):
         best, witness = sg.brute_force_min_density(game, mp)
+        assert witness._own[0] is game
         assert sg.validate_strategy(game, mp, witness).winning
         assert sg.density(game, witness) == best
+
+
+def test_oracle_on_a_game_matches_its_pruned_game():
+    # Pruning keeps the index order, so both searches branch alike on a
+    # game and on its pruned game, and a winning position the walk never
+    # reaches changes no local optimum.  Each game here loses positions to
+    # pruning; r172 has 20 winning player-0 positions, 14 of them reachable.
+    r172 = sg.gen_random(172, 30, 30, 3)
+    cases, seed = [(r172, _mp(r172))], 0
+    while len(cases) < 201:
+        game = sg.gen_random(seed, 4 + seed % 9, 3 + seed % 7, 1 + seed % 3)
+        seed += 1
+        if game.init in sg.compute_winning_region(game):
+            mp = _mp(game)
+            if len(pruned_context(game, mp)[0].pos_names) < len(game.pos_names):
+                cases.append((game, mp))
+    for game, mp in cases:
+        pruned, mp2 = pruned_context(game, mp)
+        results = []
+        for g, m in ((game, mp), (pruned, mp2)):
+            best, witness = sg.brute_force_min_density(g, m)
+            results.append((best, sg.serialize_strategy(witness), sg.enumerate_local_optima(g)))
+        assert results[0] == results[1]
+    assert sg.enumerate_local_optima(r172) == {10}
 
 
 def test_oracle_deterministic():

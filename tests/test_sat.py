@@ -272,8 +272,8 @@ def test_build_cnf_rejects_losing_target():
         # v is player 0 and allows actions to the losing p and q.
         sg.MostPermissiveStrategy(frozenset({"v"}), {v: ((x, p), (y, q))}),
     ]
-    # Neither covers every position of the game, so neither is the
-    # most-permissive strategy of a pruned game.
+    # Both are refused because the walk over their moves reaches p,
+    # which neither keys.
     for mp in inconsistent:
         with pytest.raises(ValueError):
             sg.build_cnf(game, mp)
