@@ -13,11 +13,13 @@ Subcommands:
 
 Exit codes: 0 ok, 1 usage or I/O error, or a reduced LP whose dense
 tableau exceeds ``LP_TABLEAU_BYTES`` (``replp``, ``ilp``, ``sat`` and
-``--dump-lp``), 2 initial position losing, 3 a ``smart`` or ``replp``
-trial timed out before it had a strategy (``t/o``), or an exact engine's
-budget or deadline ran out and it returned its incumbent uncertified,
-4 a trial's strategy failed validation or its engine claimed a density
-other than the strategy's (``invalid``); 4 takes precedence over 3.
+``--dump-lp``; ``bench`` still writes its table, with ``too_large`` in
+that method's cells), 2 initial position losing, 3 a ``smart`` or
+``replp`` trial timed out before it had a strategy (``t/o``), or an
+exact engine's budget or deadline ran out and it returned its incumbent
+uncertified, 4 a trial's strategy failed validation or its engine
+claimed a density other than the strategy's (``invalid``); 4 takes
+precedence over 1 and 3.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import InitLosingError, SparseGamesError, TimeoutExceededError
+from .errors import InitLosingError, LpTooLargeError, SparseGamesError, TimeoutExceededError
 from .game import (
     MostPermissiveStrategy,
     SafetyGame,
@@ -308,7 +310,7 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     corpus = sorted(Path(args.corpus).glob("*.txt"))
     table: list[dict] = []
-    invalid = False
+    invalid = too_large = False
     for path in corpus:
         game = parse_game(path.read_bytes())
         stats, mp = _solve_stats(game)
@@ -326,10 +328,15 @@ def cmd_bench(args) -> int:
             table.append(row)
             continue
         for m in methods:
-            rep = _extract_report(
-                str(path), game, mp, m, args.seed, args.runs,
-                args.timeout_secs,
-            )
+            try:
+                rep = _extract_report(
+                    str(path), game, mp, m, args.seed, args.runs, args.timeout_secs
+                )
+            except LpTooLargeError as exc:
+                print(f"error: {path.stem}: {m}: {exc}", file=sys.stderr)
+                row.update({f"{m}_{k}": "too_large" for k in _BENCH_COLUMNS})
+                too_large = True
+                continue
             if any(map(_invalid, rep["trials"])):
                 cell, invalid = "invalid", True
             else:
@@ -356,7 +363,7 @@ def cmd_bench(args) -> int:
                 allow_nan=False,
             )
         )
-    return EXIT_INVALID if invalid else EXIT_OK
+    return EXIT_INVALID if invalid else EXIT_USAGE if too_large else EXIT_OK
 
 
 def cmd_gen(args) -> int:
@@ -398,8 +405,8 @@ def _runs(text: str) -> int:
 
 def _seconds(text: str) -> float:
     secs = float(text)
-    if math.isnan(secs):
-        raise argparse.ArgumentTypeError("must be a number, not nan")
+    if not math.isfinite(secs):
+        raise argparse.ArgumentTypeError("must be a finite number")
     return secs
 
 

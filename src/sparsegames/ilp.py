@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import MostPermissiveStrategy, PositionalStrategy, SafetyGame
-from .lp import INTEGRALITY_EPS, _Frame, _fractional, lp_solve
+from .lp import INTEGRALITY_EPS, _Frame, _fractional
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -73,19 +73,18 @@ def ilp_exact_extract(
     expanded.  Each child LP starts from its parent's optimal tableau.
     ``work`` counts LP solves, the root included.  When the node budget
     or the ``deadline`` runs out before a child LP, the incumbent is
-    returned with ``certified=False``.  ``warm_seed`` is ignored.  When a
-    ``stats`` dict is supplied, every expanded node is recorded under
-    ``"nodes"`` as (bound, positions of ``game`` fixed to 0, positions
-    fixed to 1, the forced ones included), with the forced
-    player-0 count in the bound.  The simplex pivots of every LP solve go
-    under ``"pivots"``, the forced player-0 count under ``"forced"`` and
-    the reduced LP's (rows, variables) under ``"lp_shape"``.
+    returned with ``certified=False``.  ``warm_seed`` is ignored.  A
+    ``stats`` dict receives the frame's keys and ``"nodes"``, a new list
+    of every expanded node as (bound, positions of ``game`` fixed to 0,
+    positions fixed to 1, the forced ones included), with the forced
+    player-0 count in the bound; every key is set when the call starts
+    and filled as the run goes.
     """
-    frame = _Frame(game, mp)
+    frame = _Frame(game, mp, stats)
     problem, reduced, free = frame.problem, frame.reduced, frame.reduced.free
+    # The node log builds frozensets for every node: only for a caller's stats.
     forced = frozenset(np.flatnonzero(reduced.forced).tolist()) if stats is not None else None
-    lp_solves = 1
-    pivots = frame.root.pivots
+    node_log = frame.stats["nodes"] = [] if stats is not None else None
     certified = True
 
     # Heap entries: (rounded bound, -depth, bound, tiebreak counter, lo,
@@ -93,7 +92,6 @@ def ilp_exact_extract(
     counter = 0
     root = frame.root
     heap = [(frame.lb, 0, root.objective_value, counter, problem.lo, problem.hi, root)]
-    node_log = [] if stats is not None else None
     while heap:
         rounded, neg_depth, bound, _, lo, hi, sol = heapq.heappop(heap)
         if rounded >= frame.ub:
@@ -114,7 +112,7 @@ def ilp_exact_extract(
         branch = idx[np.abs(v[idx] - 0.5).argmin()]
         start = frame.tableau.rebuilt(sol.basis, sol.upper)
         for fix_value in (0.0, 1.0):
-            if lp_solves >= node_budget or (
+            if frame.solves >= node_budget or (
                 deadline is not None and time.monotonic() > deadline
             ):
                 certified = False
@@ -125,9 +123,7 @@ def ilp_exact_extract(
                 c_hi[branch] = 0.0
             else:
                 c_lo[branch] = 1.0
-            lp_solves += 1
-            child = lp_solve(problem.with_bounds(c_lo, c_hi), start if fix_value else start.copy())
-            pivots += child.pivots
+            child = frame.solve(c_lo, c_hi, start if fix_value else start.copy())
             if child.status == "infeasible":
                 continue
             rounded = frame.bound(child.objective_value)
@@ -140,8 +136,4 @@ def ilp_exact_extract(
             )
         if not certified:
             break
-    if stats is not None:
-        stats["nodes"] = node_log
-        stats["pivots"] = pivots
-        frame.record(stats)
-    return ExactResult(frame.best, frame.ub, certified, lp_solves)
+    return ExactResult(frame.best, frame.ub, certified, frame.solves)

@@ -467,14 +467,23 @@ class _Frame:
     root can have an integral objective.  The incumbent is decoded on
     first use, so ``replp``, which reads neither it nor ``ub``, decodes
     only the support it returns.
+
+    The frame runs and counts (``solves``) every LP solve of its engine,
+    and keeps the engine's ``stats`` dict, or a throwaway one: it writes
+    ``forced``, the forced player-0 count, and ``lp_shape``, the reduced
+    LP's (rows, variables), when built, and sums every solve's simplex
+    pivots, the root's first, in ``pivots``.
     """
 
-    def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy):
+    def __init__(self, game: SafetyGame, mp: MostPermissiveStrategy, stats: dict | None = None):
         self.game = game
+        self.stats = {} if stats is None else stats
         self.reduced = reduced_problem(game, mp)
         self.problem = encode_lp(game, self.reduced)
+        self.stats.update(forced=self.reduced.offset, lp_shape=self.problem.rows.shape, pivots=0)
+        self.solves = 0
         self.tableau = Tableau.surplus(self.problem)
-        self.root = lp_solve(self.problem, self.tableau)
+        self.root = self.solve(self.problem.lo, self.problem.hi, self.tableau)
         if self.root.status == "infeasible":
             raise AssertionError("relaxation of a winnable game cannot be infeasible")
         self.lb = self.bound(self.root.objective_value)
@@ -516,10 +525,13 @@ class _Frame:
         if density(self.game, candidate) < self.ub:
             self.best = candidate
 
-    def record(self, stats: dict) -> None:
-        """Record the forced player-0 count and the reduced LP's shape."""
-        stats["forced"] = self.reduced.offset
-        stats["lp_shape"] = self.problem.rows.shape
+    def solve(self, lo: np.ndarray, hi: np.ndarray, start: Tableau | None = None) -> LpSolution:
+        """:func:`lp_solve` of the reduced LP under the bounds ``lo`` and
+        ``hi`` from ``start``, counted in ``solves`` and ``pivots``."""
+        sol = lp_solve(self.problem.with_bounds(lo, hi), start)
+        self.solves += 1
+        self.stats["pivots"] += sol.pivots
+        return sol
 
 
 def replp_extract(
@@ -544,55 +556,45 @@ def replp_extract(
     all-ones point satisfies every constraint, so an infeasible LP
     without zero-fixings is an ``AssertionError``.  The ``deadline`` is
     read before every LP solve, the root's included, and raises
-    :class:`TimeoutExceededError`.  A ``stats`` dict receives ``rounds``,
-    ``zero_fix_retries``, ``fixed_sizes`` (zero-fixed and one-fixed free
-    variables per round), ``pivots``, the simplex pivots of every LP
-    solve, retried rounds included, and the frame's ``forced`` and
-    ``lp_shape``.
+    :class:`TimeoutExceededError`.  A ``stats`` dict receives the frame's
+    keys and ``rounds``, ``zero_fix_retries`` and ``fixed_sizes``
+    (zero-fixed and one-fixed free variables per round); every key is set
+    when the call starts and filled as the run goes, so a deadline keeps
+    what was measured.
     """
     _check_deadline(deadline)
-    frame = _Frame(game, mp)
-    problem = frame.problem
-    lo = problem.lo.copy()
-    hi = problem.hi.copy()
+    frame = _Frame(game, mp, stats)
+    stats = frame.stats
+    stats.update(rounds=0, zero_fix_retries=0, fixed_sizes=[])
+    lo = frame.problem.lo.copy()
+    hi = frame.problem.hi.copy()
     eps = INTEGRALITY_EPS
     sol = frame.root
-    pivots = sol.pivots
     pending_zero = np.empty(0, dtype=int)
-    rounds = 0
-    retries = 0
-    fixed_sizes: list[tuple[int, int]] = []
-    for _ in range(len(problem.var_names) + 2):
+    for _ in range(len(lo) + 2):
         if sol.status == "infeasible":
             if not pending_zero.size:
                 raise AssertionError(
                     "LP infeasible after a fixing round without zero-fixings"
                 )
             hi[pending_zero] = 1.0
-            retries += 1
+            stats["zero_fix_retries"] += 1
             pending_zero = pending_zero[:0]
         else:
-            rounds += 1
+            stats["rounds"] += 1
             v = sol.values
             ones = v >= 1.0 - eps
             fractional = _fractional(v)
             if not fractional.any():
-                if stats is not None:
-                    stats["rounds"] = rounds
-                    stats["zero_fix_retries"] = retries
-                    stats["fixed_sizes"] = fixed_sizes
-                    stats["pivots"] = pivots
-                    frame.record(stats)
                 return frame.decode(ones)
             pending_zero = np.flatnonzero((v <= eps) & (hi > 0.0))
             hi[pending_zero] = 0.0
             lo[ones] = 1.0
             max_frac = v[fractional].max()
             lo[np.flatnonzero(fractional & (v >= max_frac - eps))[0]] = 1.0
-            fixed_sizes.append((int(np.sum(hi <= 0.0)), int(np.sum(lo >= 1.0))))
+            stats["fixed_sizes"].append((int(np.sum(hi <= 0.0)), int(np.sum(lo >= 1.0))))
         _check_deadline(deadline)
-        sol = lp_solve(problem.with_bounds(lo, hi))
-        pivots += sol.pivots
+        sol = frame.solve(lo, hi)
     raise AssertionError("replp failed to converge within the round bound")
 
 

@@ -443,12 +443,12 @@ def sat_exact_extract(
     first model, offered to the frame as the flags of its free position
     variables, is optimal.  ``work`` counts SAT calls.  When the conflict
     budget or the ``deadline`` runs out first, the best strategy so far
-    is returned uncertified.  ``warm_seed`` is ignored.  When a ``stats``
-    dict is supplied, every probe is recorded under ``"probes"`` as (k,
-    status, conflicts), the forced player-0 count under ``"forced"`` and
-    the frame's reduced LP's (rows, variables) under ``"lp_shape"``.
+    is returned uncertified.  ``warm_seed`` is ignored.  A ``stats`` dict
+    receives the frame's keys and ``"probes"``, a new list of every probe
+    as (k, status, conflicts); every key is set when the call starts and
+    filled as the run goes.
     """
-    frame = _Frame(game, mp)
+    frame = _Frame(game, mp, stats)
     reduced = frame.reduced
     n = len(reduced.free)
     p0_vars = (reduced.player0.nonzero()[0] + 1).tolist()
@@ -456,7 +456,7 @@ def sat_exact_extract(
     base = encode_cnf(frame.game, reduced)[0] if frame.lb < frame.ub else None
 
     k = frame.lb
-    probes = []
+    probes = frame.stats["probes"] = []
     while k < frame.ub and (deadline is None or time.monotonic() <= deadline):
         card, n_aux = encode_at_most_k(p0_vars, k - reduced.offset, n + 1)
         cnf = Cnf(n + n_aux, base.clauses + card)
@@ -467,7 +467,4 @@ def sat_exact_extract(
         if outcome.status == "sat":
             frame.offer(outcome.model[:n])
         k += 1
-    if stats is not None:
-        stats["probes"] = probes
-        frame.record(stats)
     return ExactResult(frame.best, frame.ub, k >= frame.ub, len(probes))

@@ -66,6 +66,31 @@ def test_extract_refuses_an_lp_over_the_budget(tmp_path, capsys, monkeypatch, ar
     assert capsys.readouterr().err.startswith("error: the reduced LP has 72 rows")
 
 
+def test_bench_writes_its_table_past_an_lp_over_the_budget(tmp_path, capsys, monkeypatch):
+    # The chain's reduced LP is empty, so only adv8's ilp trials are
+    # refused: their cells read too_large, the other cells are measured,
+    # and bench exits 1 after writing the table.
+    monkeypatch.setattr(sg.lp, "LP_TABLEAU_BYTES", 1)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    _write_game(corpus, sg.gen_chain(3), "chain3.txt")
+    _write_game(corpus, sg.gen_adversarial(8), "adv8.txt")
+    json_path = tmp_path / "bench.json"
+    code = main(
+        ["bench", str(corpus), "--methods", "smart,ilp", "--runs", "1",
+         "--json", str(json_path)]
+    )
+    assert code == 1
+    assert "error: adv8: ilp: the reduced LP has 72 rows" in capsys.readouterr().err
+    rows = {r["benchmark"]: r for r in json.loads(json_path.read_text())["rows"]}
+    assert sorted(rows) == ["adv8", "chain3"]
+    for key in cli._BENCH_COLUMNS:
+        assert rows["adv8"][f"ilp_{key}"] == "too_large"
+    assert rows["chain3"]["ilp_density_mean"] == 3
+    for row in rows.values():
+        assert all(isinstance(row[f"smart_{k}"], (int, float)) for k in cli._BENCH_METRICS)
+
+
 def test_extract_losing_game_exit_code(tmp_path, capsys):
     path = _write_game(tmp_path, _losing_game())
     assert main(["extract", path, "--method", "smart"]) == 2
@@ -395,6 +420,9 @@ def test_deadline_after_warm_start_prints_uncertified_density(
         ["extract", "{game}", "--method", "smart", "--runs", "0"],
         ["bench", "{dir}", "--methods", "smart", "--timeout-secs", "nan"],
         ["extract", "{game}", "--method", "smart", "--timeout-secs", "nan"],
+        ["bench", "{dir}", "--methods", "smart", "--timeout-secs", "inf"],
+        ["extract", "{game}", "--method", "smart", "--timeout-secs", "inf"],
+        ["extract", "{game}", "--method", "smart", "--timeout-secs=-inf"],
     ],
 )
 def test_bad_runs_or_timeout_is_usage_error(args, tmp_path, capsys):

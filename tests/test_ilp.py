@@ -218,6 +218,21 @@ def test_node_bounds_are_valid_lower_bounds():
             assert bound <= best + 1e-6
 
 
+def test_a_reused_stats_dict_holds_only_the_last_calls_nodes():
+    # The chain's integral root certifies before any node is expanded, so
+    # its node list is empty, and the branching game's nodes must be gone.
+    game, mp = _branching_game()
+    first, fresh = {}, {}
+    sg.ilp_exact_extract(game, mp, stats=first)
+    assert len(first["nodes"]) > 1
+    chain = sg.gen_chain(3)
+    chain_mp = sg.most_permissive(chain, sg.compute_winning_region(chain))
+    sg.ilp_exact_extract(chain, chain_mp, stats=first)
+    sg.ilp_exact_extract(chain, chain_mp, stats=fresh)
+    assert first["nodes"] == fresh["nodes"] == []
+    assert first == fresh
+
+
 def test_incumbent_always_valid_anytime():
     for budget in (1, 2, 3, 5, 8):
         game, mp = _branching_game()

@@ -396,6 +396,45 @@ def test_replp_deadline_after_the_root_raises_before_round_two(monkeypatch):
     assert solves == [1]  # the root only
 
 
+def test_replp_deadline_keeps_the_stats_measured_so_far(monkeypatch):
+    # The second deadline read, before round 2, expires: stats keeps the
+    # root round and the frame's keys instead of being left empty.
+    reads = []
+
+    def check(deadline):
+        reads.append(deadline)
+        if len(reads) == 2:
+            raise sg.TimeoutExceededError("replp deadline expired")
+
+    monkeypatch.setattr(lp_mod, "_check_deadline", check)
+    game = sg.gen_random(63, 6, 6, 3)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    frame = lp_mod._Frame(game, mp)
+    assert lp_mod._fractional(frame.root.values).any()
+    stats = {}
+    with pytest.raises(sg.TimeoutExceededError):
+        lp_mod.replp_extract(game, mp, deadline=1.0, stats=stats)
+    assert (stats["rounds"], stats["zero_fix_retries"], len(stats["fixed_sizes"])) == (1, 0, 1)
+    assert stats["pivots"] == frame.root.pivots > 0
+    assert (stats["forced"], stats["lp_shape"]) == (frame.reduced.offset, frame.problem.rows.shape)
+
+
+def test_replp_pivots_count_every_lp_solve(monkeypatch):
+    solved = []
+
+    def recording(problem, start=None):
+        solved.append(sg.lp_solve(problem, start))
+        return solved[-1]
+
+    monkeypatch.setattr(lp_mod, "lp_solve", recording)
+    game = sg.gen_random(63, 6, 6, 3)
+    mp = sg.most_permissive(game, sg.compute_winning_region(game))
+    stats = {}
+    lp_mod.replp_extract(game, mp, stats=stats)
+    assert len(solved) == stats["rounds"] + stats["zero_fix_retries"] > 1
+    assert stats["pivots"] == sum(sol.pivots for sol in solved)
+
+
 def test_replp_chain_density_matches_oracle():
     game = sg.gen_chain(5)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
@@ -561,8 +600,6 @@ def _pin(sol):
 
 
 def test_lp_solutions_are_pinned(monkeypatch):
-    import sparsegames.ilp as ilp_mod
-
     games = {"chain16": sg.gen_chain(16)}
     games.update({f"adversarial{i}": sg.gen_adversarial(i) for i in range(1, 9)})
     games.update({f"random{s}": sg.gen_random(s, 12, 12, 3) for s in (91, 183, 218, 270)})
@@ -578,9 +615,7 @@ def test_lp_solutions_are_pinned(monkeypatch):
         solved.append(sg.lp_solve(problem, start))
         return solved[-1]
 
-    # The root is solved by the frame in ``lp``, the children in ``ilp``.
     monkeypatch.setattr(lp_mod, "lp_solve", recording)
-    monkeypatch.setattr(ilp_mod, "lp_solve", recording)
     game = sg.gen_random(63, 6, 6, 3)
     mp = sg.most_permissive(game, sg.compute_winning_region(game))
     stats = {}

@@ -549,3 +549,12 @@ def test_to_dimacs_format():
     assert lines[0] == "c hello"
     assert lines[1] == "p cnf 3 2"
     assert lines[2] == "1 -2 0" and lines[3] == "2 3 0"
+
+
+def test_sat_stats_hold_the_root_pivots():
+    # sat solves no LP past the frame's root, whose pivots are its own.
+    game, mp = _solved(sg.gen_random(63, 6, 6, 3))
+    stats = {}
+    res = sg.sat_exact_extract(game, mp, stats=stats)
+    assert res.work == len(stats["probes"]) == 1
+    assert stats["pivots"] == _Frame(game, mp).root.pivots > 0
