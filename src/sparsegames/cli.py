@@ -14,12 +14,13 @@ Subcommands:
 Exit codes: 0 ok, 1 usage or I/O error, or a reduced LP whose dense
 tableau exceeds ``LP_TABLEAU_BYTES`` (``replp``, ``ilp``, ``sat`` and
 ``--dump-lp``; ``bench`` still writes its table, with ``too_large`` in
-that method's cells), 2 initial position losing, 3 a ``smart`` or
-``replp`` trial timed out before it had a strategy (``t/o``), or an
-exact engine's budget or deadline ran out and it returned its incumbent
-uncertified, 4 a trial's strategy failed validation or its engine
-claimed a density other than the strategy's (``invalid``); 4 takes
-precedence over 1 and 3.
+that method's cells), 2 initial position losing, 3 (``extract`` only) a
+``smart`` or ``replp`` trial timed out before it had a strategy
+(``t/o``), or an exact engine's budget or deadline ran out and it
+returned its incumbent uncertified, 4 a trial's strategy failed
+validation or its engine claimed a density other than the strategy's
+(``invalid``); 4 takes precedence over 1 and 3.  ``bench`` never exits
+3: it exits 0 when its cells read ``t/o`` or are uncertified.
 """
 
 from __future__ import annotations

@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import functools
+import hashlib
+import pickle
 from collections import deque
 
 import pytest
@@ -262,3 +267,163 @@ def test_serialize_mealy_format():
         b"trans g2 u x g0\n"
         b"trans g2 v z g2\n"
     )
+
+
+# Player-1 states m, m! and m\x01 take index order m < m\x01 < m!, while
+# their trans lines sort as "m\x01 " < "m " < "m! ", so the text's order is
+# not the index order.
+_BYTE_ORDER_GAME = sg.SafetyGame.build(
+    {"m": 1, "m!": 1, "m\x01": 1, "a": 0, "b": 0, "c": 0},
+    {
+        ("m", "u"): "a",
+        ("m", "v"): "b",
+        ("a", "x"): "m!",
+        ("a", "y"): "m\x01",
+        ("b", "x"): "m\x01",
+        ("m!", "u"): "c",
+        ("m\x01", "u"): "c",
+        ("m\x01", "v"): "a",
+        ("c", "x"): "m",
+        ("c", "y"): "m!",
+    },
+    "m",
+)
+# A player-1 init without edges folds to a header-only machine.
+_HEADER_ONLY_GAME = sg.SafetyGame.build({"p": 1}, {}, "p")
+
+
+@functools.lru_cache(maxsize=None)
+def _mealy_panel():
+    """(panel label, game, strategy) for every method's strategy, seeds
+    0-2, on chains 1-16, adversarial games 1-24 and the two games above."""
+    panel = {
+        "chain": [sg.gen_chain(n) for n in range(1, 17)],
+        "adversarial": [sg.gen_adversarial(i) for i in range(1, 25)],
+        "names": [_BYTE_ORDER_GAME],
+        "header": [_HEADER_ONLY_GAME],
+    }
+    cases = []
+    for label, games in panel.items():
+        for game in games:
+            mp = _mp(game)
+            for extract in _EXTRACT.values():
+                for seed in range(3):
+                    cases.append((label, game, extract(game, mp, seed)))
+    return tuple(cases)
+
+
+# Recorded on the name-keyed fold, before the index form.
+_PINNED_MEALY = {
+    "chain": "88332ee33cf62555",
+    "adversarial": "78fa88cb9d866947",
+    "names": "0b824726440f6d46",
+    "header": "6b295c434a2e8301",
+}
+
+
+def test_mealy_text_is_pinned():
+    digests = {label: hashlib.sha256() for label in _PINNED_MEALY}
+    for label, game, strat in _mealy_panel():
+        digests[label].update(sg.serialize_mealy(sg.strategy_to_mealy(game, strat)))
+    assert {label: h.hexdigest()[:16] for label, h in digests.items()} == _PINNED_MEALY
+    header_only = sg.strategy_to_mealy(_HEADER_ONLY_GAME, sg.PositionalStrategy({}))
+    assert sg.serialize_mealy(header_only) == b"mealy 1 p\n"
+
+
+def _name_keyed_fold(game, strat):
+    """Reference fold: a breadth-first walk over player-1 position names,
+    taking every edge of a player-1 position and then the strategy's
+    named reply, with each transition keyed by names as it is found."""
+    choice, edges = strat.choice, game.edges
+    inputs = {}
+    for p, a in edges:
+        inputs.setdefault(p, []).append(a)
+    order, seen, transitions = [game.init], {game.init}, {}
+    for p in order:  # grows as the walk finds states
+        for a in sorted(inputs.get(p, ())):
+            mid = edges[(p, a)]
+            reply = choice.get(mid)
+            if (mid, reply) not in edges:
+                raise ValueError(f"strategy undefined at reachable position {mid!r}")
+            nxt = edges[(mid, reply)]
+            transitions[(p, a)] = (nxt, reply)
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return sg.MealyMachine(tuple(sorted(order)), game.init, transitions)
+
+
+def _run_or_error(machine, word):
+    try:
+        return machine.run(word)
+    except KeyError as exc:
+        return repr(exc)
+
+
+def _fold_or_error(fold, game, strat):
+    try:
+        return fold(game, strat)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_fold_matches_name_keyed_reference():
+    # The index-form machine names the states, initial state and
+    # transitions, and runs every input word, as the reference does, in
+    # the same order; a strategy without all or half of its moves fails
+    # with the same error.
+    rng = sg.SplitMix64(36)
+    checked = errors = 0
+    for _, game, extracted in _mealy_panel():
+        half = dict(sorted(extracted.choice.items())[1::2])
+        for strat in (extracted, sg.PositionalStrategy({}), sg.PositionalStrategy(half)):
+            mine = _fold_or_error(sg.strategy_to_mealy, game, strat)
+            ref = _fold_or_error(_name_keyed_fold, game, strat)
+            if isinstance(ref, str):
+                assert mine == ref
+                errors += 1
+                continue
+            assert (mine.states, mine.initial, mine.transitions) == (
+                ref.states,
+                ref.initial,
+                ref.transitions,
+            )
+            assert list(mine.transitions) == list(ref.transitions)
+            alphabet = sorted({a for _, a in ref.transitions} | {"bogus"})
+            for _ in range(4):
+                word = [alphabet[rng.below(len(alphabet))] for _ in range(rng.below(12))]
+                assert _run_or_error(mine, word) == _run_or_error(ref, word)
+            assert sg.serialize_mealy(mine) == sg.serialize_mealy(ref)
+            checked += 1
+    assert checked > 600 and errors > 1000
+
+
+def test_a_folded_machine_behaves_as_its_names():
+    # A folded machine keeps its game's index arrays and names each field
+    # on first read; reading the states builds no transitions.  Read fresh
+    # each time, it compares, prints, pickles, copies and refuses writes
+    # and hashing as the machine built from its names does.
+    game = sg.gen_adversarial(4)
+    mp = _mp(game)
+    strat = sg.random_extract(game, mp, 1)
+
+    def make():
+        return sg.strategy_to_mealy(game, strat)
+
+    folded = make()
+    assert not {"states", "initial", "transitions"} & vars(folded).keys()
+    assert len(folded.states) > 5 and "transitions" not in vars(folded)
+    named = sg.MealyMachine(folded.states, make().initial, dict(make().transitions))
+    assert make() == named and named == make()
+    assert repr(make()) == repr(named)
+    for copied in (pickle.loads(pickle.dumps(make())), copy.deepcopy(make())):
+        assert copied == named and repr(copied) == repr(named)
+        assert copied._own is None
+    assert pickle.dumps(make()) == pickle.dumps(named)
+    for machine in (make(), named):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            machine.states = ()
+        with pytest.raises(TypeError):
+            hash(machine)
+        with pytest.raises(AttributeError):
+            machine.bogus
